@@ -40,7 +40,7 @@ BASE = ScenarioConfig(
     ranging="rssi",
     pk_error=None,
 )
-BP_CFG = GridBPConfig(grid_size=14, max_iterations=10, backend="batched")
+BP_CFG = GridBPConfig(grid_size=14, max_iterations=10)
 JOINT_CFG = JointChannelConfig(grid=BP_CFG, em_iterations=2)
 N_TRIALS = 2
 

@@ -28,6 +28,7 @@ from repro.audit.corpus import (
 from repro.audit.harness import (
     DiffCase,
     DiffReport,
+    ReferenceGridBP,
     ScenarioContext,
     default_cases,
     run_case,
@@ -71,6 +72,7 @@ __all__ = [
     "ScenarioContext",
     "DiffCase",
     "DiffReport",
+    "ReferenceGridBP",
     "default_cases",
     "run_case",
     "run_corpus",

@@ -8,8 +8,9 @@ scenario:
     Byte-identical outputs — estimates, masks, beliefs, iteration count,
     and the message/byte ledger.  Holds for pairs that execute the same
     arithmetic in a different organization: centralized vs distributed
-    (fault-free), optimized vs reference kernels, batched vs per-trial
-    kernel backends, shared-cache warm vs cold, worker counts 1 vs N.
+    (fault-free), the solver vs its reference path
+    (:class:`ReferenceGridBP`), a stacked batch vs sequential solves,
+    shared-cache warm vs cold, worker counts 1 vs N.
 ``statistical``
     Same accuracy within a tolerance band, full coverage on both sides —
     for pairs that approximate the same posterior differently (multi-res
@@ -45,8 +46,10 @@ from repro.audit.invariants import (
 )
 from repro.core.bnloc import GridBPConfig, GridBPLocalizer
 from repro.core.result import LocalizationResult
+from repro.kernels import get_backend
 
 __all__ = [
+    "ReferenceGridBP",
     "ScenarioContext",
     "DiffCase",
     "DiffReport",
@@ -248,6 +251,27 @@ def _compare_statistical(
 # --------------------------------------------------------------------- #
 # the standard case matrix
 # --------------------------------------------------------------------- #
+class ReferenceGridBP(GridBPLocalizer):
+    """:class:`~repro.core.bnloc.GridBPLocalizer` on its reference path.
+
+    Node potentials come from ``_node_potentials_baseline`` (every anchor
+    field recomputed per unknown) and BP runs on the plain per-node loop
+    (the ``reference`` kernel) whatever the schedule.  Everything else —
+    edge operators, damped restarts, estimates, accounting, telemetry —
+    is the solver's own code.  This is the bit-identity reference the
+    ``solver-vs-reference`` case, the kernel tests and the E12 A/B
+    baseline compare the solver against.  Only :meth:`localize` runs the
+    reference path: ``localize_batch`` stacks problems on the kernel the
+    schedule picks.
+    """
+
+    def _node_potentials(self, ms, grid, prior, radio, unknowns):
+        return self._node_potentials_baseline(ms, grid, prior, radio, unknowns)
+
+    def _kernel(self):
+        return get_backend("reference")
+
+
 def _audit_bp_config(**overrides) -> GridBPConfig:
     """The harness's compact solver settings (small grid, pinned rounds)."""
     base = dict(grid_size=10, max_iterations=6, tol=1e-9)
@@ -258,6 +282,11 @@ def _audit_bp_config(**overrides) -> GridBPConfig:
 def _run_grid(ctx: ScenarioContext, **overrides) -> LocalizationResult:
     cfg = _audit_bp_config(**overrides)
     return GridBPLocalizer(prior=ctx.prior, config=cfg).localize(ctx.measurements)
+
+
+def _run_reference(ctx: ScenarioContext, **overrides) -> LocalizationResult:
+    cfg = _audit_bp_config(**overrides)
+    return ReferenceGridBP(prior=ctx.prior, config=cfg).localize(ctx.measurements)
 
 
 def _run_distributed(ctx: ScenarioContext, with_stats: bool = False, **overrides):
@@ -298,7 +327,7 @@ def _run_localize_batch(ctx: ScenarioContext, batched: bool) -> list:
     T compatible trials must match T sequential ``localize`` calls."""
     from repro.core.bnloc import localize_batch
 
-    cfg = _audit_bp_config(backend="batched")
+    cfg = _audit_bp_config()
     locs = [GridBPLocalizer(prior=ctx.prior, config=cfg) for _ in range(3)]
     if batched:
         results = localize_batch([(loc, ctx.measurements) for loc in locs])
@@ -338,7 +367,7 @@ def _run_joint(ctx: ScenarioContext) -> LocalizationResult:
     from repro.core.jointchannel import JointChannelConfig, JointChannelLocalizer
 
     cfg = JointChannelConfig(
-        grid=_audit_bp_config(backend="batched"),
+        grid=_audit_bp_config(),
         em_iterations=2,
     )
     return JointChannelLocalizer(prior=ctx.prior, config=cfg).localize(
@@ -357,19 +386,17 @@ def _run_mcmc(ctx: ScenarioContext) -> LocalizationResult:
     ).localize(ctx.measurements, np.random.default_rng(ctx.spec.seed))
 
 
-def _executor_trial(spec: ScenarioSpec, seed: int, backend: str = "reference") -> list:
+def _executor_trial(spec: ScenarioSpec, seed: int) -> list:
     """Module-level (picklable) trial for the worker-count bit case."""
     ctx = ScenarioContext(spec)
-    return _run_grid(ctx, backend=backend).estimates.tolist()
+    return _run_grid(ctx).estimates.tolist()
 
 
-def _run_trials_with_workers(
-    ctx: ScenarioContext, n_workers: int, backend: str = "reference"
-) -> list:
+def _run_trials_with_workers(ctx: ScenarioContext, n_workers: int) -> list:
     from repro.parallel import run_trials
 
     return run_trials(
-        functools.partial(_executor_trial, ctx.spec, backend=backend),
+        functools.partial(_executor_trial, ctx.spec),
         n_trials=2,
         seed=ctx.spec.seed,
         n_workers=n_workers,
@@ -396,7 +423,6 @@ def _flatten_evaluation(evaluation: dict) -> list:
 def _run_ckpt_evaluation(
     ctx: ScenarioContext,
     interrupt: bool,
-    backend: str = "reference",
     batch_trials: int | None = None,
 ) -> list:
     """The checkpoint/resume bit case: an evaluation that is aborted after
@@ -405,7 +431,7 @@ def _run_ckpt_evaluation(
     from repro.experiments.runner import evaluate_methods, standard_methods
 
     methods = standard_methods(
-        grid_size=10, max_iterations=6, include=["bn-pk", "centroid"], backend=backend
+        grid_size=10, max_iterations=6, include=["bn-pk", "centroid"]
     )
     cfg = ctx.spec.config
     eval_kwargs = dict(
@@ -451,17 +477,10 @@ def default_cases() -> list[DiffCase]:
             applies=fault_free,
         ),
         DiffCase(
-            "optimized-vs-reference",
+            "solver-vs-reference",
             "bit",
-            run_ref=functools.partial(_run_grid, optimized=True),
-            run_alt=functools.partial(_run_grid, optimized=False),
-            applies=fault_free,
-        ),
-        DiffCase(
-            "serial-optimized-vs-reference",
-            "bit",
-            run_ref=functools.partial(_run_grid, schedule="serial", optimized=True),
-            run_alt=functools.partial(_run_grid, schedule="serial", optimized=False),
+            run_ref=_run_grid,
+            run_alt=_run_reference,
             applies=fault_free,
         ),
         DiffCase(
@@ -469,29 +488,6 @@ def default_cases() -> list[DiffCase]:
             "bit",
             run_ref=functools.partial(_run_grid, shared_cache=False),
             run_alt=_run_grid_warm,
-            applies=fault_free,
-        ),
-        DiffCase(
-            "batched-vs-reference",
-            "bit",
-            run_ref=functools.partial(_run_grid, backend="batched"),
-            run_alt=_run_grid,
-            applies=fault_free,
-        ),
-        DiffCase(
-            "serial-batched-vs-reference",
-            "bit",
-            run_ref=functools.partial(_run_grid, schedule="serial", backend="batched"),
-            run_alt=functools.partial(_run_grid, schedule="serial"),
-            applies=fault_free,
-        ),
-        DiffCase(
-            "batched-cache-warm-vs-cold",
-            "bit",
-            run_ref=functools.partial(
-                _run_grid, shared_cache=False, backend="batched"
-            ),
-            run_alt=functools.partial(_run_grid_warm, backend="batched"),
             applies=fault_free,
         ),
         DiffCase(
@@ -510,18 +506,6 @@ def default_cases() -> list[DiffCase]:
             slow=True,
         ),
         DiffCase(
-            "batched-workers-1-vs-2",
-            "bit",
-            run_ref=functools.partial(
-                _run_trials_with_workers, n_workers=1, backend="batched"
-            ),
-            run_alt=functools.partial(
-                _run_trials_with_workers, n_workers=2, backend="batched"
-            ),
-            applies=fault_free,
-            slow=True,
-        ),
-        DiffCase(
             "ckpt-resume-vs-uninterrupted",
             "bit",
             run_ref=functools.partial(_run_ckpt_evaluation, interrupt=False),
@@ -532,16 +516,10 @@ def default_cases() -> list[DiffCase]:
             "ckpt-resume-vs-uninterrupted-batched",
             "bit",
             run_ref=functools.partial(
-                _run_ckpt_evaluation,
-                interrupt=False,
-                backend="batched",
-                batch_trials=2,
+                _run_ckpt_evaluation, interrupt=False, batch_trials=2
             ),
             run_alt=functools.partial(
-                _run_ckpt_evaluation,
-                interrupt=True,
-                backend="batched",
-                batch_trials=2,
+                _run_ckpt_evaluation, interrupt=True, batch_trials=2
             ),
             applies=fault_free,
         ),
@@ -572,7 +550,7 @@ def default_cases() -> list[DiffCase]:
         DiffCase(
             "joint-vs-fixed",
             "statistical",
-            run_ref=functools.partial(_run_grid, backend="batched"),
+            run_ref=_run_grid,
             run_alt=_run_joint,
             tol=0.35,
             applies=rssi,

@@ -112,14 +112,6 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
         help="comma-separated method names (see `info`)",
     )
     p.add_argument(
-        "--backend",
-        choices=["reference", "batched"],
-        default="reference",
-        help="grid-BP kernel backend (repro.kernels); bit-identical "
-        "results, the batched backend stacks compatible trials into one "
-        "tensor pass per BP round when combined with --batch-trials",
-    )
-    p.add_argument(
         "--batch-trials",
         type=int,
         default=None,
@@ -177,11 +169,7 @@ def _methods_from_args(args: argparse.Namespace) -> dict:
     if not names:
         raise SystemExit("error: --methods must name at least one method")
     try:
-        return standard_methods(
-            grid_size=args.grid_size,
-            include=names,
-            backend=getattr(args, "backend", "reference"),
-        )
+        return standard_methods(grid_size=args.grid_size, include=names)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
 
@@ -190,14 +178,7 @@ def _checkpoint_meta(args: argparse.Namespace) -> dict | None:
     """Extra ledger-header keys that let `repro resume` rebuild the run."""
     if not getattr(args, "checkpoint", None):
         return None
-    meta = {"method_kwargs": {"grid_size": args.grid_size}}
-    backend = getattr(args, "backend", "reference")
-    if backend != "reference":
-        # kernel backends are bit-identical, so an old reference ledger
-        # resumed with --backend batched (or vice versa) is still exact;
-        # record the choice anyway so `repro resume` replays it.
-        meta["method_kwargs"]["backend"] = backend
-    return meta
+    return {"method_kwargs": {"grid_size": args.grid_size}}
 
 
 def _reraise_unless_checkpoint_error(exc: Exception) -> None:
@@ -667,10 +648,13 @@ def cmd_resume(args: argparse.Namespace) -> int:
         cfg = ScenarioConfig.from_dict(meta["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit(f"error: ledger config cannot be reconstructed: {exc}")
+    method_kwargs = dict(meta.get("method_kwargs") or {})
+    # Ledgers written while a `--backend` option existed carry the
+    # chosen kernel here.  The kernels were bit-identical, so dropping
+    # the key keeps the resume exact.
+    method_kwargs.pop("backend", None)
     try:
-        methods = standard_methods(
-            include=meta.get("methods"), **(meta.get("method_kwargs") or {})
-        )
+        methods = standard_methods(include=meta.get("methods"), **method_kwargs)
     except (TypeError, ValueError) as exc:
         raise SystemExit(
             f"error: ledger methods cannot be reconstructed: {exc} (only "

@@ -45,10 +45,12 @@ from repro.core.potentials import (
     shared_registry,
 )
 from repro.core.result import LocalizationResult, Localizer
-from repro.kernels.base import BPOutcome, BPProblem, get_backend, group_compatible
-from repro.kernels.reference import (  # noqa: F401 — long-standing aliases
-    _MSG_FLOOR,
-    _max_product_matvec,
+from repro.kernels.base import (
+    BPOutcome,
+    BPProblem,
+    KernelBackend,
+    group_compatible,
+    kernel_for,
 )
 from repro.measurement.measurements import MeasurementSet
 from repro.network.radio import RadioModel, UnitDiskRadio
@@ -102,7 +104,10 @@ class GridBPConfig:
         round); ``"serial"`` — Gauss–Seidel: messages commit immediately
         within a sweep, so information crosses the network in one
         iteration (the natural centralized schedule; usually converges in
-        fewer iterations).
+        fewer iterations).  The schedule also picks the kernel
+        (:func:`repro.kernels.kernel_for`): synchronous sum-product runs
+        on the batched kernel, serial and max-product on the plain
+        per-node loop.
     estimator:
         ``"mmse"`` (posterior mean — minimizes expected squared error) or
         ``"map"`` (best cell center).
@@ -126,12 +131,6 @@ class GridBPConfig:
     restart_damping:
         Damping used by the automatic restart (must exceed the normal
         *damping* to be useful).
-    optimized:
-        Use the vectorized hot paths (per-anchor hoisting in the node
-        potentials, cached logs and batched same-kernel sparse matmuls in
-        the BP rounds).  ``False`` selects the straightforward reference
-        implementation, kept for A/B benchmarking and the bit-identity
-        regression tests — both paths produce byte-identical beliefs.
     audit:
         Runtime invariant guards (:mod:`repro.audit`): ``None`` defers to
         the ``REPRO_AUDIT`` environment toggle, ``"off"`` disables,
@@ -146,16 +145,6 @@ class GridBPConfig:
         parameters — the common case inside Monte-Carlo sweeps.  Warm
         runs are bit-identical to cold ones; disable to force per-run
         rebuilds.
-    backend:
-        Kernel backend running the BP loop (:mod:`repro.kernels`):
-        ``"reference"`` is the per-trial kernel pair of PR 3 (with
-        ``optimized`` selecting the vectorized or baseline path);
-        ``"batched"`` is the trial-axis kernel — identical results on a
-        single run, and :func:`localize_batch` stacks compatible runs
-        into one tensor pass per BP round.  Any name registered through
-        :func:`repro.kernels.register_backend` is accepted.  All
-        backends are bit-identical (gated by ``tests/test_kernels.py``
-        and the ``repro.audit`` bit-tier DiffCases).
     """
 
     grid_size: int = 20
@@ -172,10 +161,8 @@ class GridBPConfig:
     record_trace: bool = False
     health_checks: bool = True
     restart_damping: float = 0.5
-    optimized: bool = True
     shared_cache: bool = True
     audit: str | None = None
-    backend: str = "reference"
 
     def __post_init__(self) -> None:
         if self.audit not in (None, "off", "warn", "raise"):
@@ -198,16 +185,6 @@ class GridBPConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if not (0.0 <= self.restart_damping < 1.0):
             raise ValueError("restart_damping must lie in [0, 1)")
-        if self.backend not in ("reference", "batched"):
-            # builtin names validate for free; anything else must be a
-            # registered extension backend
-            from repro.kernels import available_backends
-
-            if self.backend not in available_backends():
-                raise ValueError(
-                    f"unknown kernel backend {self.backend!r}; available: "
-                    f"{available_backends()}"
-                )
 
 
 @dataclass
@@ -291,11 +268,18 @@ class GridBPLocalizer(Localizer):
         self, measurements: MeasurementSet, tracer: NullTracer
     ) -> LocalizationResult:
         prep = self._prepare(measurements, tracer)
-        backend = get_backend(self.config.backend)
+        kernel = self._kernel()
         with tracer.timer("bp"):
-            outcome = backend.run(prep.problem, tracer)
-        outcome, restarted = self._maybe_restart(prep, outcome, backend, tracer)
+            outcome = kernel.run(prep.problem, tracer)
+        outcome, restarted = self._maybe_restart(prep, outcome, kernel, tracer)
+        if tracer.enabled:
+            tracer.annotate("backend", kernel.name)
         return self._finish(prep, outcome, restarted, tracer)
+
+    def _kernel(self) -> KernelBackend:
+        """The kernel :meth:`localize` runs: the one the config's schedule
+        picks (:func:`repro.kernels.kernel_for`)."""
+        return kernel_for(self.config)
 
     def _prepare(
         self, measurements: MeasurementSet, tracer: NullTracer
@@ -407,7 +391,7 @@ class GridBPLocalizer(Localizer):
         self,
         prep: "_Prepared",
         outcome: BPOutcome,
-        backend,
+        kernel: KernelBackend,
         tracer: NullTracer,
     ) -> tuple[BPOutcome, bool]:
         """Graceful degradation: a numerically broken or diverging run gets
@@ -439,7 +423,7 @@ class GridBPLocalizer(Localizer):
 
         cfg_restart = _dc.replace(cfg, damping=max(cfg.damping, cfg.restart_damping))
         with tracer.timer("damped_restart"):
-            rerun = backend.run(
+            rerun = kernel.run(
                 _dc.replace(prep.problem, cfg=cfg_restart), tracer
             )
         if tracer.enabled:
@@ -528,7 +512,6 @@ class GridBPLocalizer(Localizer):
         bytes_sent = anchor_msgs * _ANCHOR_BROADCAST_BYTES + uu_msgs * K * 8
         if tracer.enabled:
             tracer.annotate("method", self.name)
-            tracer.annotate("backend", cfg.backend)
             tracer.annotate("schedule", cfg.schedule)
             tracer.annotate("grid_cells", K)
             tracer.annotate("n_unknowns", len(unknowns))
@@ -626,8 +609,6 @@ class GridBPLocalizer(Localizer):
         :meth:`_node_potentials_baseline`.
         """
         cfg = self.config
-        if not cfg.optimized:
-            return self._node_potentials_baseline(ms, grid, prior, radio, unknowns)
         log_phi = np.empty((len(unknowns), grid.n_cells))
         anchor_ids = ms.anchor_ids
         hops = None
@@ -761,9 +742,9 @@ class GridBPLocalizer(Localizer):
     ) -> np.ndarray:
         """Reference implementation of :meth:`_node_potentials`.
 
-        Kept for A/B benchmarking (``GridBPConfig(optimized=False)``) and
-        the bit-identity regression tests; recomputes every anchor field
-        per unknown.
+        The bit-identity reference for tests and the audit's reference
+        runner (:class:`repro.audit.harness.ReferenceGridBP`); no config
+        selects it.  Recomputes every anchor field per unknown.
         """
         cfg = self.config
         log_phi = np.empty((len(unknowns), grid.n_cells))
@@ -832,42 +813,6 @@ class GridBPLocalizer(Localizer):
         return log_phi
 
 
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _run_bp(
-        log_phi: np.ndarray,
-        edges: list[tuple[int, int]],
-        ops: list[tuple],
-        grid: Grid2D,
-        cfg: GridBPConfig,
-        tracer: NullTracer = NULL_TRACER,
-    ) -> tuple[np.ndarray, int, bool, list[np.ndarray], dict]:
-        """Loopy sum-product over unknown-unknown edges.
-
-        Delegates to :func:`repro.kernels.reference.run_bp` (the kernels
-        moved there when backends became pluggable); kept as a staticmethod
-        for callers that predate :mod:`repro.kernels`.
-        """
-        from repro.kernels.reference import run_bp
-
-        return run_bp(log_phi, edges, ops, grid, cfg, tracer)
-
-    @staticmethod
-    def _run_bp_baseline(
-        log_phi: np.ndarray,
-        edges: list[tuple[int, int]],
-        ops: list[tuple],
-        grid: Grid2D,
-        cfg: GridBPConfig,
-        tracer: NullTracer = NULL_TRACER,
-    ) -> tuple[np.ndarray, int, bool, list[np.ndarray], dict]:
-        """Reference implementation of :meth:`_run_bp` — delegates to
-        :func:`repro.kernels.reference.run_bp_baseline`."""
-        from repro.kernels.reference import run_bp_baseline
-
-        return run_bp_baseline(log_phi, edges, ops, grid, cfg, tracer)
-
-
 # ---------------------------------------------------------------------- #
 def localize_batch(
     pairs: list[tuple[GridBPLocalizer, MeasurementSet]],
@@ -879,9 +824,10 @@ def localize_batch(
     :func:`repro.kernels.group_compatible` (same grid shape/extent, same
     ``K``, equal config — different networks/priors/seeds batch together;
     mixed shapes split into separate groups, never silently co-batched),
-    and each group runs through the config's kernel backend in one
-    ``run_batch`` call — for the ``batched`` backend, one stacked tensor
-    pass per BP round for the whole group.
+    and each group runs through the kernel its config's schedule picks
+    (:func:`repro.kernels.kernel_for`) in one ``run_batch`` call — for
+    synchronous sum-product, one stacked tensor pass per BP round for the
+    whole group.
 
     Results come back in input order and are bit-identical to calling
     ``localize`` pair by pair (gated by ``tests/test_kernels.py`` and the
@@ -901,20 +847,20 @@ def localize_batch(
     results: list[LocalizationResult | None] = [None] * len(pairs)
     for _key, idxs in groups:
         problems = [preps[i].problem for i in idxs]
-        backend = get_backend(problems[0].cfg.backend)
+        kernel = kernel_for(problems[0].cfg)
         if len(idxs) == 1:
             i = idxs[0]
             tr = pairs[i][0].tracer
             with tr.timer("bp"):
-                outcomes = [backend.run(problems[0], tr)]
+                outcomes = [kernel.run(problems[0], tr)]
         else:
-            outcomes = backend.run_batch(problems)
+            outcomes = kernel.run_batch(problems)
         for i, outcome in zip(idxs, outcomes):
             loc = pairs[i][0]
             tr = loc.tracer
-            outcome, restarted = loc._maybe_restart(preps[i], outcome, backend, tr)
+            outcome, restarted = loc._maybe_restart(preps[i], outcome, kernel, tr)
             if tr.enabled:
-                tr.annotate("backend", backend.name)
+                tr.annotate("backend", kernel.name)
                 tr.annotate("batch_size", len(idxs))
                 tr.annotate("batch_groups", len(groups))
             result = loc._finish(preps[i], outcome, restarted, tr)

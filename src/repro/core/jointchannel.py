@@ -12,7 +12,7 @@ both to latent variables:
   .ChannelRSSIRanging` with the deployment's known inversion exponent)
   and a full grid-BP solve; because the kernel compatibility key ignores
   the ranging model, all hypotheses stack into **one**
-  :func:`~repro.core.bnloc.localize_batch` pass on the batched backend.
+  :func:`~repro.core.bnloc.localize_batch` pass on the batched kernel.
   Hypotheses are scored by the expected data log-likelihood under their
   own posterior beliefs — all links stacked into one broadcast
   :func:`~repro.core.potentials.floored_loglik` call per hypothesis (the
@@ -88,9 +88,9 @@ class JointChannelConfig:
         tail (EMG) evaluation otherwise dominates the method's runtime.
         ``None`` scores densely over every cell.
     grid:
-        The inner :class:`~repro.core.bnloc.GridBPConfig`.  Defaults to
-        the ``batched`` backend so the per-hypothesis solves run as one
-        stacked tensor pass.
+        The inner :class:`~repro.core.bnloc.GridBPConfig`.  On the
+        synchronous schedule the per-hypothesis solves run as one stacked
+        tensor pass.
     """
 
     eta_support: tuple[float, ...] = (2.0, 2.5, 3.0, 3.5, 4.0)
@@ -100,9 +100,7 @@ class JointChannelConfig:
     nlos_bias_ratio: float = 0.5
     nlos_fraction_bounds: tuple[float, float] = (1e-3, 0.95)
     score_cells: int | None = 64
-    grid: GridBPConfig = field(
-        default_factory=lambda: GridBPConfig(backend="batched")
-    )
+    grid: GridBPConfig = field(default_factory=GridBPConfig)
 
     def __post_init__(self) -> None:
         support = tuple(float(e) for e in self.eta_support)

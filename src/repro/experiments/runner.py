@@ -58,7 +58,6 @@ def standard_methods(
     max_iterations: int = 15,
     nbp_particles: int = 150,
     include: Sequence[str] | None = None,
-    backend: str = "reference",
     mcmc_samples: int = 150,
     joint_channel=None,
 ) -> dict[str, MethodFactory]:
@@ -75,17 +74,12 @@ def standard_methods(
     positions — applicable to RSSI-ranged scenarios only (elsewhere it
     raises, which the runner records as coverage 0).  *joint_channel*
     overrides its :class:`~repro.core.jointchannel.JointChannelConfig`
-    (default: the standard η support on this grid size, batched backend).
-    *backend* selects the grid-BP kernel backend
-    (:mod:`repro.kernels`); all backends are bit-identical, so it is a
-    performance knob, not a method variant.
+    (default: the standard η support on this grid size).
     """
     from repro.core.jointchannel import JointChannelConfig, JointChannelLocalizer
     from repro.core.mcmc import MCMCConfig, MCMCLocalizer
 
-    grid_cfg = GridBPConfig(
-        grid_size=grid_size, max_iterations=max_iterations, backend=backend
-    )
+    grid_cfg = GridBPConfig(grid_size=grid_size, max_iterations=max_iterations)
     nbp_cfg = NBPConfig(n_particles=nbp_particles, n_iterations=5)
     mcmc_cfg = MCMCConfig(
         n_samples=mcmc_samples,
@@ -96,11 +90,7 @@ def standard_methods(
         joint_channel
         if joint_channel is not None
         else JointChannelConfig(
-            grid=GridBPConfig(
-                grid_size=grid_size,
-                max_iterations=max_iterations,
-                backend="batched",
-            )
+            grid=GridBPConfig(grid_size=grid_size, max_iterations=max_iterations)
         )
     )
     all_methods: dict[str, MethodFactory] = {
@@ -378,10 +368,9 @@ def evaluate_methods(
     ``batch_trials=<block size>`` runs trials in blocks, stacking the
     grid-BP methods across each block (:func:`_run_trial_block`) — same
     per-trial seed streams, bit-identical summaries and message counts,
-    per-trial ``runtimes`` amortized over the block.  Combine with
-    ``backend="batched"`` in :func:`standard_methods` for the stacked
-    kernel; checkpoint ledgers record per trial either way, so batched
-    and unbatched runs resume each other bit-identically.
+    per-trial ``runtimes`` amortized over the block.  Checkpoint ledgers
+    record per trial either way, so batched and unbatched runs resume
+    each other bit-identically.
 
     With ``checkpoint=<ledger path>`` (or a :class:`~repro.ckpt.Checkpoint`
     / :class:`~repro.ckpt.CheckpointScope`), each finished trial is durably
@@ -457,7 +446,6 @@ def evaluate_methods_parallel(
     grid_size: int = 20,
     max_iterations: int = 15,
     nbp_particles: int = 150,
-    backend: str = "reference",
     mcmc_samples: int = 150,
     tracer: NullTracer | None = None,
     checkpoint=None,
@@ -493,7 +481,6 @@ def evaluate_methods_parallel(
         "grid_size": grid_size,
         "max_iterations": max_iterations,
         "nbp_particles": nbp_particles,
-        "backend": backend,
         "mcmc_samples": mcmc_samples,
     }
     names = list(method_names)

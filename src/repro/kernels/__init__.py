@@ -1,16 +1,15 @@
-"""Pluggable grid-BP kernel backends (reference and batched trial-axis)."""
+"""Grid-BP kernels: the plain per-node loop and the batched trial-axis kernel."""
 
 from repro.kernels.base import (
     BPOutcome,
     BPProblem,
     IncompatibleBatchError,
     KernelBackend,
-    available_backends,
     compatibility_key,
     config_key,
     get_backend,
     group_compatible,
-    register_backend,
+    kernel_for,
 )
 from repro.kernels.cancel import (
     Deadline,
@@ -27,9 +26,8 @@ __all__ = [
     "compatibility_key",
     "config_key",
     "group_compatible",
-    "register_backend",
     "get_backend",
-    "available_backends",
+    "kernel_for",
     "Deadline",
     "deadline_scope",
     "active_deadline",

@@ -1,26 +1,27 @@
-"""Pluggable grid-BP kernel backends.
+"""The two grid-BP kernels and the rule that picks between them.
 
-A *kernel backend* owns the inner message-passing loop of
+A *kernel* owns the inner message-passing loop of
 :class:`~repro.core.bnloc.GridBPLocalizer`: it receives a fully prepared
 :class:`BPProblem` (log node potentials, edge list, oriented operator
 pairs, grid, config) and returns a :class:`BPOutcome` (beliefs, iteration
 count, convergence flag, optional trace, health record).  Everything
 *around* the loop — potentials, estimates, communication accounting,
-health restarts — stays in the solver, so new backends (numba, GPU, …)
-slot in without touching solver code.
+health restarts — stays in the solver.
 
-Two backends ship today:
+The config's schedule picks the kernel (:func:`kernel_for`); no option
+selects it:
 
-``reference``
-    The per-trial kernels of PR 3 (:mod:`repro.kernels.reference`):
-    ``cfg.optimized`` selects the vectorized or the straightforward
-    implementation, both bit-identical.
 ``batched``
-    The trial-axis kernel (:mod:`repro.kernels.batched`): a batch of
-    same-shape problems runs each BP round as one stacked tensor pass.
-    Bit-identical to ``reference`` on every problem (the kernel
-    equivalence suite and the ``repro.audit`` bit-tier DiffCases are the
-    gate).
+    The trial-axis kernel (:mod:`repro.kernels.batched`), which runs every
+    synchronous sum-product solve.  A batch of same-shape problems runs
+    each BP round as one stacked tensor pass; a single solve is a batch
+    of one.
+``reference``
+    The plain per-node loop (:mod:`repro.kernels.reference`), which runs
+    the serial (Gauss–Seidel) and max-product schedules.  It is also the
+    readable definition of grid BP and the bit-identity reference for the
+    batched kernel (the kernel equivalence suite and the ``repro.audit``
+    bit-tier DiffCases are the gate).
 
 Batch compatibility
 -------------------
@@ -54,9 +55,8 @@ __all__ = [
     "compatibility_key",
     "config_key",
     "group_compatible",
-    "register_backend",
     "get_backend",
-    "available_backends",
+    "kernel_for",
 ]
 
 
@@ -96,8 +96,8 @@ class BPProblem:
 
 @dataclass
 class BPOutcome:
-    """What a kernel returns for one problem: exactly the tuple the
-    pre-backend ``_run_bp`` produced, named."""
+    """What a kernel returns for one problem: the tuple
+    :func:`~repro.kernels.reference.run_bp_baseline` returns, named."""
 
     beliefs: np.ndarray
     n_iterations: int
@@ -158,12 +158,11 @@ def group_compatible(
 
 
 class KernelBackend:
-    """Interface every grid-BP kernel backend implements.
+    """Interface both grid-BP kernels implement.
 
     ``run`` solves one problem; ``run_batch`` solves a *compatible* batch
     (see :func:`group_compatible`) and returns outcomes in input order.
-    The default ``run_batch`` is a per-problem loop, so a backend only
-    has to override it when it can do better.
+    The default ``run_batch`` is a per-problem loop.
     """
 
     name: str = "abstract"
@@ -177,43 +176,36 @@ class KernelBackend:
         return [self.run(p, tracer) for p in problems]
 
 
-_REGISTRY: dict[str, KernelBackend] = {}
-
-
-def register_backend(backend: KernelBackend) -> KernelBackend:
-    """Register a backend instance under ``backend.name``."""
-    if not backend.name or backend.name == "abstract":
-        raise ValueError("backend must define a concrete name")
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def _ensure_builtin_backends() -> None:
-    # Imported lazily so repro.kernels.base stays import-cycle free and
-    # scipy is only pulled in when a kernel actually runs.
-    if "reference" not in _REGISTRY:
-        from repro.kernels.reference import ReferenceBackend
-
-        register_backend(ReferenceBackend())
-    if "batched" not in _REGISTRY:
-        from repro.kernels.batched import BatchedBackend
-
-        register_backend(BatchedBackend())
+_KERNELS: dict[str, KernelBackend] = {}
 
 
 def get_backend(name: str) -> KernelBackend:
-    """Look up a backend by name (``"reference"`` / ``"batched"`` / any
-    registered extension)."""
-    _ensure_builtin_backends()
+    """The kernel instance named ``"reference"`` or ``"batched"``.
+
+    Each name maps to one process-wide instance, so callers that wrap its
+    ``run`` / ``run_batch`` (timing harnesses, tests) see every solve:
+    the solver looks the instance up at call time.
+    """
+    if not _KERNELS:
+        # Imported lazily so repro.kernels.base stays import-cycle free
+        # and scipy is only pulled in when a kernel actually runs.
+        from repro.kernels.batched import BatchedBackend
+        from repro.kernels.reference import ReferenceBackend
+
+        _KERNELS["reference"] = ReferenceBackend()
+        _KERNELS["batched"] = BatchedBackend()
     try:
-        return _REGISTRY[name]
+        return _KERNELS[name]
     except KeyError:
         raise ValueError(
-            f"unknown kernel backend {name!r}; available: "
-            f"{sorted(_REGISTRY)}"
+            f"unknown kernel backend {name!r}; available: {sorted(_KERNELS)}"
         ) from None
 
 
-def available_backends() -> list[str]:
-    _ensure_builtin_backends()
-    return sorted(_REGISTRY)
+def kernel_for(cfg: "GridBPConfig") -> KernelBackend:
+    """The kernel that runs *cfg*'s schedule: the plain per-node loop for
+    the serial and max-product schedules, the batched kernel for
+    synchronous sum-product."""
+    if cfg.schedule == "serial" or cfg.max_product:
+        return get_backend("reference")
+    return get_backend("batched")

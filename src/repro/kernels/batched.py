@@ -31,15 +31,16 @@ Execution layout (the ≥10× lever over the cold per-trial kernel):
   multivector) — the exact computation ``op.dot`` performs after its
   internal copies, minus the copies.
 
-Bit-identity with the reference kernel (regression-gated by
+Bit-identity with the plain per-node loop of
+:mod:`repro.kernels.reference` (regression-gated by
 ``tests/test_kernels.py`` and the ``repro.audit`` bit-tier DiffCases)
 rests on these facts:
 
 * independent graphs never interact: stacking is block-diagonal, and
   every elementwise / row-wise step of a round touches each trial's rows
-  exactly as the per-trial kernel would;
-* per-node message-product accumulation replays the exact fadd sequence
-  of ``np.add.at`` — the degree-pass formulation adds each destination's
+  exactly as the per-node loop would;
+* per-node message-product accumulation replays the plain loop's exact
+  fadd sequence — the degree-pass formulation adds each destination's
   incoming messages in ascending (original) slot order, one rank per
   pass, and rows within a pass are unique (distinct accumulators commute
   trivially);
@@ -57,13 +58,13 @@ rests on these facts:
   propagates NaN), so a trial's residual computed as a segment reduction
   over the permuted stacked block equals the per-trial global max.
 
-Fallback semantics: the ``serial`` (Gauss–Seidel) schedule and
-max-product messaging are inherently per-trial sequential, so
-:class:`BatchedBackend` runs those problems through the reference kernel
-one at a time — same results, no stacking win.  Per-trial convergence is
-preserved by masking: a trial that converges (or hits
-``max_iterations``) freezes — its slots drop out of the active set and
-its messages never change again, exactly as if its own loop had ended.
+Scope: the ``serial`` (Gauss–Seidel) schedule and max-product messaging
+are inherently per-trial sequential, so they run on the plain loop
+(:func:`~repro.kernels.kernel_for`) and :class:`BatchedBackend` refuses
+them.  Per-trial convergence is preserved by masking: a trial that
+converges (or hits ``max_iterations``) freezes — its slots drop out of
+the active set and its messages never change again, exactly as if its
+own loop had ended.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from repro.kernels.base import (
     compatibility_key,
 )
 from repro.kernels.cancel import deadline_stop
-from repro.kernels.reference import _MSG_FLOOR, run_bp
+from repro.kernels.reference import _MSG_FLOOR
 from repro.obs import NULL_TRACER, NullTracer
 
 __all__ = ["BatchedBackend"]
@@ -140,13 +141,11 @@ class BatchedBackend(KernelBackend):
             )
         cfg = problems[0].cfg
         if cfg.schedule == "serial" or cfg.max_product:
-            # Gauss–Seidel sweeps and max-product messaging are per-trial
-            # sequential by nature: documented fallback to the reference
-            # kernel, one problem at a time (bit-identical, unstacked).
-            return [
-                BPOutcome(*run_bp(p.log_phi, p.edges, p.ops, p.grid, p.cfg, tracer))
-                for p in problems
-            ]
+            raise ValueError(
+                "the batched kernel runs synchronous sum-product only; "
+                "serial and max-product problems run on the plain loop "
+                "(repro.kernels.kernel_for picks the kernel)"
+            )
         return _run_batch_sync(problems, cfg, tracer)
 
 
@@ -279,13 +278,13 @@ def _run_batch_sync(
     dense_plan: list = []  # (op, row): per-slot dense products
     by_trial_order = by_trial_starts = None
     Mcur = Mold = Lcur = Lold = None
-    Hbuf = Sbuf = rowmax_buf = None
+    Hbuf = Sbuf = Tbuf = Pbuf = rowmax_buf = None
     totals = np.empty_like(log_phi_all)
 
     def rebuild() -> None:
         nonlocal act_trials, act_slots, src_act, swap_pos, passes
         nonlocal group_plan, dense_plan, by_trial_order, by_trial_starts
-        nonlocal Mcur, Mold, Lcur, Lold, Hbuf, Sbuf, rowmax_buf
+        nonlocal Mcur, Mold, Lcur, Lold, Hbuf, Sbuf, Tbuf, Pbuf, rowmax_buf
         act_trials = [t for t in range(T) if active[t]]
         group_plan = []
         dense_plan = []
@@ -328,10 +327,13 @@ def _run_batch_sync(
             dst_of[act_slots], act_slots, np.arange(n_act, dtype=np.intp)
         ):
             order = np.argsort(pos, kind="stable")
-            rows, pos = rows[order], pos[order]
-            passes.append(
-                (rows, pos, np.empty((len(rows), K)), np.empty((len(rows), K)))
-            )
+            passes.append((rows[order], pos[order]))
+        # Passes run one after another, so one pair of scratch slabs
+        # sized to the longest pass (at most one row per node) serves
+        # them all.
+        max_pass = max((len(rows) for rows, _pos in passes), default=0)
+        Tbuf = np.empty((max_pass, K))
+        Pbuf = np.empty((max_pass, K))
         max_m = 1
         for op, a, b in bounds:
             m = b - a
@@ -397,7 +399,9 @@ def _run_batch_sync(
         # residuals, and the NaN-repair path.
         Mnew, Lnew = Mold, Lold
         np.copyto(totals, log_phi_all)
-        for rows, pos, Tb, Pb in passes:
+        for rows, pos in passes:
+            Tb = Tbuf[: len(rows)]
+            Pb = Pbuf[: len(rows)]
             np.take(Lcur, pos, axis=0, out=Pb)
             np.take(totals, rows, axis=0, out=Tb)
             Tb += Pb

@@ -1,20 +1,18 @@
-"""Per-trial grid-BP kernels (the pre-backend implementations, moved
-verbatim from :mod:`repro.core.bnloc`).
+"""The plain per-node grid-BP loop.
 
-``run_bp`` is the vectorized hot path of PR 3; ``run_bp_baseline`` is the
-straightforward reference it is regression-tested against
-(``cfg.optimized`` selects between them).  Both produce bit-identical
-beliefs — see the docstrings below for why each optimization preserves
-the exact float sequence.
+:func:`run_bp_baseline` is the readable definition of loopy BP over the
+grid: every directed message gets its own mat-vec, and message logs are
+recomputed where they are used.  It runs the serial (Gauss–Seidel) and
+max-product schedules, and it is the bit-identity reference the batched
+kernel (:mod:`repro.kernels.batched`) is gated against on the synchronous
+schedule.
 
-:class:`ReferenceBackend` wraps them behind the
-:class:`~repro.kernels.base.KernelBackend` interface; its ``run_batch``
-is the default per-problem loop.
+:class:`ReferenceBackend` wraps it behind the
+:class:`~repro.kernels.base.KernelBackend` interface; its ``run_batch`` is
+the default per-problem loop.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +21,6 @@ from repro.kernels.cancel import deadline_stop
 from repro.obs import NULL_TRACER, NullTracer
 
 __all__ = [
-    "run_bp",
     "run_bp_baseline",
     "ReferenceBackend",
     "_MSG_FLOOR",
@@ -48,257 +45,6 @@ def _max_product_matvec(op, hvec: np.ndarray) -> np.ndarray:
     return (op * hvec[None, :]).max(axis=1)
 
 
-def run_bp(
-    log_phi: np.ndarray,
-    edges: list[tuple[int, int]],
-    ops: list[tuple],
-    grid,
-    cfg,
-    tracer: NullTracer = NULL_TRACER,
-) -> tuple[np.ndarray, int, bool, list[np.ndarray], dict]:
-    """Loopy sum-product over unknown-unknown edges.
-
-    *ops[e]* is the oriented operator pair ``(fwd, bwd)`` of edge *e*.
-    Returns normalized beliefs ``(n_unknown, K)``, iteration count,
-    convergence flag, (if ``cfg.record_trace``) per-iteration beliefs,
-    and a health dict with the residual history and the count of
-    non-finite messages repaired to uniform (always 0 on numerically
-    healthy runs — the repair triggers only off a single NaN/Inf float
-    check per round).  An enabled *tracer* additionally receives one
-    iteration record per round (message residual, beliefs-changed count,
-    message/byte spend); tracing only reads the state, never alters it.
-
-    Two hot-path optimizations over :func:`run_bp_baseline`, both
-    bit-identical by construction (regression-tested):
-
-    * ``np.log(messages)`` is maintained as one stacked array, refreshed
-      once per round, instead of being recomputed per directed slot
-      (``np.log`` on equal inputs is deterministic, so cached logs equal
-      recomputed ones bit-for-bit);
-    * on the synchronous sum-product schedule, outgoing messages whose
-      edges share one sparse kernel (the common case — the
-      RangingPotentialCache quantizes distances exactly so edges share
-      ``csr`` objects) are computed by a single sparse mat-mat instead
-      of one mat-vec per slot.  scipy's CSR mat-mat accumulates each
-      column in the same index order as the mat-vec kernel, so the
-      batched columns are bit-identical to per-slot products; dense
-      operators stay on the mat-vec path because BLAS gemm/gemv are
-      *not* bit-identical.
-    """
-    if not cfg.optimized:
-        return run_bp_baseline(log_phi, edges, ops, grid, cfg, tracer)
-    from scipy import sparse as _sparse
-
-    n_u, K = log_phi.shape
-    # Directed message storage: for each undirected edge e=(i,j), slot
-    # 2e is i->j and 2e+1 is j->i.
-    n_dir = 2 * len(edges)
-    messages = np.full((n_dir, K), 1.0 / K)
-    log_messages = np.log(messages)
-    in_slots: list[list[int]] = [[] for _ in range(n_u)]  # messages INTO node
-    out_slots: list[list[tuple[int, int, int]]] = [
-        [] for _ in range(n_u)
-    ]  # (slot, edge_index, recipient)
-    for e, (i, j) in enumerate(edges):
-        in_slots[j].append(2 * e)
-        in_slots[i].append(2 * e + 1)
-        out_slots[i].append((2 * e, e, j))
-        out_slots[j].append((2 * e + 1, e, i))
-
-    def beliefs_now() -> np.ndarray:
-        out = np.empty((n_u, K))
-        for ui in range(n_u):
-            acc = log_phi[ui].copy()
-            for s in in_slots[ui]:
-                acc += log_messages[s]
-            acc -= acc.max()
-            b = np.exp(acc)
-            out[ui] = b / b.sum()
-        return out
-
-    converged = False
-    n_iter = 0
-    trace: list[np.ndarray] = []
-    health = {"residuals": [], "message_repairs": 0}
-    if cfg.record_trace:
-        # Iteration 0: unary-only beliefs (prior + anchor evidence,
-        # before any cooperation) — the natural convergence baseline.
-        trace.append(beliefs_now())
-    if not edges:
-        return beliefs_now(), 0, True, trace, health
-
-    serial = cfg.schedule == "serial"
-    # Static batching plan (operators never change across rounds):
-    # group directed slots by sparse-kernel identity; groups of one
-    # keep the plain mat-vec.
-    sparse_groups: list[tuple] = []
-    slot_batched = np.zeros(n_dir, dtype=bool)
-    unbatched_slots: np.ndarray | None = None
-    src_of = dst_of = swap_of = None
-    if not serial and not cfg.max_product:
-        by_op: dict[int, list[int]] = {}
-        op_by_id: dict[int, object] = {}
-        for e in range(len(edges)):
-            for parity in (0, 1):
-                op = ops[e][parity]
-                if _sparse.issparse(op):
-                    by_op.setdefault(id(op), []).append(2 * e + parity)
-                    op_by_id[id(op)] = op
-        for key, slots in by_op.items():
-            if len(slots) > 1:
-                arr = np.asarray(slots, dtype=np.intp)
-                sparse_groups.append((op_by_id[key], arr))
-                slot_batched[arr] = True
-        unbatched_slots = np.nonzero(~slot_batched)[0]
-        # Directed-slot endpoint maps for the vectorized h-build: slot
-        # 2e carries i->j (source i, destination j), 2e+1 the reverse.
-        src_of = np.empty(n_dir, dtype=np.intp)
-        dst_of = np.empty(n_dir, dtype=np.intp)
-        for e, (i, j) in enumerate(edges):
-            src_of[2 * e] = i
-            dst_of[2 * e] = j
-            src_of[2 * e + 1] = j
-            dst_of[2 * e + 1] = i
-        swap_of = np.arange(n_dir) ^ 1
-
-    prev_beliefs = beliefs_now() if tracer.enabled else None
-    round_msgs = 2 * len(edges)
-    msgs_cum = 0
-    H = np.empty((n_dir, K)) if not serial else None
-    for n_iter in range(1, cfg.max_iterations + 1):
-        # Cooperative cancellation: an expired ambient deadline stops the
-        # loop between rounds (at least one round always runs); the
-        # check is a thread-local read, free when no scope is active.
-        if n_iter > 1 and deadline_stop(health):
-            n_iter -= 1
-            break
-        # "sync" computes the whole round from the previous round's
-        # messages; "serial" commits each node's messages immediately
-        # so later nodes in the sweep see them.
-        new_messages = messages if serial else np.empty_like(messages)
-        old_messages = messages.copy() if serial else messages
-
-        def commit(slot: int, msg: np.ndarray) -> None:
-            s = msg.sum()
-            if s <= 0:
-                msg = np.full(K, 1.0 / K)
-            else:
-                msg = msg / s
-            if cfg.damping > 0:
-                prev = old_messages[slot] if serial else messages[slot]
-                msg = (1 - cfg.damping) * msg + cfg.damping * prev
-                msg = msg / msg.sum()
-            np.maximum(msg, _MSG_FLOOR, out=msg)
-            new_messages[slot] = msg
-            if serial:
-                # keep the log cache Gauss–Seidel-fresh
-                log_messages[slot] = np.log(new_messages[slot])
-
-        def commit_rows(slots_arr: np.ndarray, res: np.ndarray) -> None:
-            # Vectorized commit for a block of sync-schedule slots.
-            # Every step is elementwise or a row-wise reduction, and
-            # numpy's axis-1 sum/max over a C-contiguous block uses the
-            # same pairwise kernel as the per-row reduction, so this is
-            # bit-identical to running `commit` on each row.
-            sums = res.sum(axis=1)
-            bad = sums <= 0
-            if bad.any():
-                res[bad] = 1.0 / K
-                sums[bad] = 1.0
-            res /= sums[:, None]
-            if cfg.damping > 0:
-                res *= 1 - cfg.damping
-                res += cfg.damping * messages[slots_arr]
-                res /= res.sum(axis=1)[:, None]
-            np.maximum(res, _MSG_FLOOR, out=res)
-            new_messages[slots_arr] = res
-
-        if serial or cfg.max_product:
-            for ui in range(n_u):
-                if not out_slots[ui]:
-                    continue
-                total = log_phi[ui].copy()
-                for s in in_slots[ui]:
-                    total += log_messages[s]
-                for slot, e, _dst in out_slots[ui]:
-                    # Exclude the recipient's own message (slot^1 is
-                    # the reverse direction, which feeds INTO ui).
-                    back = slot ^ 1
-                    h = total - log_messages[back]
-                    h -= h.max()
-                    hvec = np.exp(h)
-                    # slot parity picks the operator orientation: even
-                    # slots are i→j (fwd), odd are j→i (bwd).
-                    op = ops[e][slot & 1]
-                    if cfg.max_product:
-                        msg = _max_product_matvec(op, hvec)
-                    else:
-                        msg = op.dot(hvec)
-                    commit(slot, msg)
-        else:
-            # Synchronous sum-product, fully vectorized.  Per-node
-            # message-product accumulation runs through np.add.at,
-            # whose unbuffered in-index-order adds replay the exact
-            # fadd sequence of the per-node loop (in_slots[ui] is in
-            # increasing slot order by construction, matching the
-            # slot-major iteration of the fancy index).
-            totals = log_phi.copy()
-            np.add.at(totals, dst_of, log_messages)
-            np.subtract(totals[src_of], log_messages[swap_of], out=H)
-            H -= H.max(axis=1, keepdims=True)
-            np.exp(H, out=H)
-            for op, slots in sparse_groups:
-                res = np.ascontiguousarray(op.dot(H[slots].T).T)
-                commit_rows(slots, res)
-            if len(unbatched_slots):
-                res = np.empty((len(unbatched_slots), K))
-                for k, slot in enumerate(unbatched_slots):
-                    res[k] = ops[slot >> 1][slot & 1].dot(H[slot])
-                commit_rows(unbatched_slots, res)
-
-        max_delta = float(np.abs(new_messages - old_messages).max())
-        repaired = False
-        if cfg.health_checks and not np.isfinite(max_delta):
-            # A NaN/Inf somewhere in the round's messages (corrupted
-            # potentials / degenerate inputs): repair the offending
-            # rows to uniform so BP can keep going.  The trigger is a
-            # single float check, so healthy rounds pay nothing.
-            from repro.core.health import repair_nonfinite_messages
-
-            health["message_repairs"] += repair_nonfinite_messages(new_messages)
-            repaired = True
-            with np.errstate(invalid="ignore"):
-                deltas = np.abs(new_messages - old_messages)
-            max_delta = float(np.nanmax(np.where(np.isfinite(deltas), deltas, 1.0)))
-        health["residuals"].append(max_delta)
-        messages = new_messages
-        if not serial or repaired:
-            log_messages = np.log(messages)
-        if cfg.record_trace:
-            trace.append(beliefs_now())
-        if tracer.enabled:
-            new_beliefs = beliefs_now()
-            changed = int(
-                np.count_nonzero(
-                    np.abs(new_beliefs - prev_beliefs).max(axis=1) > cfg.tol
-                )
-            )
-            prev_beliefs = new_beliefs
-            msgs_cum += round_msgs
-            tracer.iteration(
-                residual=max_delta,
-                beliefs_changed=changed,
-                messages=round_msgs,
-                messages_cum=msgs_cum,
-                bytes_cum=msgs_cum * K * 8,
-            )
-        if max_delta < cfg.tol:
-            converged = True
-            break
-
-    return beliefs_now(), n_iter, converged, trace, health
-
-
 def run_bp_baseline(
     log_phi: np.ndarray,
     edges: list[tuple[int, int]],
@@ -307,11 +53,19 @@ def run_bp_baseline(
     cfg,
     tracer: NullTracer = NULL_TRACER,
 ) -> tuple[np.ndarray, int, bool, list[np.ndarray], dict]:
-    """Reference implementation of :func:`run_bp`.
+    """Loopy BP over unknown-unknown edges, one node at a time.
 
-    Kept for A/B benchmarking (``GridBPConfig(optimized=False)``) and
-    the bit-identity regression tests; recomputes message logs per
-    slot and sends every message through its own mat-vec.
+    *ops[e]* is the oriented operator pair ``(fwd, bwd)`` of edge *e*.
+    ``cfg.schedule`` picks synchronous or serial (Gauss–Seidel) rounds and
+    ``cfg.max_product`` swaps the sum-product mat-vec for a max-product
+    one.  Returns normalized beliefs ``(n_unknown, K)``, iteration count,
+    convergence flag, (if ``cfg.record_trace``) per-iteration beliefs,
+    and a health dict with the residual history and the count of
+    non-finite messages repaired to uniform (always 0 on numerically
+    healthy runs — the repair triggers only off a single NaN/Inf float
+    check per round).  An enabled *tracer* additionally receives one
+    iteration record per round (message residual, beliefs-changed count,
+    message/byte spend); tracing only reads the state, never alters it.
     """
     n_u, K = log_phi.shape
     # Directed message storage: for each undirected edge e=(i,j), slot
@@ -361,7 +115,9 @@ def run_bp_baseline(
     msgs_cum = 0
     serial = cfg.schedule == "serial"
     for n_iter in range(1, cfg.max_iterations + 1):
-        # Cooperative cancellation between rounds, as in run_bp.
+        # Cooperative cancellation: an expired ambient deadline stops the
+        # loop between rounds (at least one round always runs); the
+        # check is a thread-local read, free when no scope is active.
         if n_iter > 1 and deadline_stop(health):
             n_iter -= 1
             break
@@ -442,17 +198,14 @@ def run_bp_baseline(
 
 
 class ReferenceBackend(KernelBackend):
-    """Per-trial execution: every problem runs its own BP loop.
-
-    ``cfg.optimized`` picks between the vectorized and the baseline
-    kernel, exactly as before the backend layer existed.
-    """
+    """Per-problem execution on the plain loop: every problem runs its
+    own :func:`run_bp_baseline`."""
 
     name = "reference"
 
     def run(self, problem: BPProblem, tracer: NullTracer = NULL_TRACER) -> BPOutcome:
         return BPOutcome(
-            *run_bp(
+            *run_bp_baseline(
                 problem.log_phi,
                 problem.edges,
                 problem.ops,
@@ -461,8 +214,3 @@ class ReferenceBackend(KernelBackend):
                 tracer,
             )
         )
-
-    def run_batch(
-        self, problems: Sequence[BPProblem], tracer: NullTracer = NULL_TRACER
-    ) -> list[BPOutcome]:
-        return [self.run(p, tracer) for p in problems]

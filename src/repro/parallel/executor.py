@@ -203,7 +203,7 @@ def run_trials(
         Run trials in blocks of up to this many consecutive seeds through
         ``fn.run_batch(seeds)`` (required to exist, to return one result
         per seed in order, and to equal ``[fn(s) for s in seeds]`` — the
-        batched kernel backends satisfy this bit-exactly).  Per-trial
+        batched grid-BP kernel satisfies this bit-exactly).  Per-trial
         child seeds are unchanged, so results are identical to the
         unbatched run.  If a batch call raises, its trials rerun
         individually so the failure is attributed to the exact trial.

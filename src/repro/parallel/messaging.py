@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.core.bnloc import (
     _ANCHOR_BROADCAST_BYTES,
-    _MSG_FLOOR,
     GridBPConfig,
     GridBPLocalizer,
 )
@@ -43,6 +42,7 @@ from repro.core.potentials import (
 )
 from repro.core.result import LocalizationResult
 from repro.faults import FaultPlan, MessageFaultInjector, degrade_measurements
+from repro.kernels.reference import _MSG_FLOOR
 from repro.measurement.measurements import MeasurementSet
 from repro.network.radio import RadioModel, UnitDiskRadio
 from repro.obs import NULL_TRACER, NullTracer

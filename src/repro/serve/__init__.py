@@ -1,7 +1,7 @@
 """Localization-as-a-service: fault-tolerant async serving runtime.
 
-Micro-batches concurrent localization requests onto the batched kernel
-backend through a pool of warm worker processes, inside a robustness
+Micro-batches concurrent localization requests onto the batched grid-BP
+kernel through a pool of warm worker processes, inside a robustness
 envelope: per-request deadlines with cooperative BP cancellation,
 bounded admission with load shedding, per-shape circuit breakers, worker
 health probes with crash replacement, and graceful degradation — every

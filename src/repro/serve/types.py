@@ -31,7 +31,6 @@ the service never loses one.  ``status`` tells the client what it got:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,11 +74,6 @@ class LocalizeRequest:
             )
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be positive (or None)")
-        # The service owns kernel-backend selection (batched for groups,
-        # reference for singletons); normalizing here keeps the batch key
-        # independent of whatever the client happened to set.
-        if self.config.backend != "reference":
-            self.config = dataclasses.replace(self.config, backend="reference")
 
     @property
     def field_size(self) -> tuple[float, float]:

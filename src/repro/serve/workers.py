@@ -28,7 +28,6 @@ its batch-mates.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import os
 import traceback
 import multiprocessing as mp
@@ -105,10 +104,9 @@ def execute_batch(items: list[dict], deadline_s: float | None = None) -> list[di
     ``config``, optional ``true_positions``, and optional
     ``include_beliefs`` (return the full posterior belief vectors in the
     payload — the streaming runtime's warm-start feed).  All items share a
-    batch key, so their prepared problems stack; groups of more than one
-    run the ``batched`` kernel backend, singletons the ``reference``
-    backend (bit-identical for a single trial, without the stacking
-    overhead).  The whole solve runs under a
+    batch key, so their prepared problems stack into one
+    :func:`~repro.core.bnloc.localize_batch` call.  The whole solve runs
+    under a
     :func:`~repro.kernels.deadline_scope` of *deadline_s* seconds — BP
     stops cooperatively between rounds when the budget expires, and the
     partial posterior comes back flagged ``deadline_stop``.
@@ -120,16 +118,13 @@ def execute_batch(items: list[dict], deadline_s: float | None = None) -> list[di
     from repro.core.bnloc import GridBPLocalizer, localize_batch
     from repro.kernels import deadline_scope
 
-    backend = "batched" if len(items) > 1 else "reference"
-    pairs = []
-    for item in items:
-        cfg = dataclasses.replace(item["config"], backend=backend)
-        pairs.append(
-            (
-                GridBPLocalizer(prior=item.get("prior"), config=cfg),
-                item["measurements"],
-            )
+    pairs = [
+        (
+            GridBPLocalizer(prior=item.get("prior"), config=item["config"]),
+            item["measurements"],
         )
+        for item in items
+    ]
     with deadline_scope(seconds=deadline_s):
         try:
             results = localize_batch(pairs)
@@ -138,8 +133,6 @@ def execute_batch(items: list[dict], deadline_s: float | None = None) -> list[di
             # falling back to individual solves, capturing each error.
             results = []
             for loc, ms in pairs:
-                solo = dataclasses.replace(loc.config, backend="reference")
-                loc = GridBPLocalizer(prior=loc.prior, config=solo)
                 try:
                     results.append(loc.localize(ms))
                 except Exception as exc:

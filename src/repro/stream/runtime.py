@@ -33,7 +33,7 @@ Robustness is the headline contract:
   feed and every admission decision are deterministic, so a killed and
   resumed run is indistinguishable from an uninterrupted one.
 
-Same-shape epochs across networks batch onto the batched kernel backend
+Same-shape epochs across networks batch onto the batched grid-BP kernel
 (``localize_batch`` groups by compatibility key), and the executor layer
 (:mod:`repro.stream.pool`) shards batches across warm workers.
 """

@@ -500,3 +500,61 @@ class TestCkptDiffCase:
     def test_passes_on_smoke_scenario(self, ranging_ctx):
         report = run_case(self._case(), ranging_ctx)
         assert report.passed, report.detail
+
+
+class TestSolverVsReferenceCase:
+    """``solver-vs-reference`` pins ``GridBPLocalizer.localize`` (vectorized
+    node potentials, the schedule's kernel) to its reference path
+    (baseline node potentials, the plain per-node loop) at the bit tier."""
+
+    def _case(self):
+        from repro.audit import default_cases
+
+        return {c.name: c for c in default_cases()}["solver-vs-reference"]
+
+    def test_registered_at_bit_tier_in_default_lane(self):
+        from repro.audit import default_cases
+
+        case = self._case()
+        assert case.tier == "bit" and not case.slow
+        names = {c.name for c in default_cases()}
+        assert not names & {
+            "optimized-vs-reference",
+            "batched-vs-reference",
+            "batched-cache-warm-vs-cold",
+        }
+
+    def test_passes_on_smoke_scenario(self, ranging_ctx):
+        report = run_case(self._case(), ranging_ctx)
+        assert report.passed, report.detail
+
+    def test_detects_kernel_drift(self, ranging_ctx, monkeypatch):
+        from repro.kernels import get_backend
+
+        kernel = get_backend("batched")
+        original = kernel.run
+
+        def drifting(problem, tracer=None):
+            out = original(problem)
+            out.beliefs[0] = np.nextafter(out.beliefs[0], 1.0)  # one ULP
+            return out
+
+        monkeypatch.setattr(kernel, "run", drifting)
+        report = run_case(self._case(), ranging_ctx)
+        assert not report.passed
+        assert report.detail["mismatch"] in ("estimates", "beliefs")
+
+    def test_detects_node_potential_drift(self, ranging_ctx, monkeypatch):
+        from repro.core.bnloc import GridBPLocalizer
+
+        original = GridBPLocalizer._node_potentials
+
+        def drifting(self, *args):
+            log_phi = original(self, *args)
+            log_phi[0] = np.nextafter(log_phi[0], -np.inf)
+            return log_phi
+
+        monkeypatch.setattr(GridBPLocalizer, "_node_potentials", drifting)
+        report = run_case(self._case(), ranging_ctx)
+        assert not report.passed
+        assert report.detail["mismatch"] in ("estimates", "beliefs")

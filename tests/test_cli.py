@@ -297,6 +297,37 @@ class TestCheckpointResume:
         resumed = capsys.readouterr().out
         assert self._data_rows(resumed) == self._data_rows(original)
 
+    @pytest.mark.parametrize("argv", ["_RUN", "_SWEEP"], ids=["run", "sweep"])
+    def test_resume_ledger_carrying_removed_backend_key(self, tmp_path, argv):
+        # Runs started with the removed `--backend batched` option wrote it
+        # into the header's method_kwargs.  Such a ledger still resumes,
+        # and the trials it re-runs match the uninterrupted run bit for bit.
+        from repro.ckpt import Checkpoint, decode_value, read_ledger
+
+        full = tmp_path / "full.jsonl"
+        assert main(getattr(self, argv) + ["--checkpoint", str(full)]) == 0
+        done = read_ledger(full)
+        meta = dict(done.meta)
+        meta["method_kwargs"] = {**meta["method_kwargs"], "backend": "batched"}
+        old = tmp_path / "old.jsonl"
+        first = next(iter(done.records))
+        ck = Checkpoint(old).open(meta)
+        ck.record(first, done.records[first])
+        ck.close()
+
+        assert main(["resume", str(old)]) == 0
+        resumed = read_ledger(old)
+        assert resumed.meta["method_kwargs"]["backend"] == "batched"
+        assert sorted(resumed.records) == sorted(done.records)
+
+        def stats(payload):
+            # (ErrorSummary, messages) per method; runtimes are wall-clock.
+            trial = decode_value(payload["result"])
+            return {name: (repr(v[0]), v[1]) for name, v in trial.items()}
+
+        for key, payload in done.records.items():
+            assert stats(resumed.records[key]) == stats(payload)
+
     def test_checkpoint_mismatch_is_clean_error(self, tmp_path):
         ledger = tmp_path / "run.jsonl"
         assert main(self._RUN + ["--checkpoint", str(ledger)]) == 0

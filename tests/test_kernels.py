@@ -1,14 +1,20 @@
-"""Kernel-backend equivalence suite — the gate for ``repro.kernels``.
+"""Kernel equivalence suite — the gate for ``repro.kernels``.
 
-The batched trial-axis backend exists only as a faster execution strategy
-for the reference grid-BP kernel: every test here asserts **bit identity**
+The batched trial-axis kernel exists only as a faster execution strategy
+for the plain per-node loop: every test here asserts **bit identity**
 (``np.array_equal`` on beliefs/estimates, ``==`` on the integer ledger),
-never closeness.  The suite covers:
+never closeness.  Solver-level tests compare ``localize`` /
+``localize_batch`` against :class:`~repro.audit.ReferenceGridBP` (baseline
+node potentials plus the plain loop); kernel-level tests compare the two
+kernels on one prepared problem.  The suite covers:
 
 * randomized property sweeps (hypothesis) over batch width T, network
   size N, grid cells K, and both schedules;
 * degenerate shapes — T=1, a single unknown, all-anchors networks, and
   disconnected unknowns whose inbox is empty every round;
+* dense operators, non-finite message repair and deadline stops;
+* the schedule dispatch and the two-name kernel lookup the timing harness
+  in ``perfbench/`` relies on;
 * the compatibility partition: mixed grid shapes/configs must split into
   separate groups (and ``BatchedBackend.run_batch`` must *refuse* a mixed
   batch), never silently co-batch.
@@ -25,14 +31,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.audit import ReferenceGridBP
 from repro.core import GridBPConfig, GridBPLocalizer
 from repro.core.bnloc import localize_batch
 from repro.core.potentials import shared_registry
 from repro.kernels import (
     IncompatibleBatchError,
     compatibility_key,
+    deadline_scope,
     get_backend,
     group_compatible,
+    kernel_for,
 )
 from repro.measurement import GaussianRanging, observe
 from repro.network import NetworkConfig, UnitDiskRadio, generate_network
@@ -57,19 +66,16 @@ def _measurements(seed, n=14, anchor_ratio=0.25, radio=0.42, connected=True):
 
 
 def _problem(ms, cfg):
-    """Prepared BPProblem for *ms* (the backend-layer input)."""
+    """Prepared BPProblem for *ms* (the kernel input)."""
     return GridBPLocalizer(config=cfg)._prepare(ms, NULL_TRACER).problem
 
 
 def _run_pair(ms_list, cfg):
-    """(batched localize_batch results, sequential reference results)."""
-    bat_cfg = dc.replace(cfg, backend="batched")
+    """(stacked localize_batch results, sequential reference results)."""
     batched = localize_batch(
-        [(GridBPLocalizer(config=bat_cfg), ms) for ms in ms_list]
+        [(GridBPLocalizer(config=cfg), ms) for ms in ms_list]
     )
-    sequential = [
-        GridBPLocalizer(config=cfg).localize(ms) for ms in ms_list
-    ]
+    sequential = [ReferenceGridBP(config=cfg).localize(ms) for ms in ms_list]
     return batched, sequential
 
 
@@ -151,18 +157,20 @@ class TestSchedulesAndTelemetry:
         for b, s in zip(batched, sequential):
             _assert_bit_equal(b, s)
 
+    def test_max_product_bit_identical(self):
+        cfg = dc.replace(BASE_CFG, max_product=True, estimator="map")
+        ms_list = [_measurements(s) for s in (53, 54)]
+        batched, sequential = _run_pair(ms_list, cfg)
+        for b, s in zip(batched, sequential):
+            _assert_bit_equal(b, s)
+
     def test_traced_single_trial_telemetry_matches_reference(self):
-        # T=1 through the batched backend still emits the per-iteration
-        # trace; everything except the backend name must match reference.
+        # T=1 through the batched kernel still emits the per-iteration
+        # trace; everything except the kernel name must match reference.
         ms = _measurements(27)
-
-        def run(backend):
-            loc = GridBPLocalizer(
-                config=dc.replace(BASE_CFG, backend=backend), tracer=Tracer()
-            )
-            return loc.localize(ms).telemetry
-
-        ref, bat = run("reference"), run("batched")
+        ref = ReferenceGridBP(config=BASE_CFG, tracer=Tracer()).localize(ms)
+        bat = GridBPLocalizer(config=BASE_CFG, tracer=Tracer()).localize(ms)
+        ref, bat = ref.telemetry, bat.telemetry
         assert bat["meta"]["backend"] == "batched"
         assert ref["meta"]["backend"] == "reference"
         strip = lambda t: {
@@ -178,8 +186,7 @@ class TestSchedulesAndTelemetry:
 
     def test_batch_annotations_present(self):
         ms_list = [_measurements(s) for s in (60, 61)]
-        cfg = dc.replace(BASE_CFG, backend="batched")
-        locs = [GridBPLocalizer(config=cfg, tracer=Tracer()) for _ in ms_list]
+        locs = [GridBPLocalizer(config=BASE_CFG, tracer=Tracer()) for _ in ms_list]
         results = localize_batch(list(zip(locs, ms_list)))
         for r in results:
             assert r.telemetry["meta"]["backend"] == "batched"
@@ -205,10 +212,8 @@ class TestCompatibilityPartition:
 
     def test_run_batch_refuses_mixed_batch(self):
         ms = _measurements(70)
-        p8 = _problem(ms, dc.replace(BASE_CFG, backend="batched"))
-        p10 = _problem(
-            ms, dc.replace(BASE_CFG, grid_size=10, backend="batched")
-        )
+        p8 = _problem(ms, BASE_CFG)
+        p10 = _problem(ms, dc.replace(BASE_CFG, grid_size=10))
         with pytest.raises(IncompatibleBatchError, match="group_compatible"):
             get_backend("batched").run_batch([p8, p10])
 
@@ -217,26 +222,130 @@ class TestCompatibilityPartition:
         # groups and still return bit-exact, input-ordered results.
         ms_list = [_measurements(s) for s in (80, 81, 82, 83)]
         cfgs = [
-            dc.replace(BASE_CFG, backend="batched"),
-            dc.replace(BASE_CFG, grid_size=10, backend="batched"),
-            dc.replace(BASE_CFG, backend="batched"),
-            dc.replace(BASE_CFG, grid_size=10, backend="batched"),
+            BASE_CFG,
+            dc.replace(BASE_CFG, grid_size=10),
+            BASE_CFG,
+            dc.replace(BASE_CFG, grid_size=10),
         ]
         pairs = [
             (GridBPLocalizer(config=c), ms) for c, ms in zip(cfgs, ms_list)
         ]
         batched = localize_batch(pairs)
         for (loc, ms), b in zip(pairs, batched):
-            ref = GridBPLocalizer(
-                config=dc.replace(loc.config, backend="reference")
-            ).localize(ms)
+            ref = ReferenceGridBP(config=loc.config).localize(ms)
             _assert_bit_equal(b, ref)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="reference"):
-            GridBPConfig(backend="no-such-backend")
+        # No option selects a kernel: the config has no such field, and
+        # the lookup knows exactly two names.
+        with pytest.raises(TypeError, match="backend"):
+            GridBPConfig(backend="batched")
         with pytest.raises(ValueError, match="available"):
             get_backend("no-such-backend")
+
+
+def _assert_outcomes_equal(a, b):
+    assert np.array_equal(a.beliefs, b.beliefs)
+    assert a.n_iterations == b.n_iterations
+    assert a.converged == b.converged
+    assert a.health == b.health
+    assert len(a.trace) == len(b.trace)
+    for x, y in zip(a.trace, b.trace):
+        assert np.array_equal(x, y)
+
+
+def _both_kernels(problem):
+    """(batched outcome, plain-loop outcome) on one prepared problem."""
+    return (
+        get_backend("batched").run(problem),
+        get_backend("reference").run(problem),
+    )
+
+
+class TestKernelEquivalence:
+    """The two kernels on one prepared problem, synchronous schedule."""
+
+    def test_sparse_operators(self):
+        ms = _measurements(90)
+        problem = _problem(ms, dc.replace(BASE_CFG, record_trace=True))
+        bat, ref = _both_kernels(problem)
+        _assert_outcomes_equal(bat, ref)
+        assert bat.n_iterations > 1
+
+    def test_dense_operators(self):
+        # Dense operators skip the sparse mat-mat groups and run one gemv
+        # per slot in the batched kernel.
+        ms = _measurements(91)
+        problem = _problem(ms, BASE_CFG)
+        problem.ops = [(f.toarray(), b.toarray()) for f, b in problem.ops]
+        assert problem.ops and isinstance(problem.ops[0][0], np.ndarray)
+        _assert_outcomes_equal(*_both_kernels(problem))
+
+    def test_edgeless_problem(self):
+        ms = _measurements(92)
+        problem = _problem(ms, dc.replace(BASE_CFG, record_trace=True))
+        problem.edges, problem.ops = [], []
+        bat, ref = _both_kernels(problem)
+        _assert_outcomes_equal(bat, ref)
+        assert bat.converged and bat.n_iterations == 0
+
+    def test_nonfinite_messages_repaired(self):
+        ms = _measurements(93)
+        problem = _problem(ms, BASE_CFG)
+        poisoned = problem.ops[0][0].copy()
+        poisoned.data[:] = np.nan
+        problem.ops[0] = (poisoned, poisoned)
+        bat, ref = _both_kernels(problem)
+        _assert_outcomes_equal(bat, ref)
+        assert bat.health["message_repairs"] > 0
+
+    def test_deadline_stop(self):
+        ms = _measurements(94)
+        problem = _problem(ms, BASE_CFG)
+        with deadline_scope(seconds=0.0):
+            bat, ref = _both_kernels(problem)
+        _assert_outcomes_equal(bat, ref)
+        assert bat.n_iterations == 1 and bat.health["deadline_stop"]
+
+
+class TestKernelDispatch:
+    def test_schedule_picks_the_kernel(self):
+        assert kernel_for(BASE_CFG) is get_backend("batched")
+        serial = dc.replace(BASE_CFG, schedule="serial")
+        assert kernel_for(serial) is get_backend("reference")
+        maxprod = dc.replace(BASE_CFG, max_product=True)
+        assert kernel_for(maxprod) is get_backend("reference")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"schedule": "serial"}, {"max_product": True}],
+        ids=["serial", "max-product"],
+    )
+    def test_batched_kernel_refuses_sequential_schedules(self, overrides):
+        problem = _problem(_measurements(96), dc.replace(BASE_CFG, **overrides))
+        with pytest.raises(ValueError, match="kernel_for"):
+            get_backend("batched").run(problem)
+
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [({}, "batched"), ({"schedule": "serial"}, "reference")],
+        ids=["sync", "serial"],
+    )
+    def test_localize_calls_the_patched_instance(self, monkeypatch, overrides, name):
+        # Timing harnesses wrap ``run`` on the instances get_backend
+        # returns; a solve must go through that wrapper.
+        kernel = get_backend(name)
+        calls = []
+        original = kernel.run
+
+        def counted(problem, tracer=NULL_TRACER):
+            calls.append(problem)
+            return original(problem, tracer)
+
+        monkeypatch.setattr(kernel, "run", counted)
+        cfg = dc.replace(BASE_CFG, **overrides)
+        GridBPLocalizer(config=cfg).localize(_measurements(95))
+        assert len(calls) == 1
 
 
 @pytest.mark.slow

@@ -247,7 +247,7 @@ def _joint_scenario(seed=3, true_eta=4.0):
 
 def _joint_localizer(prior, **overrides):
     kwargs = dict(
-        grid=GridBPConfig(grid_size=8, max_iterations=10, backend="batched")
+        grid=GridBPConfig(grid_size=8, max_iterations=10)
     )
     kwargs.update(overrides)
     return JointChannelLocalizer(prior=prior, config=JointChannelConfig(**kwargs))

@@ -16,7 +16,6 @@ Regenerate the golden files (after an *intentional* behavior change) with::
     PYTHONPATH=src:tests python -m test_obs_golden_trace
 """
 
-import dataclasses as dc
 import json
 from pathlib import Path
 
@@ -36,7 +35,6 @@ from repro.obs import Tracer
 
 DATA_DIR = Path(__file__).parent / "data"
 GRID_GOLDEN = DATA_DIR / "golden_grid_trace.json"
-GRID_BATCHED_GOLDEN = DATA_DIR / "golden_grid_trace_batched.json"
 NBP_GOLDEN = DATA_DIR / "golden_nbp_trace.json"
 
 GRID_CFG = GridBPConfig(grid_size=10, max_iterations=8, tol=1e-6)
@@ -64,13 +62,6 @@ def _grid_run(tracer=None):
     return loc.localize(ms)
 
 
-def _grid_batched_run(tracer=None):
-    _, ms = _scenario()
-    cfg = dc.replace(GRID_CFG, backend="batched")
-    loc = GridBPLocalizer(config=cfg, tracer=tracer)
-    return loc.localize(ms)
-
-
 def _nbp_run(tracer=None):
     _, ms = _scenario()
     loc = NBPLocalizer(config=NBP_CFG, tracer=tracer)
@@ -93,7 +84,6 @@ def regenerate() -> None:
     DATA_DIR.mkdir(exist_ok=True)
     runs = (
         (GRID_GOLDEN, _grid_run),
-        (GRID_BATCHED_GOLDEN, _grid_batched_run),
         (NBP_GOLDEN, _nbp_run),
     )
     for path, run in runs:
@@ -119,34 +109,6 @@ class TestGridGolden:
 
     def test_trace_is_json_serializable(self, run):
         assert json.loads(json.dumps(run.telemetry)) == run.telemetry
-
-
-class TestGridBatchedGolden:
-    """The batched kernel backend against its own golden file — and
-    against the per-trial golden, from which it may differ **only** in
-    the documented batch counter (``meta.backend``).  Any other delta
-    means the batched kernel drifted from the reference arithmetic."""
-
-    @pytest.fixture(scope="class")
-    def run(self):
-        return _grid_batched_run(tracer=Tracer())
-
-    def test_trace_matches_batched_golden_exactly(self, run):
-        golden = json.loads(GRID_BATCHED_GOLDEN.read_text())
-        assert _export(run)["trace"] == golden["trace"]
-
-    def test_estimates_match_batched_golden_exactly(self, run):
-        golden = json.loads(GRID_BATCHED_GOLDEN.read_text())
-        assert run.estimates.tolist() == golden["estimates"]
-
-    def test_differs_from_per_trial_golden_only_in_backend_field(self):
-        ref = json.loads(GRID_GOLDEN.read_text())
-        bat = json.loads(GRID_BATCHED_GOLDEN.read_text())
-        assert ref["trace"]["meta"]["backend"] == "reference"
-        assert bat["trace"]["meta"]["backend"] == "batched"
-        for payload in (ref, bat):
-            payload["trace"]["meta"].pop("backend")
-        assert ref == bat
 
 
 class TestNBPGolden:

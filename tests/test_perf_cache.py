@@ -2,9 +2,11 @@
 
 Three guarantees from the vectorized-kernels + cross-trial-cache PR:
 
-* the optimized solver hot paths (`optimized=True`, the default) are
-  **bit-identical** to the retained reference implementations across
-  schedules, estimators, and measurement modalities;
+* the solver's hot paths (vectorized node potentials, the batched BP
+  kernel) are **bit-identical** to its reference path
+  (:class:`~repro.audit.ReferenceGridBP`: baseline node potentials plus
+  the plain per-node loop) across schedules, estimators, and measurement
+  modalities;
 * a warm :class:`~repro.core.potentials.PotentialCacheRegistry` (second
   trial of a sweep, cache hits) produces byte-identical results to a cold
   run, in-process and across `run_trials` worker counts;
@@ -20,6 +22,7 @@ import dataclasses as dc
 import numpy as np
 import pytest
 
+from repro.audit import ReferenceGridBP
 from repro.core import GridBPConfig, GridBPLocalizer, NBPConfig, NBPLocalizer
 from repro.core.potentials import (
     _GH_NODES,
@@ -65,7 +68,7 @@ def _beliefs_equal(a, b) -> bool:
 
 
 class TestOptimizedBitIdentity:
-    """optimized=True must reproduce the reference path bit-for-bit."""
+    """The solver must reproduce its reference path bit-for-bit."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -82,12 +85,11 @@ class TestOptimizedBitIdentity:
     @pytest.mark.parametrize("ranging", [True, False], ids=["ranging", "conn-only"])
     def test_matches_baseline(self, overrides, ranging):
         _, ms = _scenario(ranging=ranging)
-        results = {}
-        for optimized in (True, False):
-            shared_registry().clear()
-            cfg = dc.replace(BASE_CFG, optimized=optimized, **overrides)
-            results[optimized] = GridBPLocalizer(config=cfg).localize(ms)
-        a, b = results[True], results[False]
+        cfg = dc.replace(BASE_CFG, **overrides)
+        shared_registry().clear()
+        a = GridBPLocalizer(config=cfg).localize(ms)
+        shared_registry().clear()
+        b = ReferenceGridBP(config=cfg).localize(ms)
         assert np.array_equal(a.estimates, b.estimates)
         assert _beliefs_equal(a, b)
         assert a.n_iterations == b.n_iterations
@@ -96,13 +98,13 @@ class TestOptimizedBitIdentity:
 
     def test_matches_baseline_with_bearings(self):
         # AoA edges carry asymmetric per-edge operators — the batched
-        # mat-mat path must group (or skip) them without mixing slots.
+        # kernel's mat-mat groups must keep them apart without mixing slots.
         _, ms = _scenario(seed=7, obs_seed=8, bearings=True, n=20)
         cfg = dc.replace(BASE_CFG, max_iterations=6)
         shared_registry().clear()
         a = GridBPLocalizer(config=cfg).localize(ms)
         shared_registry().clear()
-        b = GridBPLocalizer(config=dc.replace(cfg, optimized=False)).localize(ms)
+        b = ReferenceGridBP(config=cfg).localize(ms)
         assert np.array_equal(a.estimates, b.estimates)
         assert _beliefs_equal(a, b)
 
@@ -284,9 +286,7 @@ class TestFingerprintsUnderBatchedAccess:
     def _run(self, ms_list, **cfg_overrides):
         from repro.core.bnloc import localize_batch
 
-        cfg = dc.replace(
-            BASE_CFG, max_iterations=5, backend="batched", **cfg_overrides
-        )
+        cfg = dc.replace(BASE_CFG, max_iterations=5, **cfg_overrides)
         locs = [GridBPLocalizer(config=cfg) for _ in ms_list]
         return localize_batch(list(zip(locs, ms_list)))
 

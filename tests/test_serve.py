@@ -5,8 +5,8 @@ Covers the robustness envelope end to end:
 * cooperative deadline cancellation inside the BP kernels (partial
   posterior, flagged, bit-identical when inactive);
 * micro-batch grouping properties — requests with incompatible
-  compatibility keys are never co-batched, and a singleton group runs
-  the reference backend bit-identically;
+  compatibility keys are never co-batched, and a singleton group matches
+  the solver's reference path bit-identically;
 * the circuit breaker state machine (injectable clock, no sleeping);
 * the in-process fast lane: smoke (two requests, one forced
   deadline-degrade), backpressure shedding, invalid requests, shutdown
@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.audit import ReferenceGridBP
 from repro.core import GridBPConfig, GridBPLocalizer
 from repro.experiments.config import ScenarioConfig, build_scenario
 from repro.kernels import Deadline, compatibility_key, deadline_scope
@@ -116,8 +117,7 @@ class TestDeadlineCancellation:
         lists = []
         for seed in (5, 6, 7):
             _net, ms, prior = _scenario(seed)
-            lists.append((GridBPLocalizer(
-                prior=prior, config=dc.replace(CFG, backend="batched")), ms))
+            lists.append((GridBPLocalizer(prior=prior, config=CFG), ms))
         from repro.core.bnloc import localize_batch
 
         with deadline_scope(seconds=0.0):
@@ -147,12 +147,6 @@ class TestTypes:
     def test_deadline_must_be_positive(self):
         with pytest.raises(ValueError, match="deadline_s"):
             LocalizeRequest(scenario=SCEN, deadline_s=0.0)
-
-    def test_backend_is_normalized_at_admission(self):
-        req = LocalizeRequest(
-            scenario=SCEN, config=dc.replace(CFG, backend="batched")
-        )
-        assert req.config.backend == "reference"
 
     def test_response_status_validated(self):
         with pytest.raises(ValueError, match="unknown status"):
@@ -234,9 +228,7 @@ class TestGroupingProperties:
 
     def test_singleton_group_matches_reference_backend_bitwise(self):
         _net, ms, prior = _scenario(8)
-        ref = GridBPLocalizer(
-            prior=prior, config=dc.replace(CFG, backend="reference")
-        ).localize(ms)
+        ref = ReferenceGridBP(prior=prior, config=CFG).localize(ms)
         payload = execute_batch(
             [{"measurements": ms, "prior": prior, "config": CFG}]
         )[0]
