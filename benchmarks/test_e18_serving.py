@@ -86,9 +86,9 @@ def run_experiment():
         killed = {}
 
         async def murder_worker():
-            victim = next(iter(service.pool._workers.values()))
-            killed["pid"] = victim.pid
-            os.kill(victim.pid, signal.SIGKILL)
+            victim = service.pool._pool.worker_pids()[0]
+            killed["pid"] = victim
+            os.kill(victim, signal.SIGKILL)
 
         healthy = await run_load(
             host, port, HEALTHY, mid_run_hook=murder_worker

@@ -41,11 +41,11 @@ from repro.serve.workers import execute_batch
 from repro.stream import (
     FleetConfig,
     InlineExecutor,
+    PoolExecutor,
     StreamConfig,
     StreamDisruption,
     StreamMetrics,
     StreamRuntime,
-    StreamWorkerPool,
     fleet_events,
     run_stream,
     stream_meta,
@@ -208,18 +208,14 @@ def _chaos_lane(ledger_path):
     events = fleet_events(CHAOS_FLEET)
     hostile, stats = CHAOS_PLAN.apply(events)
     metrics = StreamMetrics()
-    pool = StreamWorkerPool(
-        CHAOS_STREAM.n_workers,
-        timeout_s=CHAOS_STREAM.worker_timeout_s,
-        metrics=metrics,
-    )
+    pool = PoolExecutor(CHAOS_STREAM, metrics=metrics)
     ck = Checkpoint(ledger_path).open(
         stream_meta(CHAOS_FLEET, CHAOS_STREAM, CHAOS_PLAN)
     )
     killed = {}
 
     def murder():
-        pid = pool.worker_pids()[0]
+        pid = pool.pool.worker_pids()[0]
         killed["pid"] = pid
         try:
             os.kill(pid, signal.SIGKILL)
@@ -244,7 +240,7 @@ def _chaos_lane(ledger_path):
         )
     finally:
         timer.cancel()
-        replacements = pool.replacements
+        replacements = pool.pool.replacements
         pool.close()
         ck.close()
 

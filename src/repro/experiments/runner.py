@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import time
+from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -36,6 +37,7 @@ from repro.core.result import Localizer
 from repro.experiments.config import ScenarioConfig, build_scenario
 from repro.metrics.error import ErrorSummary, summarize_errors
 from repro.obs import NULL_TRACER, NullTracer
+from repro.parallel.pool import WarmPool
 from repro.priors.base import PositionPrior
 from repro.utils.rng import RNGLike, spawn_seeds
 
@@ -463,14 +465,14 @@ def evaluate_methods_parallel(
     ``Tracer.snapshot()`` dicts and combine them with
     :func:`repro.obs.merge_traces` for per-worker telemetry).
 
+    Trials run one per call on a :class:`~repro.parallel.pool.WarmPool`.
     With ``checkpoint=``, finished trials are durably recorded the moment
-    each one completes (``apply_async`` per trial instead of one blocking
-    ``map``), so a killed run resumes from the last fsync'd record with
-    any worker count.  The ledger kind is ``"evaluate-parallel"``: trial
-    seed streams differ from :func:`evaluate_methods`, so the two entry
-    points never silently resume each other's ledgers.  On any
-    interruption — including a trapped SIGTERM — the pool is terminated
-    and joined rather than orphaned.
+    each one completes, so a killed run resumes from the last fsync'd
+    record with any worker count.  The ledger kind is
+    ``"evaluate-parallel"``: trial seed streams differ from
+    :func:`evaluate_methods`, so the two entry points never silently
+    resume each other's ledgers.  On any interruption — including a
+    trapped SIGTERM — the pool's workers are killed rather than orphaned.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -524,46 +526,14 @@ def evaluate_methods_parallel(
                     per_trial[i] = _parallel_worker(args[i])
                     _record(i, per_trial[i])
             elif pending:
-                import multiprocessing as mp
-
-                from repro.parallel.executor import pool_map_interruptible
-
-                ctx = mp.get_context("spawn")
-                pool = ctx.Pool(processes=n_workers)
-                try:
-                    if ck is None:
-                        out = pool_map_interruptible(
-                            pool, _parallel_worker, [args[i] for i in pending]
-                        )
-                        for i, trial in zip(pending, out):
-                            per_trial[i] = trial
-                    else:
-                        # One async task per trial so every completion can
-                        # be recorded durably as soon as it lands.
-                        handles = {
-                            i: pool.apply_async(_parallel_worker, (args[i],))
-                            for i in pending
-                        }
-                        remaining = set(pending)
-                        while remaining:
-                            progressed = False
-                            for i in sorted(remaining):
-                                if handles[i].ready():
-                                    per_trial[i] = handles[i].get()
-                                    _record(i, per_trial[i])
-                                    remaining.discard(i)
-                                    progressed = True
-                            if not progressed:
-                                time.sleep(0.02)
-                    pool.close()
-                    pool.join()
-                except BaseException:
-                    # KeyboardInterrupt (possibly a trapped SIGTERM), a
-                    # worker exception, or a CheckpointAbort: kill the
-                    # workers instead of orphaning them.
-                    pool.terminate()
-                    pool.join()
-                    raise
+                with WarmPool(n_workers) as pool:
+                    running = {
+                        pool.submit(_parallel_worker, args[i]): i for i in pending
+                    }
+                    for fut in as_completed(running):
+                        i = running[fut]
+                        per_trial[i] = fut.result()
+                        _record(i, per_trial[i])
     finally:
         if ck is not None:
             ck.emit_counters(tracer)

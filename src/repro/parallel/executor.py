@@ -15,11 +15,11 @@ here with :mod:`multiprocessing` since no MPI runtime is assumed.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing as mp
+import functools
+import heapq
 import pickle
 import time
-import traceback
-from collections import deque
+from concurrent import futures
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
@@ -34,6 +34,13 @@ from repro.ckpt import (
 )
 from repro.core.potentials import shared_registry
 from repro.obs import NULL_TRACER, NullTracer
+from repro.parallel.pool import (
+    RemoteError,
+    WarmPool,
+    WorkerCrash,
+    WorkerTimeout,
+    _backoff,
+)
 from repro.utils.rng import RNGLike, child_seed_ints, spawn_seeds
 
 T = TypeVar("T")
@@ -46,21 +53,6 @@ __all__ = [
     "TrialFailure",
     "TrialBatchResult",
 ]
-
-
-def pool_map_interruptible(pool, fn, iterable, chunksize=None):
-    """``pool.map`` that stays responsive to ``KeyboardInterrupt``.
-
-    A bare ``Pool.map`` blocks in an uninterruptible wait while workers
-    run; Ctrl-C (or a trapped SIGTERM) then leaves orphaned worker
-    processes behind.  Polling the async result with short timeouts keeps
-    the main thread receptive to signals; on any interruption the caller
-    must terminate/join the pool (see :func:`run_trials`).
-    """
-    result = pool.map_async(fn, iterable, chunksize=chunksize)
-    while not result.ready():
-        result.wait(0.2)
-    return result.get()
 
 
 def _record_cache_stats(tracer: NullTracer, before: dict) -> None:
@@ -124,30 +116,76 @@ def _batch_fn(fn: Callable, batch_size: int | None):
     return run_batch
 
 
-def _run_batch_block(args):
-    """Module-level (picklable) block runner for batched ``run_trials``.
+def _run_block(fn: Callable, seeds: list[int], batched: bool) -> list[tuple]:
+    """Run a block of trials: one ``(result, None)`` or ``(None, exc)`` per seed.
 
-    Runs one block through ``fn.run_batch``; if the batch call fails, each
-    trial reruns individually so the error is attributed to the exact
-    (trial, seed) that caused it.
+    A batched block goes through ``fn.run_batch`` first; if that call
+    fails, each trial reruns individually so every failure is attributed
+    to the exact trial that caused it.
     """
-    fn, start, seeds_block = args
-    try:
-        out = list(fn.run_batch(seeds_block))
-        if len(out) != len(seeds_block):
-            raise RuntimeError(
-                f"run_batch returned {len(out)} results for "
-                f"{len(seeds_block)} seeds"
-            )
-        return out
-    except Exception:
-        out = []
-        for k, s in enumerate(seeds_block):
-            try:
-                out.append(fn(s))
-            except Exception as exc:
-                raise TrialExecutionError(start + k, s, exc) from exc
-        return out
+    if batched:
+        try:
+            out = list(fn.run_batch(seeds))
+            if len(out) == len(seeds):
+                return [(r, None) for r in out]
+        except Exception:
+            pass
+    outcomes = []
+    for s in seeds:
+        try:
+            outcomes.append((fn(s), None))
+        except Exception as exc:
+            outcomes.append((None, exc))
+    return outcomes
+
+
+def _run_block_remote(task) -> list[tuple]:
+    """:func:`_run_block` of ``task = (fn, seeds, batched)`` whose trial
+    exceptions travel as :class:`~repro.parallel.pool.RemoteError`."""
+    return [
+        (r, None if exc is None else RemoteError.capture(exc))
+        for r, exc in _run_block(*task)
+    ]
+
+
+def _run_seeds(
+    fn, seeds: list[int], pool: WarmPool | None, batch_size: int | None
+) -> list:
+    """``[fn(s) for s in seeds]`` in blocks, serially or on *pool*.
+
+    Blocks go through ``fn.run_batch`` in *batch_size* trials when that
+    is given (validated by :func:`_batch_fn`), else are single trials in
+    process and ``ceil(n / (4·workers))`` trials per pool task.  The
+    first failing trial (in trial order) raises
+    :class:`TrialExecutionError` naming its index and seed; a pool block
+    whose reply cannot come back (say, a result that does not pickle)
+    fails as its first trial.
+    """
+    batched = batch_size is not None
+    if batched:
+        size = batch_size
+    elif pool is None:
+        size = 1
+    else:
+        size = max(1, -(-len(seeds) // (4 * pool.n_workers)))
+    starts = range(0, len(seeds), size)
+    if pool is None:
+        blocks = (_run_block(fn, seeds[i : i + size], batched) for i in starts)
+    else:
+        blocks = pool.map(
+            _run_block_remote, [(fn, seeds[i : i + size], batched) for i in starts]
+        )
+    out: list = []
+    for start in starts:
+        try:
+            outcomes = next(blocks)
+        except RemoteError as exc:  # the block's reply failed (e.g. did not pickle)
+            outcomes = [(None, exc)]
+        for k, (result, exc) in enumerate(outcomes):
+            if exc is not None:
+                raise TrialExecutionError(start + k, seeds[start + k], exc) from exc
+            out.append(result)
+    return out
 
 
 def _require_picklable(fn: Callable) -> None:
@@ -172,7 +210,6 @@ def run_trials(
     n_trials: int,
     seed: RNGLike = None,
     n_workers: int = 1,
-    chunksize: int | None = None,
     tracer: NullTracer | None = None,
     batch_size: int | None = None,
 ) -> list[T]:
@@ -190,10 +227,8 @@ def run_trials(
     seed:
         Master seed; children are spawned from it.
     n_workers:
-        1 = serial (default); > 1 = process pool of that size.
-    chunksize:
-        Pool chunk size (must be >= 1 when given); default balances load
-        as ``ceil(n / (4·workers))``.
+        1 = serial (default); > 1 = a :class:`~repro.parallel.pool.WarmPool`
+        of that size, fed blocks of ``ceil(n / (4·workers))`` trials.
     tracer:
         Optional :class:`~repro.obs.Tracer`; times the batch under
         ``"run_trials"`` and counts trials.  Workers do not share it —
@@ -213,69 +248,37 @@ def run_trials(
     -------
     list
         Trial results in seed order (deterministic given *seed*).
+
+    Raises
+    ------
+    TrialExecutionError
+        The first failing trial (in trial order), with its index and
+        seed; chained to the trial's exception, which from a worker is a
+        :class:`~repro.parallel.pool.RemoteError`.  There is no retry, and
+        a crashed worker raises :class:`~repro.parallel.pool.WorkerCrash`.
     """
     if n_trials < 0:
         raise ValueError("n_trials must be non-negative")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    if chunksize is not None and chunksize < 1:
-        raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-    run_batch = _batch_fn(fn, batch_size)
+    if _batch_fn(fn, batch_size) is None:
+        batch_size = None
     tracer = tracer if tracer is not None else NULL_TRACER
     seeds = child_seed_ints(seed, n_trials)
     if n_trials == 0:
         return []
-    blocks = None
-    if run_batch is not None:
-        blocks = [
-            (fn, start, seeds[start : start + batch_size])
-            for start in range(0, n_trials, batch_size)
-        ]
     cache_before = shared_registry().stats() if tracer.enabled else None
     with tracer.timer("run_trials"):
         if n_workers == 1:
-            if blocks is not None:
-                out = []
-                for blk in blocks:
-                    out.extend(_run_batch_block(blk))
-            else:
-                out = []
-                for i, s in enumerate(seeds):
-                    try:
-                        out.append(fn(s))
-                    except Exception as exc:
-                        raise TrialExecutionError(i, s, exc) from exc
+            out = _run_seeds(fn, seeds, None, batch_size)
         else:
             _require_picklable(fn)
-            ctx = mp.get_context("spawn")
-            pool = ctx.Pool(processes=n_workers)
-            try:
-                if blocks is not None:
-                    nested = pool_map_interruptible(
-                        pool, _run_batch_block, blocks, chunksize=chunksize or 1
-                    )
-                    out = [r for blk in nested for r in blk]
-                else:
-                    if chunksize is None:
-                        chunksize = max(
-                            1, (n_trials + 4 * n_workers - 1) // (4 * n_workers)
-                        )
-                    out = pool_map_interruptible(
-                        pool, fn, seeds, chunksize=chunksize
-                    )
-                pool.close()
-                pool.join()
-            except BaseException:
-                # KeyboardInterrupt (possibly a trapped SIGTERM) or a
-                # worker exception: kill the workers instead of orphaning
-                # them behind an uninterruptible map().
-                pool.terminate()
-                pool.join()
-                raise
+            with WarmPool(n_workers) as pool:
+                out = _run_seeds(fn, seeds, pool, batch_size)
     if tracer.enabled:
         tracer.count("trials", n_trials)
         tracer.annotate("n_workers", n_workers)
-        if run_batch is not None:
+        if batch_size is not None:
             tracer.annotate("batch_size", batch_size)
         _record_cache_stats(tracer, cache_before)
     return out
@@ -386,39 +389,6 @@ def _attempt_seed_table(seed: RNGLike, n_trials: int, max_retries: int) -> list[
     return table
 
 
-def _subprocess_trial(fn: Callable, seed: int, conn) -> None:
-    """Entry point of one spawned trial process: run, ship the outcome
-    back over the pipe, never let an exception escape unreported."""
-    try:
-        result = fn(seed)
-        payload = ("ok", result)
-    except BaseException as exc:  # noqa: BLE001 - full isolation by design
-        payload = ("err", type(exc).__name__, str(exc), traceback.format_exc())
-    try:
-        conn.send(payload)
-    except Exception:
-        # Unpicklable result/exception: report what we can.
-        try:
-            conn.send(("err", "PicklingError",
-                       "trial outcome could not be pickled", ""))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-@dataclass
-class _Attempt:
-    """Bookkeeping of one in-flight or queued trial attempt."""
-
-    trial_index: int
-    attempt: int
-    ready_at: float = 0.0
-    process: object = None
-    conn: object = None
-    deadline: float | None = None
-
-
 def run_trials_resilient(
     fn: Callable[[int], T],
     n_trials: int,
@@ -454,11 +424,11 @@ def run_trials_resilient(
     ---------------
     * ``n_workers == 1`` and ``timeout is None``: trials run in-process
       (closures allowed), exceptions are caught and retried.
-    * otherwise: every attempt runs in its own spawned process (at most
-      *n_workers* concurrently), so a killed or hung worker is detected —
-      nonzero exit status and wall-clock *timeout* respectively — and
-      only that trial is affected.  *fn* must then be picklable, as in
-      :func:`run_trials`.
+    * otherwise: attempts run on a :class:`~repro.parallel.pool.WarmPool`
+      of *n_workers* warm processes, so a killed or hung worker is
+      detected — dead pipe and wall-clock *timeout* respectively — and
+      only that attempt is affected; the worker is killed and replaced.
+      *fn* must then be picklable, as in :func:`run_trials`.
 
     A failure-free batch returns exactly the results ``run_trials`` would
     have produced: attempt-0 seeds are identical, and retry seeds are
@@ -470,9 +440,9 @@ def run_trials_resilient(
     re-enters its wave with **its retry seed**, never the wave's original
     seed vector — so retry streams stay exactly those of the unbatched
     resilient run.  A failing wave falls back to per-trial execution for
-    precise failure attribution.  On the process-isolated path
-    (``n_workers > 1`` or a *timeout*) batching is ignored: each attempt
-    already owns a process, which is the isolation the caller asked for.
+    precise failure attribution.  On the pool (``n_workers > 1`` or a
+    *timeout*) batching is ignored: each attempt is its own pool call, so
+    a crash or timeout costs exactly one attempt.
 
     Checkpointing
     -------------
@@ -529,8 +499,8 @@ def run_trials_resilient(
     use_processes = n_workers > 1 or timeout is not None
     if use_processes:
         _require_picklable(fn)
-        batch_size = None  # process-per-attempt isolation supersedes batching
-    run_batch = _batch_fn(fn, batch_size)
+        batch_size = None  # one pool call per attempt supersedes batching
+    wave = batch_size if _batch_fn(fn, batch_size) is not None else 1
 
     done: dict[int, object] = {}
     record = None
@@ -549,19 +519,11 @@ def run_trials_resilient(
     trap = trap_signals() if ck is not None else contextlib.nullcontext()
     try:
         with tracer.timer("run_trials_resilient"), trap:
-            if use_processes:
-                batch = _run_resilient_processes(
-                    fn, seeds, n_workers, backoff_base, backoff_factor, timeout,
-                    jitter=backoff_jitter, done=done, record=record,
-                )
-            elif run_batch is not None:
-                batch = _run_resilient_serial_batched(
-                    fn, seeds, batch_size, backoff_base, backoff_factor,
-                    jitter=backoff_jitter, done=done, record=record,
-                )
-            else:
-                batch = _run_resilient_serial(
-                    fn, seeds, backoff_base, backoff_factor,
+            pool = WarmPool(n_workers) if use_processes else contextlib.nullcontext()
+            with pool:
+                batch = _run_resilient(
+                    fn, seeds, pool.submit if use_processes else _submit_inline,
+                    n_workers, wave, backoff_base, backoff_factor, timeout,
                     jitter=backoff_jitter, done=done, record=record,
                 )
     finally:
@@ -578,293 +540,104 @@ def run_trials_resilient(
     return batch
 
 
-#: namespace of the backoff-jitter stream — keeps it disjoint from every
-#: trial/retry seed stream no matter what master seed the caller picked
-_BACKOFF_JITTER_KEY = 0xB0FF_1E77
+def _submit_inline(fn, *args, timeout=None) -> futures.Future:
+    """In-process stand-in for ``WarmPool.submit``: runs the call now and
+    returns its finished future."""
+    fut: futures.Future = futures.Future()
+    fut.set_result(fn(*args))
+    return fut
 
 
-def _backoff(
-    base: float,
-    factor: float,
-    attempt: int,
-    jitter: float = 0.0,
-    token: int | None = None,
-) -> float:
-    """Exponential backoff with seeded, deterministic jitter.
-
-    The jitter multiplier lies in ``[1, 1 + jitter)`` and is a pure
-    function of *token* — callers pass the retry attempt's child seed, so
-    the wave of trials retrying after a correlated failure (a shared pool
-    stall, a node flap) fans out over distinct delays instead of
-    stampeding back in lockstep, while the exact same run replays the
-    exact same sleeps.  The trial seed streams themselves are untouched:
-    the jitter draw comes from a fresh :class:`~numpy.random.SeedSequence`
-    namespaced under :data:`_BACKOFF_JITTER_KEY`, never from the streams
-    that produce attempt seeds.
-    """
-    delay = base * factor**attempt if base > 0 else 0.0
-    if delay > 0.0 and jitter > 0.0 and token is not None:
-        word = np.random.SeedSequence(
-            [_BACKOFF_JITTER_KEY, int(token)]
-        ).generate_state(1, dtype=np.uint64)[0]
-        delay *= 1.0 + jitter * (float(word) / 2.0**64)
-    return delay
-
-
-def _run_resilient_serial(
+def _run_resilient(
     fn,
     seeds: list[list[int]],
-    backoff_base: float,
-    backoff_factor: float,
-    jitter: float = 0.0,
-    done: dict | None = None,
-    record=None,
-) -> TrialBatchResult:
-    results: list = [None] * len(seeds)
-    failures: list[TrialFailure] = []
-    retries = 0
-    done = done or {}
-    for i, attempt_seeds in enumerate(seeds):
-        if i in done:
-            results[i] = done[i]
-            continue
-        last: tuple[str, str, str] | None = None
-        for attempt, s in enumerate(attempt_seeds):
-            if attempt > 0:
-                retries += 1
-                time.sleep(
-                    _backoff(backoff_base, backoff_factor, attempt - 1, jitter, s)
-                )
-            try:
-                results[i] = fn(s)
-                last = None
-            except Exception as exc:
-                last = (type(exc).__name__, str(exc), traceback.format_exc())
-                continue
-            # Outside the try: a ledger failure (or the CheckpointAbort
-            # test hook) must abort the batch, not look like a trial error.
-            if record is not None:
-                record(i, s, results[i])
-            break
-        if last is not None:
-            failures.append(
-                TrialFailure(i, list(attempt_seeds), last[0], last[1], last[2])
-            )
-    return TrialBatchResult(results=results, failures=failures, retries=retries)
-
-
-def _run_resilient_serial_batched(
-    fn,
-    seeds: list[list[int]],
-    batch_size: int,
-    backoff_base: float,
-    backoff_factor: float,
-    jitter: float = 0.0,
-    done: dict | None = None,
-    record=None,
-) -> TrialBatchResult:
-    """In-process batched execution with retry waves.
-
-    Pending ``(trial, attempt)`` entries run in waves of up to
-    *batch_size* through ``fn.run_batch``.  Each entry contributes **its
-    own attempt seed** — a trial retrying after a failure re-enters a
-    later wave on its retry seed next to other trials' attempt-0 seeds,
-    so every trial consumes exactly the seed stream the unbatched
-    resilient path would have given it.  A wave whose batch call fails
-    falls back to per-trial execution, which both attributes the error to
-    the precise trial and (fn being deterministic) reproduces the results
-    the batch would have returned for the healthy trials.
-    """
-    n = len(seeds)
-    results: list = [None] * n
-    failed: set[int] = set()
-    errors: dict[int, tuple[str, str, str]] = {}
-    retries = 0
-    done = done or {}
-    for i, r in done.items():
-        results[i] = r
-
-    pending: deque[tuple[int, int]] = deque(
-        (i, 0) for i in range(n) if i not in done
-    )
-    while pending:
-        wave = [pending.popleft() for _ in range(min(batch_size, len(pending)))]
-        wave_seeds = [seeds[i][att] for i, att in wave]
-        delay = 0.0
-        for i, att in wave:
-            if att > 0:
-                retries += 1
-                delay = max(
-                    delay,
-                    _backoff(
-                        backoff_base, backoff_factor, att - 1, jitter, seeds[i][att]
-                    ),
-                )
-        if delay > 0:
-            time.sleep(delay)
-        block = None
-        try:
-            out = list(fn.run_batch(wave_seeds))
-            if len(out) == len(wave_seeds):
-                block = out
-        except Exception:
-            block = None
-        if block is not None:
-            for (i, _att), s, r in zip(wave, wave_seeds, block):
-                results[i] = r
-                errors.pop(i, None)
-                # Outside the try above: a ledger failure (or the
-                # CheckpointAbort test hook) must abort the batch, not
-                # masquerade as a trial error.
-                if record is not None:
-                    record(i, s, r)
-            continue
-        for (i, att), s in zip(wave, wave_seeds):
-            try:
-                r = fn(s)
-            except Exception as exc:
-                errors[i] = (type(exc).__name__, str(exc), traceback.format_exc())
-                if att + 1 < len(seeds[i]):
-                    pending.append((i, att + 1))
-                else:
-                    failed.add(i)
-                continue
-            results[i] = r
-            errors.pop(i, None)
-            if record is not None:
-                record(i, s, r)
-    failures = [
-        TrialFailure(i, list(seeds[i]), *errors[i]) for i in sorted(failed)
-    ]
-    return TrialBatchResult(results=results, failures=failures, retries=retries)
-
-
-def _run_resilient_processes(
-    fn,
-    seeds: list[list[int]],
-    n_workers: int,
+    submit,
+    slots: int,
+    wave: int,
     backoff_base: float,
     backoff_factor: float,
     timeout: float | None,
-    jitter: float = 0.0,
-    done: dict | None = None,
-    record=None,
+    jitter: float,
+    done: dict,
+    record,
 ) -> TrialBatchResult:
-    """Process-per-attempt execution: crashes and hangs are contained.
+    """Drive every pending (trial, attempt) to success or exhaustion.
 
-    Unlike a shared pool, a killed worker here takes down exactly one
-    attempt (detected by its exit status) and a hung trial is terminated
-    at its deadline — the rest of the batch is untouched.
+    Ready attempts run in waves of up to *wave* (one ``fn.run_batch``
+    block when *wave* > 1) through *submit* — a warm pool's, or
+    :func:`_submit_inline` — with at most *slots* waves in flight.  Each
+    entry contributes **its own attempt seed**, so a retried trial joins
+    a later wave on its retry seed and every trial consumes exactly the
+    seed stream of an unbatched run.  A failed attempt re-enters on the
+    trial's next attempt seed once its backoff has elapsed.  On a pool a
+    crashed or timed-out worker, or a reply that cannot come back (say, a
+    result that does not pickle), fails only the attempts of that wave.
     """
-    ctx = mp.get_context("spawn")
     n = len(seeds)
     results: list = [None] * n
-    errors: dict[int, tuple[str, str, str]] = {}
+    errors: dict[int, RemoteError] = {}
     failed: set[int] = set()
     retries = 0
-    done = done or {}
     for i, r in done.items():
         results[i] = r
-
-    queue: deque[_Attempt] = deque(
-        _Attempt(trial_index=i, attempt=0) for i in range(n) if i not in done
-    )
-    running: list[_Attempt] = []
-
-    def launch(item: _Attempt) -> None:
-        parent, child = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_subprocess_trial,
-            args=(fn, seeds[item.trial_index][item.attempt], child),
-            daemon=True,
+    # heap of (ready_at, trial, attempt); first attempts are due at once
+    ready = [(0.0, i, 0) for i in range(n) if i not in done]
+    inflight: dict = {}  # future -> [(trial, attempt), ...]
+    while ready or inflight:
+        now = time.monotonic()
+        while ready and ready[0][0] <= now and len(inflight) < slots:
+            entries = []
+            while ready and ready[0][0] <= now and len(entries) < wave:
+                entries.append(heapq.heappop(ready)[1:])
+            task = (fn, [seeds[i][a] for i, a in entries], wave > 1)
+            inflight[submit(_run_block_remote, task, timeout=timeout)] = entries
+        if not inflight:
+            time.sleep(ready[0][0] - now)
+            continue
+        wait_s = None  # until a wave completes, or the next retry is due
+        if ready and len(inflight) < slots:
+            wait_s = max(0.0, ready[0][0] - now)
+        finished, _ = futures.wait(
+            inflight, timeout=wait_s, return_when=futures.FIRST_COMPLETED
         )
-        proc.start()
-        child.close()
-        item.process, item.conn = proc, parent
-        item.deadline = (time.monotonic() + timeout) if timeout else None
-        running.append(item)
-
-    def finish(item: _Attempt, outcome: tuple | None, crashed: str | None) -> None:
-        nonlocal retries
-        i = item.trial_index
-        if outcome is not None and outcome[0] == "ok":
-            results[i] = outcome[1]
-            errors.pop(i, None)
-            if record is not None:
-                record(i, seeds[i][item.attempt], outcome[1])
-            return
-        if outcome is not None:
-            errors[i] = (outcome[1], outcome[2], outcome[3])
-        else:
-            errors[i] = (
-                "WorkerCrash" if crashed == "crash" else "TrialTimeout",
-                (
-                    f"worker exited with code {item.process.exitcode}"
-                    if crashed == "crash"
-                    else f"trial exceeded {timeout}s wall-clock timeout"
-                ),
-                "",
-            )
-        if item.attempt + 1 < len(seeds[i]):
-            retries += 1
-            queue.append(
-                _Attempt(
-                    trial_index=i,
-                    attempt=item.attempt + 1,
-                    ready_at=time.monotonic()
-                    + _backoff(
-                        backoff_base,
-                        backoff_factor,
-                        item.attempt,
-                        jitter,
-                        seeds[i][item.attempt + 1],
-                    ),
+        for fut in finished:
+            entries = inflight.pop(fut)
+            try:
+                outcomes = fut.result()
+            except WorkerTimeout:
+                err = RemoteError(
+                    "TrialTimeout", f"trial exceeded {timeout}s wall-clock timeout"
                 )
-            )
-        else:
-            failed.add(i)
-
-    try:
-        while queue or running:
-            now = time.monotonic()
-            while queue and len(running) < n_workers:
-                # Launch the first queued attempt whose backoff elapsed.
-                ready = next((a for a in queue if a.ready_at <= now), None)
-                if ready is None:
-                    break
-                queue.remove(ready)
-                launch(ready)
-            progressed = False
-            for item in list(running):
-                outcome = None
-                crashed = None
-                if item.conn.poll():
-                    try:
-                        outcome = item.conn.recv()
-                    except EOFError:
-                        crashed = "crash"
-                elif not item.process.is_alive():
-                    crashed = "crash"
-                elif item.deadline is not None and now > item.deadline:
-                    item.process.terminate()
-                    crashed = "timeout"
-                else:
+                outcomes = [(None, err)] * len(entries)
+            except WorkerCrash as exc:
+                outcomes = [(None, RemoteError("WorkerCrash", str(exc)))] * len(entries)
+            except RemoteError as exc:  # the wave's reply failed (e.g. did not pickle)
+                outcomes = [(None, exc)] * len(entries)
+            for (i, attempt), (value, err) in zip(entries, outcomes):
+                if err is None:
+                    results[i] = value
+                    # Outside any try: a ledger failure (or the
+                    # CheckpointAbort test hook) must abort the batch, not
+                    # look like a trial error.
+                    if record is not None:
+                        record(i, seeds[i][attempt], value)
                     continue
-                progressed = True
-                running.remove(item)
-                item.process.join()
-                item.conn.close()
-                finish(item, outcome, crashed)
-            if not progressed:
-                time.sleep(0.005)
-    finally:
-        for item in running:
-            item.process.terminate()
-            item.process.join()
-            item.conn.close()
-
+                errors[i] = err
+                if attempt + 1 < len(seeds[i]):
+                    retries += 1
+                    delay = _backoff(
+                        backoff_base, backoff_factor, attempt, jitter,
+                        seeds[i][attempt + 1],
+                    )
+                    heapq.heappush(ready, (time.monotonic() + delay, i, attempt + 1))
+                else:
+                    failed.add(i)
     failures = [
-        TrialFailure(i, list(seeds[i]), *errors[i]) for i in sorted(failed)
+        TrialFailure(
+            i, list(seeds[i]), errors[i].type_name, errors[i].message,
+            errors[i].traceback,
+        )
+        for i in sorted(failed)
     ]
     return TrialBatchResult(results=results, failures=failures, retries=retries)
 
@@ -882,17 +655,13 @@ class TrialExecutor:
     def __init__(
         self,
         n_workers: int = 1,
-        chunksize: int | None = None,
         batch_size: int | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.n_workers = int(n_workers)
-        self.chunksize = chunksize
         self.batch_size = batch_size
 
     def map(
@@ -903,7 +672,6 @@ class TrialExecutor:
             n_trials,
             seed,
             n_workers=self.n_workers,
-            chunksize=self.chunksize,
             batch_size=self.batch_size,
         )
 
@@ -937,28 +705,23 @@ class TrialExecutor:
 
         ``fn(param, child_seed)`` is called with independent seeds; each
         parameter gets its own spawned seed block, so adding parameters
-        never perturbs the trials of existing ones.
+        never perturbs the trials of existing ones.  With ``n_workers > 1``
+        all parameters share one warm pool and *fn* must be picklable.
+        A failing trial raises :class:`TrialExecutionError` with its index
+        and seed within its parameter's block.
         """
         blocks = child_seed_ints(seed, len(params))
-        out: list[list[T]] = []
-        for p, block_seed in zip(params, blocks):
-            out.append(
-                run_trials(
-                    lambda s, _p=p: fn(_p, s),
-                    trials_per_param,
-                    block_seed,
-                    n_workers=1,  # closures are not picklable; stay serial here
+        pool = None
+        if self.n_workers > 1:
+            _require_picklable(fn)
+            pool = WarmPool(self.n_workers)
+        with pool if pool is not None else contextlib.nullcontext():
+            return [
+                _run_seeds(
+                    functools.partial(fn, p),
+                    child_seed_ints(block_seed, trials_per_param),
+                    pool,
+                    None,
                 )
-                if self.n_workers == 1
-                else self._map_param(fn, p, trials_per_param, block_seed)
-            )
-        return out
-
-    def _map_param(self, fn, param, n_trials: int, seed: int) -> list:
-        _require_picklable(fn)
-        seeds = child_seed_ints(seed, n_trials)
-        ctx = mp.get_context("spawn")
-        with ctx.Pool(processes=self.n_workers) as pool:
-            return pool.starmap(
-                fn, [(param, s) for s in seeds], chunksize=self.chunksize or 1
-            )
+                for p, block_seed in zip(params, blocks)
+            ]

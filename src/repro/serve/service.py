@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.parallel.pool import WorkerCrash
 from repro.serve.breaker import BreakerRegistry
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.types import (
@@ -36,7 +37,7 @@ from repro.serve.types import (
     request_batch_key,
     widened_sigma,
 )
-from repro.serve.workers import BatchExecutionError, WorkerCrash, WorkerPool
+from repro.serve.workers import BatchExecutionError, WorkerPool
 
 __all__ = ["ServeConfig", "LocalizationService"]
 

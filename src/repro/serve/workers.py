@@ -1,22 +1,17 @@
 """Warm worker processes and the batch execution payload.
 
-The service keeps a pool of long-lived worker processes (spawn context —
-each imports numpy/scipy once and then serves many batches, so the
-shared :func:`repro.kernels.shared_registry` potential caches stay warm
-per process).  The parent talks to each worker over a duplex
-:class:`multiprocessing.Pipe` with a three-op protocol::
-
-    ("ping",)                 -> ("pong", pid)
-    ("batch", items, deadline)-> ("ok", [payload, ...]) | ("err", traceback)
-    ("stop",)                 -> worker exits
-
-All blocking pipe I/O runs in the event loop's default thread-pool
-executor, so a wedged or murdered worker never stalls the loop.  A
-worker that times out, crashes, or closes its pipe raises
-:class:`WorkerCrash` to the dispatcher — which kills it, spawns a warm
-replacement (with jittered backoff so a crash loop cannot spin), and
-retries the batch on another worker.  ``n_workers=0`` selects in-process
-execution (one thread, no pipes) for deterministic fast tests.
+The service runs batches on one :class:`~repro.parallel.pool.WarmPool` of
+long-lived spawn workers (each imports numpy/scipy once and then serves
+many batches, so the shared :func:`repro.kernels.shared_registry`
+potential caches stay warm per process).  :class:`WorkerPool` is the
+event loop's face of it: ``run_batch`` awaits a pool call of
+:func:`execute_batch`, so a wedged or murdered worker never stalls the
+loop.  A worker that times out, crashes, or closes its pipe surfaces as
+:class:`~repro.parallel.pool.WorkerCrash` — the pool has already killed it
+and spawned a warm replacement (with jittered backoff so a crash loop
+cannot spin); the dispatcher retries the batch.  ``n_workers=0`` selects
+in-process execution (one thread, no pipes) for deterministic fast
+tests.
 
 :func:`execute_batch` is the *only* code that runs inside a worker; it
 must stay importable at module level (spawn pickles it by reference) and
@@ -28,23 +23,16 @@ its batch-mates.
 from __future__ import annotations
 
 import asyncio
-import os
-import traceback
-import multiprocessing as mp
 
 import numpy as np
 
+from repro.parallel.pool import RemoteError, WarmPool, WorkerCrash
+
 __all__ = [
     "execute_batch",
-    "WorkerCrash",
     "BatchExecutionError",
-    "WorkerHandle",
     "WorkerPool",
 ]
-
-
-class WorkerCrash(RuntimeError):
-    """A worker died, hung, or closed its pipe mid-call (retryable)."""
 
 
 class BatchExecutionError(RuntimeError):
@@ -156,115 +144,8 @@ def execute_batch(items: list[dict], deadline_s: float | None = None) -> list[di
     return out
 
 
-def _worker_main(conn) -> None:
-    """Entry point of a warm worker process."""
-    import signal
-
-    # The parent owns lifecycle; stray terminal interrupts must not kill
-    # a worker mid-batch.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, KeyboardInterrupt):
-            break
-        op = msg[0]
-        if op == "ping":
-            conn.send(("pong", os.getpid()))
-        elif op == "stop":
-            break
-        elif op == "batch":
-            try:
-                conn.send(("ok", execute_batch(*msg[1:])))
-            except BaseException:
-                conn.send(("err", traceback.format_exc()))
-        else:  # pragma: no cover - protocol guard
-            conn.send(("err", f"unknown op {op!r}"))
-    conn.close()
-
-
-def _pipe_call(conn, msg, timeout: float):
-    """Blocking request/response over a worker pipe (runs in a thread)."""
-    conn.send(msg)
-    if not conn.poll(timeout):
-        raise TimeoutError(f"worker reply timed out after {timeout:.1f}s")
-    return conn.recv()
-
-
-# ---------------------------------------------------------------------- #
-# parent-side pool
-
-
-class WorkerHandle:
-    """One warm worker process plus its parent end of the pipe."""
-
-    _ids = iter(range(1, 10**9))
-
-    def __init__(self, ctx) -> None:
-        self.id = next(WorkerHandle._ids)
-        self.conn, child = mp.Pipe(duplex=True)
-        self.process = ctx.Process(
-            target=_worker_main, args=(child,), daemon=True,
-            name=f"repro-serve-worker-{self.id}",
-        )
-        self.process.start()
-        child.close()
-        self.batches = 0
-
-    @property
-    def pid(self) -> int | None:
-        return self.process.pid
-
-    @property
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    async def call(self, msg: tuple, timeout: float):
-        """Send *msg* and await the reply without blocking the loop."""
-        loop = asyncio.get_running_loop()
-        try:
-            return await loop.run_in_executor(
-                None, _pipe_call, self.conn, msg, timeout
-            )
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            raise WorkerCrash(
-                f"worker {self.id} (pid {self.pid}) pipe failed: {exc!r}"
-            ) from exc
-        except TimeoutError as exc:
-            raise WorkerCrash(
-                f"worker {self.id} (pid {self.pid}) timed out"
-            ) from exc
-
-    def call_sync(self, msg: tuple, timeout: float):
-        """Blocking variant of :meth:`call` for non-asyncio callers.
-
-        Same crash translation: any pipe failure or timeout surfaces as
-        :class:`WorkerCrash` so the caller can kill/replace/retry.  Used
-        by the synchronous streaming runtime (:mod:`repro.stream`).
-        """
-        try:
-            return _pipe_call(self.conn, msg, timeout)
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            raise WorkerCrash(
-                f"worker {self.id} (pid {self.pid}) pipe failed: {exc!r}"
-            ) from exc
-        except TimeoutError as exc:
-            raise WorkerCrash(
-                f"worker {self.id} (pid {self.pid}) timed out"
-            ) from exc
-
-    def kill(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join(timeout=5.0)
-
-
 class WorkerPool:
-    """Fixed-size pool of warm workers with probe/replace supervision.
+    """The service's async face of one :class:`~repro.parallel.pool.WarmPool`.
 
     ``n_workers=0`` degenerates to in-process execution: batches run via
     ``execute_batch`` on the default thread-pool executor — no pipes, no
@@ -277,113 +158,43 @@ class WorkerPool:
         n_workers: int,
         metrics=None,
         probe_timeout_s: float = 2.0,
-        replace_backoff_s: float = 0.05,
     ) -> None:
         if n_workers < 0:
             raise ValueError("n_workers must be >= 0")
         self.n_workers = n_workers
         self.metrics = metrics
         self.probe_timeout_s = probe_timeout_s
-        self.replace_backoff_s = replace_backoff_s
-        self._ctx = mp.get_context("spawn")
-        self._idle: asyncio.Queue = asyncio.Queue()
-        self._workers: dict[int, WorkerHandle] = {}
-        self.replacements = 0
-        self._consecutive_failures = 0
-        self._started = False
+        self._pool: WarmPool | None = None  # set while started
 
     @property
     def inline(self) -> bool:
         return self.n_workers == 0
 
+    @property
+    def replacements(self) -> int:
+        return self._pool.replacements if self._pool is not None else 0
+
     # ---------------------------------------------------------------- #
     async def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        if self.inline:
-            return
-        loop = asyncio.get_running_loop()
-        spawned = await asyncio.gather(
-            *[loop.run_in_executor(None, WorkerHandle, self._ctx)
-              for _ in range(self.n_workers)]
-        )
-        for handle in spawned:
-            self._workers[handle.id] = handle
-            self._idle.put_nowait(handle)
+        """Spawn the workers (eagerly: they are running on return)."""
+        if self._pool is None and not self.inline:
+            # Spawning takes a while; keep it off the event loop.
+            self._pool = await asyncio.get_running_loop().run_in_executor(
+                None, WarmPool, self.n_workers, self.metrics
+            )
 
     async def stop(self) -> None:
-        if not self._started or self.inline:
-            self._started = False
-            return
-        self._started = False
-        loop = asyncio.get_running_loop()
-        for handle in list(self._workers.values()):
-            try:
-                handle.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        await asyncio.gather(
-            *[loop.run_in_executor(None, h.kill) for h in self._workers.values()]
-        )
-        self._workers.clear()
-        while not self._idle.empty():
-            self._idle.get_nowait()
-
-    # ---------------------------------------------------------------- #
-    async def _replace(self, handle: WorkerHandle) -> None:
-        """Kill a broken worker and spawn a warm replacement."""
-        from repro.parallel.executor import _backoff
-
-        self._workers.pop(handle.id, None)
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, handle.kill)
-        self.replacements += 1
-        self._consecutive_failures += 1
-        if self.metrics is not None:
-            self.metrics.count("worker_replacements")
-        # Jittered exponential backoff keeps a hard crash loop (e.g. a
-        # worker that dies on import) from spinning the supervisor.
-        delay = _backoff(
-            self.replace_backoff_s,
-            2.0,
-            min(self._consecutive_failures - 1, 6),
-            jitter=0.25,
-            token=self.replacements,
-        )
-        if delay > 0:
-            await asyncio.sleep(delay)
-        fresh = await loop.run_in_executor(None, WorkerHandle, self._ctx)
-        self._workers[fresh.id] = fresh
-        self._idle.put_nowait(fresh)
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            await asyncio.get_running_loop().run_in_executor(None, pool.close)
 
     async def probe(self) -> int:
-        """Ping every *idle* worker; replace the dead. Returns #replaced.
-
-        Busy workers are implicitly probed by their in-flight call's
-        timeout, so only the idle queue needs sweeping.
-        """
-        if self.inline or not self._started:
+        """Ping every *idle* worker; replace the dead. Returns #replaced."""
+        if self._pool is None:
             return 0
-        idle: list[WorkerHandle] = []
-        while not self._idle.empty():
-            idle.append(self._idle.get_nowait())
-        replaced = 0
-        for handle in idle:
-            if not self._started:
-                # stop() ran while probing; drop the handle, stop() owns it
-                continue
-            try:
-                if not handle.alive:
-                    raise WorkerCrash(f"worker {handle.id} exited "
-                                      f"(code {handle.process.exitcode})")
-                reply = await handle.call(("ping",), self.probe_timeout_s)
-                if reply != ("pong", handle.pid):
-                    raise WorkerCrash(f"worker {handle.id} bad pong {reply!r}")
-                self._idle.put_nowait(handle)
-            except WorkerCrash:
-                replaced += 1
-                await self._replace(handle)
+        replaced = await asyncio.get_running_loop().run_in_executor(
+            None, self._pool.probe, self.probe_timeout_s
+        )
         if self.metrics is not None:
             self.metrics.count("probes")
         return replaced
@@ -407,29 +218,17 @@ class WorkerPool:
                 raise BatchExecutionError(
                     f"{type(exc).__name__}: {exc}"
                 ) from exc
-        handle = await self._idle.get()
+        if self._pool is None:
+            raise WorkerCrash("worker pool is stopped")
+        fut = self._pool.submit(execute_batch, items, deadline_s, timeout=timeout)
         try:
-            if not handle.alive:
-                raise WorkerCrash(
-                    f"worker {handle.id} found dead "
-                    f"(exit code {handle.process.exitcode})"
-                )
-            reply = await handle.call(("batch", items, deadline_s), timeout)
-        except WorkerCrash:
-            await self._replace(handle)
-            raise
-        handle.batches += 1
-        self._consecutive_failures = 0
-        self._idle.put_nowait(handle)
-        if reply[0] == "ok":
-            return reply[1]
-        raise BatchExecutionError(str(reply[1]))
+            return await asyncio.wrap_future(fut)
+        except RemoteError as exc:
+            raise BatchExecutionError(str(exc)) from exc
 
     def snapshot(self) -> dict:
-        return {
-            "n_workers": self.n_workers,
-            "alive": sum(1 for h in self._workers.values() if h.alive),
-            "idle": self._idle.qsize(),
-            "replacements": self.replacements,
-            "inline": self.inline,
-        }
+        if self._pool is None:
+            snap = {"n_workers": self.n_workers, "alive": 0, "idle": 0, "replacements": 0}
+        else:
+            snap = self._pool.snapshot()
+        return {**snap, "inline": self.inline}

@@ -12,7 +12,7 @@ is the CLI entry point and E21 the benchmark.
 
 from repro.stream.events import DisruptionStats, Epoch, StreamDisruption
 from repro.stream.metrics import StreamMetrics
-from repro.stream.pool import InlineExecutor, StreamWorkerPool
+from repro.stream.pool import InlineExecutor, PoolExecutor
 from repro.stream.runtime import (
     StreamConfig,
     StreamResult,
@@ -33,7 +33,7 @@ __all__ = [
     "StreamDisruption",
     "StreamMetrics",
     "InlineExecutor",
-    "StreamWorkerPool",
+    "PoolExecutor",
     "StreamConfig",
     "StreamResult",
     "StreamRuntime",

@@ -1,18 +1,17 @@
 """Solve executors for the streaming runtime.
 
-Two interchangeable backends behind the same two-method protocol
-(``solve(items) -> payloads``, ``close()``):
+Two interchangeable backends behind the same protocol
+(``solve(items) -> payloads``, ``close()``, ``snapshot()``):
 
 * :class:`InlineExecutor` — in-process :func:`repro.serve.execute_batch`;
   no pipes, no crash surface, deterministic.  The fast-test default.
-* :class:`StreamWorkerPool` — the warm spawn workers of
-  :mod:`repro.serve.workers` driven synchronously.  Items shard
-  round-robin across workers (a thread per worker keeps them genuinely
-  concurrent); a worker that crashes, hangs, or is SIGKILL'd raises
-  :class:`~repro.serve.workers.WorkerCrash` inside its shard thread,
-  which kills it, spawns a warm replacement, and retries — with an
-  in-process execution as the last resort, so a batch is *never* lost
-  to worker mortality.
+* :class:`PoolExecutor` — shards items round-robin into one
+  :func:`~repro.serve.execute_batch` call per worker of a
+  :class:`~repro.parallel.pool.WarmPool`.  A shard whose worker crashes,
+  hangs, or is SIGKILL'd is resubmitted (the pool has already replaced
+  the worker, under its jittered backoff), and after
+  :data:`SHARD_RETRIES` resubmissions runs in-process as the last
+  resort — so a batch is *never* lost to worker mortality.
 
 Both return the same payloads for the same items (``localize_batch`` is
 bit-identical across batch compositions), so ``n_workers`` is a pure
@@ -21,18 +20,18 @@ throughput knob: results do not depend on it.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING
 
-from repro.serve.workers import (
-    BatchExecutionError,
-    WorkerCrash,
-    WorkerHandle,
-    execute_batch,
-)
+from repro.parallel.pool import RemoteError, WarmPool, WorkerCrash
+from repro.serve.workers import execute_batch
 
-__all__ = ["InlineExecutor", "StreamWorkerPool"]
+if TYPE_CHECKING:
+    from repro.stream.runtime import StreamConfig
+
+__all__ = ["InlineExecutor", "PoolExecutor"]
+
+#: pool resubmissions of a crashed shard before it runs in-process
+SHARD_RETRIES = 2
 
 
 class InlineExecutor:
@@ -50,104 +49,48 @@ class InlineExecutor:
         return {"inline": True, "n_workers": 0, "replacements": 0}
 
 
-class StreamWorkerPool:
-    """Synchronous fan-out over warm spawn workers with crash supervision."""
+class PoolExecutor:
+    """Fan-out over a warm pool of ``stream.n_workers`` workers; each
+    call is bounded by ``stream.worker_timeout_s``."""
 
-    def __init__(
-        self,
-        n_workers: int,
-        timeout_s: float = 120.0,
-        max_retries: int = 2,
-        metrics=None,
-    ) -> None:
-        if n_workers < 1:
-            raise ValueError("StreamWorkerPool needs n_workers >= 1")
-        self.n_workers = n_workers
-        self.timeout_s = timeout_s
-        self.max_retries = max_retries
-        self.metrics = metrics
-        self.replacements = 0
-        self._ctx = mp.get_context("spawn")
-        self._lock = threading.Lock()
-        self._handles: list[WorkerHandle] = [
-            WorkerHandle(self._ctx) for _ in range(n_workers)
-        ]
-        self._threads = ThreadPoolExecutor(
-            max_workers=n_workers, thread_name_prefix="repro-stream"
-        )
+    def __init__(self, stream: StreamConfig, metrics=None) -> None:
+        if stream.n_workers < 1:
+            raise ValueError("PoolExecutor needs n_workers >= 1")
+        self.n_workers = stream.n_workers
+        self.timeout_s = stream.worker_timeout_s
+        self.pool = WarmPool(self.n_workers, metrics=metrics)
 
-    # ------------------------------------------------------------------ #
     def solve(self, items: list[dict]) -> list[dict]:
         """Execute *items* across the pool, preserving item order."""
-        if not items:
-            return []
-        shards: list[list[int]] = [[] for _ in range(self.n_workers)]
-        for i in range(len(items)):
-            shards[i % self.n_workers].append(i)
-        futures = {}
-        for slot, idxs in enumerate(shards):
-            if idxs:
-                shard_items = [items[i] for i in idxs]
-                futures[slot] = self._threads.submit(
-                    self._solve_shard, slot, shard_items
-                )
+        calls = []
+        for slot in range(min(self.n_workers, len(items))):
+            idxs = range(slot, len(items), self.n_workers)
+            shard = [items[i] for i in idxs]
+            calls.append((idxs, shard, self._submit(shard)))
         out: list[dict | None] = [None] * len(items)
-        for slot, idxs in enumerate(shards):
-            if not idxs:
-                continue
-            payloads = futures[slot].result()
-            for i, payload in zip(idxs, payloads):
+        for idxs, shard, fut in calls:
+            for i, payload in zip(idxs, self._shard_result(shard, fut)):
                 out[i] = payload
         return out  # type: ignore[return-value]
 
-    def _solve_shard(self, slot: int, shard: list[dict]) -> list[dict]:
-        for _ in range(self.max_retries + 1):
-            handle = self._handles[slot]
+    def _submit(self, shard: list[dict]):
+        return self.pool.submit(execute_batch, shard, None, timeout=self.timeout_s)
+
+    def _shard_result(self, shard: list[dict], fut) -> list[dict]:
+        for attempt in range(SHARD_RETRIES + 1):
             try:
-                if not handle.alive:
-                    raise WorkerCrash(
-                        f"worker {handle.id} found dead "
-                        f"(exit code {handle.process.exitcode})"
-                    )
-                reply = handle.call_sync(("batch", shard, None), self.timeout_s)
-                if reply[0] == "ok":
-                    return reply[1]
-                raise BatchExecutionError(str(reply[1]))
+                return fut.result()
             except WorkerCrash:
-                self._replace(slot)
-            except BatchExecutionError:
+                if attempt < SHARD_RETRIES:
+                    fut = self._submit(shard)
+            except RemoteError:
                 break
         # Last resort: run the shard in-process.  Slower, but the batch
         # survives any worker mortality — the zero-lost contract.
         return execute_batch(shard, None)
 
-    def _replace(self, slot: int) -> None:
-        old = self._handles[slot]
-        old.kill()
-        self._handles[slot] = WorkerHandle(self._ctx)
-        with self._lock:
-            self.replacements += 1
-        if self.metrics is not None:
-            self.metrics.count("worker_replacements")
-
-    # ------------------------------------------------------------------ #
-    def worker_pids(self) -> list[int | None]:
-        return [h.pid for h in self._handles]
-
     def close(self) -> None:
-        for handle in self._handles:
-            try:
-                handle.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for handle in self._handles:
-            handle.kill()
-        self._threads.shutdown(wait=True)
+        self.pool.close()
 
     def snapshot(self) -> dict:
-        return {
-            "inline": False,
-            "n_workers": self.n_workers,
-            "alive": sum(1 for h in self._handles if h.alive),
-            "replacements": self.replacements,
-        }
+        return {"inline": False, **self.pool.snapshot()}

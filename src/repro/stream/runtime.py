@@ -53,7 +53,7 @@ from repro.mobility.tracking import TrackingResult
 from repro.priors.belief import GridBeliefPrior
 from repro.stream.events import Epoch, StreamDisruption
 from repro.stream.metrics import StreamMetrics
-from repro.stream.pool import InlineExecutor, StreamWorkerPool
+from repro.stream.pool import InlineExecutor, PoolExecutor
 from repro.stream.scenario import FleetConfig, fleet_events
 
 __all__ = [
@@ -686,9 +686,7 @@ def run_stream(
             checkpoint, lambda: stream_meta(fleet, stream, disruption)
         )
     executor = (
-        StreamWorkerPool(
-            stream.n_workers, timeout_s=stream.worker_timeout_s, metrics=metrics
-        )
+        PoolExecutor(stream, metrics=metrics)
         if stream.n_workers > 0
         else InlineExecutor()
     )

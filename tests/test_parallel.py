@@ -17,6 +17,10 @@ def _trial(seed: int) -> float:
     return float(rng.uniform())
 
 
+def _param_trial(param: str, seed: int) -> tuple:
+    return param, _trial(seed)
+
+
 def _traced_localization_trial(seed: int) -> dict:
     """Picklable trial: localize a small seeded network under a Tracer.
 
@@ -91,21 +95,13 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             TrialExecutor(n_workers=0)
 
-    def test_chunksize_validation(self):
-        with pytest.raises(ValueError, match="chunksize must be >= 1, got 0"):
-            run_trials(_trial, 3, seed=0, chunksize=0)
-        with pytest.raises(ValueError, match="chunksize must be >= 1, got -2"):
-            run_trials(_trial, 3, seed=0, n_workers=2, chunksize=-2)
-        with pytest.raises(ValueError, match="chunksize must be >= 1"):
-            TrialExecutor(n_workers=2, chunksize=0)
-
     def test_unpicklable_fn_fails_fast_with_guidance(self):
         captured = []  # closure over a local → not picklable
         with pytest.raises(TypeError, match="module-level callable"):
             run_trials(lambda s: captured.append(s), 4, seed=0, n_workers=2)
         with pytest.raises(TypeError, match="n_workers=1"):
-            TrialExecutor(n_workers=2)._map_param(
-                lambda p, s: (p, s), "a", 2, seed=0
+            TrialExecutor(n_workers=2).map_over(
+                lambda p, s: (p, s), ["a"], 2, seed=0
             )
 
     def test_unpicklable_fn_fine_when_serial(self):
@@ -138,6 +134,16 @@ class TestParallelDeterminism:
             assert s["trace"] == p["trace"]
 
     @pytest.mark.slow
+    def test_map_over_worker_count_does_not_change_results(self):
+        serial = TrialExecutor(n_workers=1).map_over(
+            _param_trial, ["a", "b"], 3, seed=5
+        )
+        pooled = TrialExecutor(n_workers=2).map_over(
+            _param_trial, ["a", "b"], 3, seed=5
+        )
+        assert pooled == serial
+
+    @pytest.mark.slow
     def test_worker_traces_merge_to_serial_totals(self):
         serial = run_trials(_traced_localization_trial, 4, seed=99, n_workers=1)
         parallel = run_trials(_traced_localization_trial, 4, seed=99, n_workers=2)
@@ -152,14 +158,6 @@ class TestParallelDeterminism:
         # timer call counts are deterministic; seconds are wall clock
         for path, entry in merged_serial["timers"].items():
             assert merged_parallel["timers"][path]["calls"] == entry["calls"]
-
-    def test_chunksize_does_not_change_results(self):
-        base = run_trials(_trial, 10, seed=11, n_workers=1)
-        for chunksize in (1, 3, 10):
-            assert (
-                run_trials(_trial, 10, seed=11, n_workers=2, chunksize=chunksize)
-                == base
-            )
 
 
 class TestDistributedBPSimulator:

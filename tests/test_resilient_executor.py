@@ -22,6 +22,7 @@ from repro.parallel import (
     run_trials_resilient,
 )
 from repro.parallel.executor import _attempt_seed_table, child_seed_ints
+from repro.parallel.pool import RemoteError, _backoff
 
 
 def _ok(seed: int) -> int:
@@ -46,23 +47,67 @@ def _hang_even(seed: int) -> int:
     return seed % 997
 
 
+def _unpicklable_even(seed: int):
+    if seed % 2 == 0:
+        return lambda: seed  # a result that cannot travel back over the pipe
+    return seed % 997
+
+
 def _first_even_index(seed: int, n: int) -> int:
     seeds = child_seed_ints(seed, n)
     return next(i for i, s in enumerate(seeds) if s % 2 == 0)
 
 
+def _raise_even_param(param: str, seed: int) -> int:
+    return _raise_even(seed)
+
+
+_WORKERS = [1, pytest.param(2, marks=pytest.mark.slow)]
+
+
 class TestTrialExecutionError:
-    def test_serial_failure_names_index_and_seed(self):
+    @pytest.mark.parametrize("n_workers", _WORKERS)
+    def test_serial_failure_names_index_and_seed(self, n_workers):
         idx = _first_even_index(3, 8)
         seeds = child_seed_ints(3, 8)
         with pytest.raises(TrialExecutionError) as exc_info:
-            run_trials(_raise_even, 8, seed=3)
+            run_trials(_raise_even, 8, seed=3, n_workers=n_workers)
         err = exc_info.value
         assert err.trial_index == idx
         assert err.trial_seed == seeds[idx]
         assert str(err.trial_seed) in str(err)
         assert "run_trials_resilient" in str(err)
-        assert isinstance(err.__cause__, ValueError)
+        assert "ValueError: even seed" in str(err)
+        if n_workers == 1:
+            assert isinstance(err.__cause__, ValueError)
+        else:  # the worker's exception, carried back as text
+            assert isinstance(err.__cause__, RemoteError)
+            assert err.__cause__.type_name == "ValueError"
+            assert "_raise_even" in err.__cause__.traceback
+
+    @pytest.mark.slow
+    def test_unpicklable_result_names_index_and_seed(self):
+        idx = _first_even_index(3, 8)
+        seeds = child_seed_ints(3, 8)
+        with pytest.raises(TrialExecutionError) as exc_info:
+            run_trials(_unpicklable_even, 8, seed=3, n_workers=2)
+        err = exc_info.value
+        assert err.trial_index == idx
+        assert err.trial_seed == seeds[idx]
+        assert isinstance(err.__cause__, RemoteError)
+        assert "pickle" in err.__cause__.message.lower()
+
+    @pytest.mark.parametrize("n_workers", _WORKERS)
+    def test_map_over_failure_names_index_and_seed(self, n_workers):
+        blocks = child_seed_ints(3, 2)
+        seeds = child_seed_ints(blocks[0], 8)
+        idx = next(i for i, s in enumerate(seeds) if s % 2 == 0)
+        with pytest.raises(TrialExecutionError) as exc_info:
+            TrialExecutor(n_workers=n_workers).map_over(
+                _raise_even_param, ["a", "b"], 8, seed=3
+            )
+        assert exc_info.value.trial_index == idx
+        assert exc_info.value.trial_seed == seeds[idx]
 
     def test_reproduce_from_reported_seed(self):
         with pytest.raises(TrialExecutionError) as exc_info:
@@ -192,6 +237,19 @@ class TestResilientProcesses:
             assert f.error_type == "ValueError"
             assert "even seed" in f.message
             assert "Traceback" in f.traceback
+
+    def test_unpicklable_result_is_a_trial_failure(self):
+        batch = run_trials_resilient(
+            _unpicklable_even, 6, seed=3, n_workers=2, max_retries=1,
+            backoff_base=0.0,
+        )
+        assert batch.failures and batch.n_ok > 0
+        assert batch.retries > 0
+        for f in batch.failures:
+            assert "pickle" in f.message.lower()
+        for i, r in enumerate(batch.results):
+            if i not in batch.failed_indices:
+                assert isinstance(r, int)
 
     def test_timeout_terminates_hung_trials(self):
         t0 = time.monotonic()
@@ -362,8 +420,6 @@ class TestBackoffJitter:
     invisible to the trial seed streams."""
 
     def test_zero_jitter_is_pure_exponential(self):
-        from repro.parallel.executor import _backoff
-
         for attempt in range(4):
             assert _backoff(0.5, 2.0, attempt) == 0.5 * 2.0**attempt
             assert (
@@ -372,8 +428,6 @@ class TestBackoffJitter:
             )
 
     def test_jitter_bounds_and_determinism(self):
-        from repro.parallel.executor import _backoff
-
         base, factor, jitter = 0.25, 2.0, 0.4
         for attempt, token in [(0, 7), (1, 7), (2, 99), (3, 2**63)]:
             raw = base * factor**attempt
@@ -383,21 +437,15 @@ class TestBackoffJitter:
             assert raw <= d1 < raw * (1.0 + jitter)
 
     def test_tokens_desynchronize(self):
-        from repro.parallel.executor import _backoff
-
         delays = {
             _backoff(1.0, 2.0, 0, jitter=0.5, token=t) for t in range(32)
         }
         assert len(delays) == 32  # distinct tokens -> distinct delays
 
     def test_no_token_means_no_jitter(self):
-        from repro.parallel.executor import _backoff
-
         assert _backoff(1.0, 2.0, 1, jitter=0.5, token=None) == 2.0
 
     def test_zero_base_stays_zero(self):
-        from repro.parallel.executor import _backoff
-
         assert _backoff(0.0, 2.0, 3, jitter=0.5, token=5) == 0.0
 
     def test_jitter_validation(self):

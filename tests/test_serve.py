@@ -634,8 +634,8 @@ class TestProcessPool:
                     for s in range(4)
                 ]
                 await asyncio.sleep(0.03)  # let the batch reach the worker
-                victim = next(iter(svc.pool._workers.values()))
-                os.kill(victim.pid, signal.SIGKILL)
+                victim = svc.pool._pool.worker_pids()[0]
+                os.kill(victim, signal.SIGKILL)
                 resps = await asyncio.gather(*futs)
                 for _ in range(100):  # wait out replacement
                     if svc.pool.snapshot()["alive"] == 1:
@@ -661,8 +661,8 @@ class TestProcessPool:
             )
             await svc.start()
             try:
-                victim = next(iter(svc.pool._workers.values()))
-                os.kill(victim.pid, signal.SIGKILL)
+                victim = svc.pool._pool.worker_pids()[0]
+                os.kill(victim, signal.SIGKILL)
                 for _ in range(200):
                     await asyncio.sleep(0.05)
                     snap = svc.pool.snapshot()

@@ -13,6 +13,7 @@ SIGKILL'd pool worker that gets replaced without losing a network —
 mirroring the ``ckpt``/``serve`` lanes.
 """
 
+import dataclasses
 import os
 import signal
 import subprocess
@@ -49,10 +50,10 @@ from repro.priors.belief import GridBeliefPrior, diffusion_kernel
 from repro.stream import (
     FleetConfig,
     InlineExecutor,
+    PoolExecutor,
     StreamConfig,
     StreamDisruption,
     StreamRuntime,
-    StreamWorkerPool,
     fleet_events,
     run_stream,
 )
@@ -708,10 +709,10 @@ class TestStreamCLI:
 
 
 # ---------------------------------------------------------------------- #
-# worker pool (slow: spawns real processes)
+# pool executor (slow: spawns real processes)
 # ---------------------------------------------------------------------- #
 @pytest.mark.slow
-class TestStreamWorkerPool:
+class TestPoolExecutor:
     def test_pool_matches_inline_and_survives_sigkill(self):
         events = fleet_events(FLEET)
         inline = StreamRuntime(
@@ -720,9 +721,11 @@ class TestStreamWorkerPool:
             events, final_step=FLEET.n_steps,
             network_ids=range(FLEET.n_networks), n_nodes=FLEET.n_nodes,
         )
-        pool = StreamWorkerPool(2, timeout_s=60.0)
+        pool = PoolExecutor(
+            dataclasses.replace(STREAM, n_workers=2, worker_timeout_s=60.0)
+        )
         try:
-            victim = pool.worker_pids()[0]
+            victim = pool.pool.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
             time.sleep(0.2)
             runtime = StreamRuntime(
@@ -734,7 +737,7 @@ class TestStreamWorkerPool:
             )
         finally:
             pool.close()
-        assert pool.replacements >= 1
+        assert pool.pool.replacements >= 1
         assert pooled.lost_networks == []
         # n_workers (and worker death) is a pure throughput knob
         _assert_same_results(pooled, inline)
