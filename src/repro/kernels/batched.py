@@ -11,7 +11,7 @@ trial.  All trials share whatever warm
 caller prepared — identical CSR objects across trials land in one
 cross-trial mat-mat group.
 
-Execution layout (the ≥10× lever over the cold per-trial kernel):
+Execution layout:
 
 * the stacked slots are stored **operator-grouped** — every slot sharing
   one CSR kernel occupies a contiguous row block — so each round's
@@ -22,10 +22,16 @@ Execution layout (the ≥10× lever over the cold per-trial kernel):
   rows) is **preallocated once per active-set rebuild** and reused every
   round: the hot loop performs no large allocations, so neither the
   allocator nor first-touch page faults appear in steady state;
-* each group's whole pipeline — gather ``h``, max-shift, ``exp``,
-  sparse product, normalize/damp/floor, residual, ``log`` — runs while
-  the group's ~1 MB slab is cache-resident, instead of making full-array
-  passes over the 10s-of-MB stacked block per step;
+* each group's whole pipeline — gather ``h``, max-shift, message
+  weights, sparse product, normalize/damp/floor, residual, ``log`` —
+  runs while the group's ~1 MB slab is cache-resident, instead of making
+  full-array passes over the 10s-of-MB stacked block per step;
+* message weights come from the shared cutoff function
+  :func:`~repro.kernels.reference._message_weights`: weights at or below
+  ~1e-250 are exactly 0, so neither ``exp`` nor the sparse product ever
+  touches a subnormal float (with the pre-knowledge priors most cells sit
+  hundreds to thousands of nats below a node's mode, and subnormal
+  arithmetic, not the flop count, dominated the round);
 * the sparse product calls scipy's own ``csr_matvecs`` kernel directly
   on the preallocated slabs (zero-filled output, C-contiguous
   multivector) — the exact computation ``op.dot`` performs after its
@@ -56,7 +62,11 @@ rests on these facts:
   order;
 * ``max`` reductions are order-independent (NaN included — ``np.maximum``
   propagates NaN), so a trial's residual computed as a segment reduction
-  over the permuted stacked block equals the per-trial global max.
+  over the permuted stacked block equals the per-trial global max;
+* every message site — both paths here, the plain loop and the
+  distributed agent — turns log weights into weights through the one
+  elementwise cutoff function ``_message_weights``, so each weight is
+  the same float at every site.
 
 Scope: the ``serial`` (Gauss–Seidel) schedule and max-product messaging
 are inherently per-trial sequential, so they run on the plain loop
@@ -81,7 +91,7 @@ from repro.kernels.base import (
     compatibility_key,
 )
 from repro.kernels.cancel import deadline_stop
-from repro.kernels.reference import _MSG_FLOOR
+from repro.kernels.reference import _MSG_FLOOR, _message_weights
 from repro.obs import NULL_TRACER, NullTracer
 
 __all__ = ["BatchedBackend"]
@@ -240,13 +250,20 @@ def _run_batch_sync(
     traces: list[list[np.ndarray]] = [[] for _ in range(T)]
     active = np.array([nd > 0 for nd in n_dirs], dtype=bool)
 
+    # Whole-block degree passes for the belief snapshots: each node's
+    # incoming log-messages in ascending slot order — the fadd sequence
+    # of ``np.add.at(totals, dst_of, log_messages)`` — as plain
+    # gather-adds.
+    all_slots = np.arange(n_dir, dtype=np.intp)
+    belief_passes = _degree_passes(dst_of, all_slots, all_slots)
+
     def stacked_beliefs() -> np.ndarray:
-        # Per node: log_phi + incoming log-messages (ascending slot
-        # order via np.add.at), row-wise max-shift / exp / normalize —
-        # each row identical to the per-trial beliefs_now().
+        # Per node: log_phi + incoming log-messages, row-wise max-shift /
+        # exp / normalize — each row identical to the plain loop's
+        # beliefs_from().
         totals_b = log_phi_all.copy()
-        if n_dir:
-            np.add.at(totals_b, dst_of, log_messages)
+        for rows, pos in belief_passes:
+            totals_b[rows] += log_messages[pos]
         if not n_nodes:
             return totals_b
         totals_b -= totals_b.max(axis=1, keepdims=True)
@@ -422,7 +439,7 @@ def _run_batch_sync(
                 np.take(Lcur, swap_pos[a:b], axis=0, out=Sg)
                 np.subtract(Hg, Sg, out=Hg)
             Hg -= Hg.max(axis=1, keepdims=True)
-            np.exp(Hg, out=Hg)
+            _message_weights(Hg, out=Hg)
             res = Mnew[a:b]
             if csr_matvecs is not None:
                 Hx[...] = Hg.T
@@ -455,7 +472,7 @@ def _run_batch_sync(
         for op, r in dense_plan:
             h = totals[src_act[r]] - Lcur[swap_pos[r]]
             h -= h.max()
-            hvec = np.exp(h)
+            hvec = _message_weights(h, out=h)
             res1 = op.dot(hvec)[None, :]
             prev1 = Mcur[r : r + 1]
             sums = res1.sum(axis=1)

@@ -42,7 +42,7 @@ from repro.core.potentials import (
 )
 from repro.core.result import LocalizationResult
 from repro.faults import FaultPlan, MessageFaultInjector, degrade_measurements
-from repro.kernels.reference import _MSG_FLOOR
+from repro.kernels.reference import _MSG_FLOOR, _message_weights
 from repro.measurement.measurements import MeasurementSet
 from repro.network.radio import RadioModel, UnitDiskRadio
 from repro.obs import NULL_TRACER, NullTracer
@@ -103,14 +103,14 @@ class SensorNodeAgent:
             peak = h.max()
             if np.isfinite(peak):
                 h -= peak
-                msg = psi.dot(np.exp(h))
+                msg = psi.dot(_message_weights(h, out=h))
                 s = msg.sum()
             else:
                 # Degenerate inbox (summed potential is -inf everywhere,
                 # e.g. a zeroed message under fault injection): without
-                # this guard ``h - (-inf)`` turns NaN and
-                # ``psi.dot(np.exp(h))`` silently propagates it to every
-                # neighbor.  Fall back to the uninformative message.
+                # this guard ``h - (-inf)`` turns NaN and the message
+                # product silently propagates it to every neighbor.
+                # Fall back to the uninformative message.
                 s = 0.0
             msg = msg / s if s > 0 else np.full(K, 1.0 / K)
             if damping > 0:

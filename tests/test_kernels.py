@@ -17,7 +17,11 @@ kernels on one prepared problem.  The suite covers:
   in ``perfbench/`` relies on;
 * the compatibility partition: mixed grid shapes/configs must split into
   separate groups (and ``BatchedBackend.run_batch`` must *refuse* a mixed
-  batch), never silently co-batch.
+  batch), never silently co-batch;
+* the shared message-weight cutoff (``_message_weights``): its contract,
+  bit identity of every message site on a problem whose weights fall off
+  the cliff into the subnormal band, and a routing guard that fails when
+  a message site bypasses it.
 
 The fast lane (module marker ``kernel``) runs in the default suite; the
 randomized sweeps are additionally marked ``slow`` — select them with
@@ -25,17 +29,21 @@ randomized sweeps are additionally marked ``slow`` — select them with
 """
 
 import dataclasses as dc
+import importlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.audit import ReferenceGridBP
 from repro.core import GridBPConfig, GridBPLocalizer
 from repro.core.bnloc import localize_batch
+from repro.core.grid import Grid2D
 from repro.core.potentials import shared_registry
 from repro.kernels import (
+    BPProblem,
     IncompatibleBatchError,
     compatibility_key,
     deadline_scope,
@@ -43,9 +51,13 @@ from repro.kernels import (
     group_compatible,
     kernel_for,
 )
+from repro.kernels.reference import _MSG_LOG_CUTOFF, _message_weights
 from repro.measurement import GaussianRanging, observe
 from repro.network import NetworkConfig, UnitDiskRadio, generate_network
 from repro.obs import NULL_TRACER, Tracer
+from repro.parallel import DistributedBPSimulator
+from repro.parallel.messaging import SensorNodeAgent
+from repro.priors.base import PositionPrior
 
 pytestmark = pytest.mark.kernel
 
@@ -346,6 +358,298 @@ class TestKernelDispatch:
         cfg = dc.replace(BASE_CFG, **overrides)
         GridBPLocalizer(config=cfg).localize(_measurements(95))
         assert len(calls) == 1
+
+
+# ------------------------------------------------------------------ #
+# The shared message-weight cutoff.
+
+#: modules whose message sites bind ``_message_weights`` by name
+_WEIGHT_SITES = (
+    "repro.kernels.reference",
+    "repro.kernels.batched",
+    "repro.parallel.messaging",
+)
+_TINY = np.finfo(float).tiny  # smallest normal float64
+
+
+def _patch_weights(monkeypatch, fn):
+    for name in _WEIGHT_SITES:
+        monkeypatch.setattr(importlib.import_module(name), "_message_weights", fn)
+
+
+def _plain_exp(h, out=None):
+    return np.exp(h, out=out)
+
+
+def _is_subnormal(x):
+    return (x > 0) & (x < _TINY)
+
+
+class TestMessageWeights:
+    """Contract of ``_message_weights``."""
+
+    def test_bit_equal_to_exp_above_cutoff(self):
+        rng = np.random.default_rng(0)
+        h = np.concatenate(
+            [
+                -rng.uniform(0.0, -_MSG_LOG_CUTOFF, size=4000),
+                [0.0, -1e-300, np.nextafter(_MSG_LOG_CUTOFF, 0.0)],
+            ]
+        )
+        assert (h > _MSG_LOG_CUTOFF).all()
+        assert np.array_equal(_message_weights(h), np.exp(h))
+
+    def test_zero_at_and_below_cutoff(self):
+        h = np.array(
+            [
+                _MSG_LOG_CUTOFF,
+                np.nextafter(_MSG_LOG_CUTOFF, -np.inf),
+                -600.0,
+                -720.0,
+                -745.0,
+                -746.0,
+                -1e4,
+                -np.inf,
+            ]
+        )
+        w = _message_weights(h)
+        assert np.array_equal(w, np.zeros_like(h))
+        assert not np.signbit(w).any()
+
+    def test_nan_propagates(self):
+        w = _message_weights(np.array([0.0, np.nan, -1.0, -700.0]))
+        assert np.isnan(w[1])
+        assert w[0] == 1.0 and w[2] == np.exp(-1.0) and w[3] == 0.0
+
+    def test_out_may_alias_input(self):
+        h = -np.random.default_rng(1).uniform(0.0, 800.0, size=(6, 50))
+        want = _message_weights(h)
+        got = _message_weights(h, out=h)
+        assert got is h
+        assert np.array_equal(got, want)
+
+    def test_never_emits_subnormals(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            h = -rng.uniform(0.0, 1200.0, size=(20, 144))
+            # a dense slice of the band where plain exp is subnormal
+            h[:, :60] = -rng.uniform(575.0, 745.0, size=(20, 60))
+            h[:, 0] = 0.0
+            assert _is_subnormal(np.exp(h)).any()  # the band is exercised
+            w = _message_weights(h)
+            assert not _is_subnormal(w).any()
+            kept = w > 0
+            assert (w[kept] >= np.exp(_MSG_LOG_CUTOFF)).all()
+
+
+class _CliffPrior(PositionPrior):
+    """Deployment pre-knowledge falling ~1000 nats across the unit square.
+
+    Every node's cells then span the band where plain ``exp`` of a
+    max-shifted weight is subnormal — the cliff the cutoff removes.
+    """
+
+    def log_density(self, node, points):
+        return -(950.0 + 5.0 * (node % 7)) * points[:, 0]
+
+
+_CLIFF = _CliffPrior()
+_CLIFF_CFG = dc.replace(BASE_CFG, grid_size=10, max_iterations=6)
+_CLIFF_CONFIGS = {
+    "sync": _CLIFF_CFG,
+    "serial": dc.replace(_CLIFF_CFG, schedule="serial"),
+    "max-product": dc.replace(_CLIFF_CFG, max_product=True, estimator="map"),
+}
+
+
+def _cliff_ms(seed=101):
+    return _measurements(seed, n=16)
+
+
+def _cliff_problem():
+    return GridBPLocalizer(prior=_CLIFF, config=_CLIFF_CFG)._prepare(
+        _cliff_ms(), NULL_TRACER
+    ).problem
+
+
+def _central(cfg):
+    return GridBPLocalizer(prior=_CLIFF, config=cfg).localize(_cliff_ms())
+
+
+def _distributed():
+    result, _stats = DistributedBPSimulator(prior=_CLIFF, config=_CLIFF_CFG).run(
+        _cliff_ms()
+    )
+    return result
+
+
+class TestMessageWeightCliff:
+    """Every message site on a problem whose weights cross the cutoff."""
+
+    def test_problem_exercises_the_cliff(self):
+        # Cells the old plain exp kept as nonzero subnormals and the
+        # cutoff now zeroes: the round-1 weights are exactly the
+        # row-shifted node potentials (inboxes start uniform).
+        phi = _cliff_problem().log_phi
+        shifted = phi - phi.max(axis=1, keepdims=True)
+        in_band = (shifted <= _MSG_LOG_CUTOFF) & (np.exp(shifted) > 0)
+        assert in_band.sum(axis=1).min() > 0  # every node has band cells
+        assert _is_subnormal(np.exp(shifted)).any()
+        assert not _is_subnormal(_message_weights(shifted)).any()
+
+    def test_sync_sites_bit_identical(self):
+        central = _central(_CLIFF_CFG)  # batched kernel, sparse groups
+        reference = ReferenceGridBP(prior=_CLIFF, config=_CLIFF_CFG)
+        _assert_bit_equal(central, reference.localize(_cliff_ms()))
+        _assert_bit_equal(central, _distributed())
+        # the batched kernel's dense per-slot path against the plain loop
+        # (gemv sums in another order than CSR, so only within the path)
+        problem = _cliff_problem()
+        problem.ops = [(f.toarray(), b.toarray()) for f, b in problem.ops]
+        _assert_outcomes_equal(*_both_kernels(problem))
+
+    @pytest.mark.parametrize("name", ["serial", "max-product"])
+    def test_sequential_schedules_bit_identical(self, name):
+        cfg = _CLIFF_CONFIGS[name]
+        _assert_bit_equal(
+            _central(cfg),
+            ReferenceGridBP(prior=_CLIFF, config=cfg).localize(_cliff_ms()),
+        )
+
+    @pytest.mark.parametrize("name", sorted(_CLIFF_CONFIGS))
+    def test_estimates_match_plain_exp(self, monkeypatch, name):
+        # The dropped weights are < 1e-250: far below anything the
+        # 1e-12 message floor lets through, so estimates do not move.
+        cfg = _CLIFF_CONFIGS[name]
+        cut = _central(cfg)
+        cut_dist = _distributed() if name == "sync" else None
+        _patch_weights(monkeypatch, _plain_exp)
+        plain = _central(cfg)
+        assert np.array_equal(cut.estimates, plain.estimates)
+        assert cut.n_iterations == plain.n_iterations
+        if cut_dist is not None:
+            assert np.array_equal(cut_dist.estimates, _distributed().estimates)
+
+
+def _degenerate_problem():
+    """Two unknowns, one edge; node 0's only above-cutoff cells feed
+    operator columns that are empty, so its message to node 1 sums to 0.
+    """
+    grid = Grid2D(BASE_CFG.grid_size)
+    K = grid.n_cells
+    rng = np.random.default_rng(3)
+    live = np.arange(K) < 4  # node 0's mass sits in cells 0..3
+    log_phi = np.empty((2, K))
+    log_phi[0] = np.where(live, 0.0, -rng.uniform(600.0, 740.0, size=K))
+    log_phi[1] = -rng.uniform(0.0, 5.0, size=K)
+    dense = rng.uniform(0.5, 1.0, size=(K, K))
+    fwd = dense.copy()
+    fwd[:, live] = 0.0  # node 0 -> 1: the live cells reach nothing
+    ops = [(sparse.csr_matrix(fwd), sparse.csr_matrix(dense.T))]
+    # undamped, so the fallback message stays exactly uniform
+    cfg = dc.replace(BASE_CFG, max_iterations=3, damping=0.0)
+    return BPProblem(log_phi=log_phi, edges=[(0, 1)], ops=ops, grid=grid, cfg=cfg)
+
+
+def _agent_beliefs(problem, n_rounds):
+    """The distributed agents' beliefs after *n_rounds* rounds, and the
+    first message node ``i`` sent to node ``j``."""
+    K = problem.n_cells
+    (i, j), (fwd, bwd) = problem.edges[0], problem.ops[0]
+    agents = {u: SensorNodeAgent(u, problem.log_phi[u]) for u in (i, j)}
+    agents[i].add_neighbor(j, fwd, K)
+    agents[j].add_neighbor(i, bwd, K)
+    for a in agents.values():
+        a.reset_memory(K)
+    first = None
+    for _ in range(n_rounds):
+        outboxes = {
+            u: a.compute_outgoing(problem.cfg.damping) for u, a in agents.items()
+        }
+        if first is None:
+            first = outboxes[i][j]
+        for u, out in outboxes.items():
+            for other, msg in out.items():
+                agents[other].inbox[u] = msg
+    return np.stack([agents[i].belief(), agents[j].belief()]), first
+
+
+class TestDegenerateMessageRow:
+    """A row whose every kept weight hits empty operator columns takes
+    the ``sums <= 0`` uniform fallback identically at every site."""
+
+    def test_uniform_fallback_at_every_site(self):
+        problem = _degenerate_problem()
+        K = problem.n_cells
+        bat, ref = _both_kernels(problem)
+        _assert_outcomes_equal(bat, ref)
+        dense = _degenerate_problem()
+        dense.ops = [(f.toarray(), b.toarray()) for f, b in dense.ops]
+        _assert_outcomes_equal(*_both_kernels(dense))
+        agent_beliefs, msg_0_to_1 = _agent_beliefs(problem, ref.n_iterations)
+        assert np.array_equal(agent_beliefs, ref.beliefs)
+        # the fallback really triggered: node 0 sent the uniform message
+        assert np.array_equal(msg_0_to_1, np.full(K, 1.0 / K))
+
+    def test_plain_exp_would_not_fall_back(self, monkeypatch):
+        # Without the cutoff the band cells' subnormal weights reach the
+        # nonempty columns and the message is not uniform — the row is
+        # degenerate only because of the cutoff.
+        problem = _degenerate_problem()
+        K = problem.n_cells
+        _patch_weights(monkeypatch, _plain_exp)
+        _beliefs, msg_0_to_1 = _agent_beliefs(problem, 1)
+        assert not np.array_equal(msg_0_to_1, np.full(K, 1.0 / K))
+
+
+@pytest.mark.perf
+class TestMessageWeightRouting:
+    """Every message site turns log weights into weights through the one
+    cutoff function; a new site that bypasses it fails here."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log: list[int] = []
+
+        def counted(h, out=None):
+            log.append(h.shape[0] if h.ndim == 2 else 1)
+            return _message_weights(h, out=out)
+
+        _patch_weights(monkeypatch, counted)
+        return log
+
+    @staticmethod
+    def _solve(cfg, seed):
+        """Localize; returns the weight rows the solve must have produced:
+        one per directed message per round."""
+        ms = _measurements(seed)
+        n_dir = 2 * len(_problem(ms, cfg).edges)
+        return n_dir * GridBPLocalizer(config=cfg).localize(ms).n_iterations
+
+    def test_sync_sparse_solve(self, calls):
+        expected = self._solve(BASE_CFG, 110)
+        assert sum(calls) == expected > 0
+
+    def test_dense_operator_solve(self, calls):
+        problem = _problem(_measurements(111), BASE_CFG)
+        problem.ops = [(f.toarray(), b.toarray()) for f, b in problem.ops]
+        out = get_backend("batched").run(problem)
+        assert sum(calls) == 2 * len(problem.edges) * out.n_iterations > 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"schedule": "serial"}, {"max_product": True}],
+        ids=["serial", "max-product"],
+    )
+    def test_sequential_solves(self, calls, overrides):
+        expected = self._solve(dc.replace(BASE_CFG, **overrides), 112)
+        assert sum(calls) == expected > 0
+
+    def test_distributed_run(self, calls):
+        _result, stats = DistributedBPSimulator(config=BASE_CFG).run(
+            _measurements(113)
+        )
+        assert sum(calls) == sum(s.messages for s in stats) > 0
 
 
 @pytest.mark.slow
