@@ -36,12 +36,13 @@ from repro.core.potentials import (
     RangingPotentialCache,
     _normalize_matrix,
     anchor_bearing_potential,
+    anchor_bearing_rows,
     anchor_connectivity_potential,
     anchor_ranging_potential,
     connectivity_potential,
     negative_anchor_potential,
     pairwise_bearing_potential,
-    ranging_potential_from_distances,
+    ranging_potential_rows,
     shared_registry,
 )
 from repro.core.result import LocalizationResult, Localizer
@@ -282,14 +283,20 @@ class GridBPLocalizer(Localizer):
         return kernel_for(self.config)
 
     def _prepare(
-        self, measurements: MeasurementSet, tracer: NullTracer
+        self,
+        measurements: MeasurementSet,
+        tracer: NullTracer,
+        grid: Grid2D | None = None,
     ) -> "_Prepared":
         """Everything before the BP loop: grid, prior/radio resolution,
         node potentials, edge operators.  Returns the prepared problem
-        plus the context :meth:`_finish` needs afterwards."""
+        plus the context :meth:`_finish` needs afterwards.  *grid*, when
+        given, must match the config's grid size and the field extent
+        (:func:`localize_batch` shares one per distinct geometry)."""
         ms = measurements
         cfg = self.config
-        grid = Grid2D(cfg.grid_size, cfg.grid_size, ms.width, ms.height)
+        if grid is None:
+            grid = Grid2D(cfg.grid_size, cfg.grid_size, ms.width, ms.height)
         prior = self.prior if self.prior is not None else UniformPrior(ms.width, ms.height)
         radio = self.radio if self.radio is not None else UnitDiskRadio(ms.radio_range)
 
@@ -473,33 +480,33 @@ class GridBPLocalizer(Localizer):
                 if cfg.health_checks
                 else np.ones(len(unknowns), dtype=bool)
             )
-            for ui, u in enumerate(unknowns):
-                if not healthy[ui]:
-                    # Belief beyond repair: baseline fallback estimate and
-                    # an honest uniform belief for downstream consumers.
-                    beliefs[ui] = 1.0 / K
-                    estimates[u] = fallback_position(ms, u, prior, grid)
-                    fallback[u] = True
-                    mask[u] = True
-                    continue
-                b = beliefs[ui]
-                estimates[u] = (
-                    grid.expectation(b) if cfg.estimator == "mmse" else grid.map_estimate(b)
-                )
-                covariances[u] = grid.covariance(b)
-                mask[u] = True
+            ok = unknowns[healthy]
+            block = beliefs[healthy]
+            means, covariances[ok] = grid.moments(block)
+            estimates[ok] = (
+                means
+                if cfg.estimator == "mmse"
+                else grid.centers[np.argmax(block, axis=1)]
+            )
+            mask[unknowns] = True
+            for ui in np.flatnonzero(~healthy):
+                # Belief beyond repair: baseline fallback estimate and
+                # an honest uniform belief for downstream consumers.
+                u = int(unknowns[ui])
+                beliefs[ui] = 1.0 / K
+                estimates[u] = fallback_position(ms, u, prior, grid)
+                fallback[u] = True
             n_fallback = int(fallback.sum())
 
         trace = []
         if cfg.record_trace:
             for logs in trace_logs:
                 snap = estimates.copy()
-                for ui, u in enumerate(unknowns):
-                    snap[u] = (
-                        grid.expectation(logs[ui])
-                        if cfg.estimator == "mmse"
-                        else grid.map_estimate(logs[ui])
-                    )
+                snap[unknowns] = (
+                    grid.moments(logs)[0]
+                    if cfg.estimator == "mmse"
+                    else grid.centers[np.argmax(logs, axis=1)]
+                )
                 trace.append(snap)
 
         # Communication accounting (distributed execution model): one
@@ -592,135 +599,91 @@ class GridBPLocalizer(Localizer):
     ) -> np.ndarray:
         """Log node potentials ``(n_unknown, K)``: prior × anchor evidence.
 
-        The anchor-side terms depend only on the anchor, not on the
-        unknown, so each anchor's distance field, detection probabilities,
-        and log-potentials are computed once and reused across all
-        unknowns (the baseline recomputed them per (unknown, anchor)
-        pair — O(n_unknown × n_anchor × K) redundant work).  The
-        accumulation itself runs anchor-outer over row *blocks* of the
-        ``(n_unknown, K)`` output: per anchor, one vectorized add per
-        evidence kind instead of one Python-level add per (unknown,
-        anchor) pair.  Each row still receives exactly the baseline's
-        adds in the baseline's order — the anchor loop is the outer
-        sweep, and within one anchor the hop-bound, adjacency, and
-        negative-evidence terms hit *disjoint* row sets in the same
-        hop → ranging/connectivity → bearings → negative sequence — so
-        the output is bit-identical to
+        Built in whole-array passes: the anchor fields (distances,
+        detection and negative-evidence rows) once per problem as
+        ``(n_anchor, K)`` stacks, every anchor link's potential in one
+        ``(links, K)`` slab (:func:`ranging_potential_rows`,
+        :func:`anchor_bearing_rows`), hop counts by one BFS from all
+        anchors (:func:`_anchor_hops`).  The anchor-outer loop then only
+        adds precomputed rows to row blocks: per anchor, hop bound, link
+        (ranging or connectivity, then bearing) and negative evidence, as
+        the baseline adds them.  Every row thus gets the baseline's adds
+        in the baseline's order, and the output is bit-identical to
         :meth:`_node_potentials_baseline`.
         """
         cfg = self.config
-        log_phi = np.empty((len(unknowns), grid.n_cells))
         anchor_ids = ms.anchor_ids
-        hops = None
-        if cfg.use_hop_bounds:
-            from scipy.sparse import csr_matrix
-            from scipy.sparse.csgraph import shortest_path
-
-            hops = shortest_path(
-                csr_matrix(ms.adjacency.astype(np.int8)),
-                method="D",
-                unweighted=True,
-                directed=False,
-            )[:, anchor_ids]
-        n_a = len(anchor_ids)
-        anchor_d = [
-            grid.distances_to_point(ms.anchor_positions_full[int(a)])
-            for a in anchor_ids
-        ]
-        anchor_pd: list[np.ndarray | None] = [None] * n_a
-        log_neg: list[np.ndarray | None] = [None] * n_a
-        log_conn: list[np.ndarray | None] = [None] * n_a
-        blur = cfg.cell_blur_fraction * grid.cell_diagonal
+        u_idx = np.asarray(unknowns, dtype=np.intp)
+        apos = ms.anchor_positions_full[anchor_ids][:, None, :]
+        diff = grid.centers - apos
+        anchor_d = np.sqrt(np.einsum("aki,aki->ak", diff, diff))
         conn_radio = radio if cfg.use_connectivity_in_ranging else None
+        if conn_radio is not None or cfg.use_negative_evidence or not ms.has_ranging:
+            pd = radio.p_detect(anchor_d)
         log_tiny = np.log(1e-300)
 
-        def pdet(ai: int) -> np.ndarray:
-            # Lazy like everything below: only touch the radio model for
-            # anchors whose terms are actually used, as the baseline does.
-            out = anchor_pd[ai]
-            if out is None:
-                out = radio.p_detect(anchor_d[ai])
-                anchor_pd[ai] = out
-            return out
-
-        def neg_log(ai: int) -> np.ndarray:
-            out = log_neg[ai]
-            if out is None:
-                vals = 1.0 - pdet(ai)
-                if vals.max() <= 0:
-                    # same failure mode as negative_anchor_potential
-                    raise ValueError(
-                        "negative evidence eliminated every cell — anchor's "
-                        "radio range covers the entire grid"
-                    )
-                out = np.log(np.maximum(vals, 1e-300))
-                log_neg[ai] = out
-            return out
-
-        def conn_log(ai: int) -> np.ndarray:
-            out = log_conn[ai]
-            if out is None:
-                out = np.log(np.maximum(_normalize_matrix(pdet(ai)), 1e-300))
-                log_conn[ai] = out
-            return out
-
-        u_idx = np.asarray([int(u) for u in unknowns], dtype=np.intp)
+        log_phi = np.empty((len(u_idx), grid.n_cells))
         for ui, u in enumerate(u_idx):
             log_phi[ui] = prior.grid_weights(int(u), grid)
         log_phi = np.log(np.maximum(log_phi, 1e-300))
-        adj_cols = (
-            ms.adjacency[np.ix_(u_idx, anchor_ids)]
-            if len(u_idx) and n_a
-            else np.zeros((len(u_idx), n_a), dtype=bool)
-        )
-        hops_u = hops[u_idx] if hops is not None else None
-        for ai, a in enumerate(anchor_ids):
-            a = int(a)
-            adj = adj_cols[:, ai].astype(bool)
-            if hops is not None:
+        adj = ms.adjacency[u_idx][:, anchor_ids]
+        if cfg.use_hop_bounds:
+            hops = _anchor_hops(ms.adjacency, anchor_ids)[u_idx]
+        # links in anchor-major order: anchor ai owns slab rows
+        # starts[ai]:starts[ai + 1]
+        link_a, link_u = np.nonzero(adj.T)
+        starts = np.searchsorted(link_a, np.arange(len(anchor_ids) + 1))
+        if link_a.size:
+            if ms.has_ranging:
+                pots = ranging_potential_rows(
+                    anchor_d[link_a],
+                    ms.observed_distances[u_idx[link_u], anchor_ids[link_a]][:, None],
+                    ms.ranging,
+                    blur_sigma=cfg.cell_blur_fraction * grid.cell_diagonal,
+                    p_detect=pd[link_a] if conn_radio is not None else None,
+                )
+            else:
+                pots = _normalize_matrix(pd[link_a], axis=1)
+            log_pots = np.log(np.maximum(pots, 1e-300))
+        if ms.has_bearings and link_a.size:
+            rel = apos - grid.centers  # as Grid2D.bearings_to_point
+            obs = ms.observed_bearings
+            bpots = anchor_bearing_rows(
+                np.arctan2(rel[..., 1], rel[..., 0])[link_a],
+                obs[u_idx[link_u], anchor_ids[link_a]][:, None],
+                obs[anchor_ids[link_a], u_idx[link_u]][:, None],
+                ms.bearing_model,
+            )
+            log_bpots = np.log(np.maximum(bpots, 1e-300))
+        if cfg.use_negative_evidence:
+            neg = 1.0 - pd
+            if ((~adj).any(axis=0) & (neg.max(axis=1) <= 0)).any():
+                # same failure mode as negative_anchor_potential
+                raise ValueError(
+                    "negative evidence eliminated every cell — anchor's "
+                    "radio range covers the entire grid"
+                )
+            log_neg = np.log(np.maximum(neg, 1e-300))
+        for ai in range(len(anchor_ids)):
+            if cfg.use_hop_bounds:
                 # h-hop reachability: each hop covers at most the radio
                 # range, so the node lies within h·r of the anchor.
-                hcol = hops_u[:, ai]
-                with np.errstate(invalid="ignore"):
-                    sel = ~adj & np.isfinite(hcol) & (hcol >= 2)
-                rows = np.flatnonzero(sel)
+                h = hops[:, ai]
+                rows = np.flatnonzero(~adj[:, ai] & (h >= 2) & np.isfinite(h))
                 if rows.size:
-                    reach = hcol[rows] * ms.radio_range
-                    log_phi[rows] += np.where(
-                        anchor_d[ai][None, :] <= reach[:, None], 0.0, log_tiny
-                    )
-            rows_adj = np.flatnonzero(adj)
-            if rows_adj.size:
-                if ms.has_ranging:
-                    pots = np.empty((rows_adj.size, grid.n_cells))
-                    pd = pdet(ai) if conn_radio is not None else None
-                    for k, ri in enumerate(rows_adj):
-                        pots[k] = ranging_potential_from_distances(
-                            anchor_d[ai],
-                            ms.observed_distances[int(u_idx[ri]), a],
-                            ms.ranging,
-                            conn_radio,
-                            blur_sigma=blur,
-                            p_detect=pd,
-                        )
-                    log_phi[rows_adj] += np.log(np.maximum(pots, 1e-300))
-                else:
-                    log_phi[rows_adj] += conn_log(ai)[None, :]
+                    reach = h[rows, None] * ms.radio_range
+                    log_phi[rows] += np.where(anchor_d[ai] <= reach, 0.0, log_tiny)
+            block = slice(starts[ai], starts[ai + 1])
+            rows = link_u[block]
+            if rows.size:
+                log_phi[rows] += log_pots[block]
                 if ms.has_bearings:
-                    for ri in rows_adj:
-                        bpot = anchor_bearing_potential(
-                            grid,
-                            ms.anchor_positions_full[a],
-                            ms.observed_bearings[int(u_idx[ri]), a],
-                            ms.observed_bearings[a, int(u_idx[ri])],
-                            ms.bearing_model,
-                        )
-                        log_phi[ri] += np.log(np.maximum(bpot, 1e-300))
+                    log_phi[rows] += log_bpots[block]
             if cfg.use_negative_evidence:
-                rows_neg = np.flatnonzero(~adj)
-                if rows_neg.size:
-                    log_phi[rows_neg] += neg_log(ai)[None, :]
-        peaks = log_phi.max(axis=1) if len(u_idx) else np.empty(0)
+                rows = np.flatnonzero(~adj[:, ai])
+                if rows.size:
+                    log_phi[rows] += log_neg[ai]
+        peaks = log_phi.max(axis=1)
         bad = np.flatnonzero(~np.isfinite(peaks))
         if bad.size:
             raise ValueError(
@@ -728,9 +691,7 @@ class GridBPLocalizer(Localizer):
                 "exclusive on the grid (prior support excludes all feasible "
                 "cells?)"
             )
-        if len(u_idx):
-            log_phi = log_phi - peaks[:, None]
-        return log_phi
+        return log_phi - peaks[:, None]
 
     def _node_potentials_baseline(
         self,
@@ -814,13 +775,37 @@ class GridBPLocalizer(Localizer):
 
 
 # ---------------------------------------------------------------------- #
+def _anchor_hops(adjacency: np.ndarray, anchor_ids: np.ndarray) -> np.ndarray:
+    """``(n, n_anchors)`` hop counts (``inf`` if unreachable) by one
+    frontier BFS from all anchors at once over the undirected dense
+    adjacency: scipy's unweighted, undirected ``shortest_path(adjacency)
+    [:, anchor_ids]`` without the all-pairs solve."""
+    adj = np.asarray(adjacency, dtype=bool)
+    adj = (adj | adj.T).astype(np.float64)
+    cols = np.arange(len(anchor_ids))
+    hops = np.full((len(adj), len(cols)), np.inf)
+    hops[anchor_ids, cols] = 0.0
+    frontier = np.zeros_like(hops)
+    frontier[anchor_ids, cols] = 1.0
+    h = 0.0
+    while True:
+        reached = (adj @ frontier > 0) & np.isinf(hops)
+        if not reached.any():
+            return hops
+        h += 1.0
+        hops[reached] = h
+        frontier = reached.astype(np.float64)
+
+
+# ---------------------------------------------------------------------- #
 def localize_batch(
     pairs: list[tuple[GridBPLocalizer, MeasurementSet]],
 ) -> list[LocalizationResult]:
     """Localize many (solver, measurements) pairs, batching compatible ones.
 
     The pairs are prepared individually (node potentials, edge operators —
-    each under its own solver's tracer), partitioned with
+    each under its own solver's tracer, on one shared :class:`Grid2D` per
+    distinct grid geometry), partitioned with
     :func:`repro.kernels.group_compatible` (same grid shape/extent, same
     ``K``, equal config — different networks/priors/seeds batch together;
     mixed shapes split into separate groups, never silently co-batched),
@@ -842,7 +827,13 @@ def localize_batch(
     pairs = list(pairs)
     if not pairs:
         return []
-    preps = [loc._prepare(ms, loc.tracer) for loc, ms in pairs]
+    grids: dict[tuple, Grid2D] = {}
+    preps = []
+    for loc, ms in pairs:
+        shape = (loc.config.grid_size, ms.width, ms.height)
+        if shape not in grids:
+            grids[shape] = Grid2D(shape[0], shape[0], ms.width, ms.height)
+        preps.append(loc._prepare(ms, loc.tracer, grids[shape]))
     groups = group_compatible([p.problem for p in preps])
     results: list[LocalizationResult | None] = [None] * len(pairs)
     for _key, idxs in groups:

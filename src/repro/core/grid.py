@@ -132,25 +132,41 @@ class Grid2D:
         )
         return row * self.nx + col
 
+    def moments(self, beliefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Means ``(R, 2)`` and covariances ``(R, 2, 2)`` of a ``(R, K)``
+        block of belief rows (each row need not be normalized).
+
+        The one implementation of the moment math: :meth:`expectation`
+        and :meth:`covariance` are its one-row cases, and each row of a
+        block is bit-identical to them.
+        """
+        w = np.asarray(beliefs, dtype=np.float64)
+        if w.ndim != 2 or w.shape[1] != self.n_cells:
+            raise ValueError(
+                f"beliefs must have shape (R, {self.n_cells}), got {w.shape}"
+            )
+        total = w.sum(axis=1)[:, None]
+        if (total <= 0).any():
+            raise ValueError("weights must have positive mass")
+        means = (w[:, :, None] * self.centers).sum(axis=1) / total
+        d = self.centers - means[:, None, :]
+        return means, np.einsum("rk,rki,rkj->rij", w / total, d, d)
+
     def expectation(self, weights: np.ndarray) -> np.ndarray:
         """Mean position under a normalized belief vector (MMSE estimate)."""
+        return self.moments(self._one_row(weights))[0][0]
+
+    def covariance(self, weights: np.ndarray) -> np.ndarray:
+        """2×2 covariance of the belief (posterior spread / uncertainty)."""
+        return self.moments(self._one_row(weights))[1][0]
+
+    def _one_row(self, weights: np.ndarray) -> np.ndarray:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (self.n_cells,):
             raise ValueError(
                 f"weights must have shape ({self.n_cells},), got {w.shape}"
             )
-        total = w.sum()
-        if total <= 0:
-            raise ValueError("weights must have positive mass")
-        return (w[:, None] * self.centers).sum(axis=0) / total
-
-    def covariance(self, weights: np.ndarray) -> np.ndarray:
-        """2×2 covariance of the belief (posterior spread / uncertainty)."""
-        mean = self.expectation(weights)
-        w = np.asarray(weights, dtype=np.float64)
-        w = w / w.sum()
-        d = self.centers - mean
-        return np.einsum("k,ki,kj->ij", w, d, d)
+        return w[None, :]
 
     def map_estimate(self, weights: np.ndarray) -> np.ndarray:
         """Cell center of the largest belief entry (MAP estimate)."""

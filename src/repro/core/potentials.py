@@ -28,12 +28,14 @@ from repro.network.radio import RadioModel
 __all__ = [
     "pairwise_ranging_potential",
     "ranging_potential_from_distances",
+    "ranging_potential_rows",
     "connectivity_potential",
     "anchor_ranging_potential",
     "anchor_connectivity_potential",
     "negative_anchor_potential",
     "pairwise_bearing_potential",
     "anchor_bearing_potential",
+    "anchor_bearing_rows",
     "floored_loglik",
     "expected_anchor_loglik",
     "expected_pairwise_loglik",
@@ -43,9 +45,10 @@ __all__ = [
 ]
 
 
-def _normalize_matrix(values: np.ndarray) -> np.ndarray:
-    peak = values.max()
-    if peak <= 0:
+def _normalize_matrix(values: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """*values* over their peak (per row along *axis*, if given)."""
+    peak = values.max(axis=axis, keepdims=True)
+    if (peak <= 0).any():
         raise ValueError(
             "potential has zero mass everywhere — measurement inconsistent "
             "with the grid (observed distance far outside the field?)"
@@ -99,20 +102,16 @@ def ranging_potential_from_distances(
     ranging: RangingModel,
     radio: RadioModel | None = None,
     blur_sigma: float = 0.0,
-    p_detect: np.ndarray | None = None,
 ) -> np.ndarray:
     """Ranging potential over precomputed candidate *distances*.
 
     The shared kernel behind :func:`pairwise_ranging_potential` (pairwise
     ``(K, K)`` cell distances) and :func:`anchor_ranging_potential` (unary
-    ``(K,)`` distances to an anchor).  Callers that evaluate many
-    observations against the *same* geometry pass the distance field — and
-    optionally the matching detection-probability field *p_detect* — once
-    instead of recomputing them per observation.
+    ``(K,)`` distances to an anchor).
     """
     vals = _blurred_likelihood(distances, observed_distance, ranging, blur_sigma)
-    if radio is not None or p_detect is not None:
-        pd = p_detect if p_detect is not None else radio.p_detect(distances)
+    if radio is not None:
+        pd = radio.p_detect(distances)
         masked = vals * pd
         if masked.max() <= 0:
             # The observed distance is inconsistent with being in radio
@@ -121,6 +120,45 @@ def ranging_potential_from_distances(
             masked = pd
         vals = masked
     return _normalize_matrix(vals)
+
+
+def ranging_potential_rows(
+    distances: np.ndarray,
+    observed: np.ndarray,
+    ranging: RangingModel,
+    blur_sigma: float = 0.0,
+    p_detect: np.ndarray | None = None,
+) -> np.ndarray:
+    """:func:`ranging_potential_from_distances` for a ``(L, K)`` slab of
+    links: *observed* is ``(L, 1)`` and *p_detect*, if given, the radio's
+    ``(L, K)`` detection rows.  Each row is bit-identical to the one-link
+    potential, at one ``log_likelihood`` call per Gauss–Hermite node for
+    the whole slab; a row's quadrature components share that row's peak
+    as their log-offset, as in :func:`_blurred_likelihood`.
+    """
+    if blur_sigma <= 0:
+        ll = ranging.log_likelihood(observed, distances)
+        vals = np.exp(ll - ll.max(axis=1, keepdims=True))
+    else:
+        lls = [
+            ranging.log_likelihood(
+                observed, np.maximum(distances + node * blur_sigma, 0.0)
+            )
+            for node in _GH_NODES
+        ]
+        # builtin max() over the component peaks, NaN handling included
+        offset = lls[0].max(axis=1)
+        for ll in lls[1:]:
+            peak = ll.max(axis=1)
+            offset = np.where(peak > offset, peak, offset)
+        vals = 0.0
+        for weight, ll in zip(_GH_WEIGHTS, lls):
+            vals = vals + weight * np.exp(ll - offset[:, None])
+    if p_detect is not None:
+        vals = vals * p_detect
+        dead = vals.max(axis=1) <= 0  # gross outliers: keep the link evidence
+        vals[dead] = p_detect[dead]
+    return _normalize_matrix(vals, axis=1)
 
 
 def pairwise_ranging_potential(
@@ -316,6 +354,31 @@ def anchor_bearing_potential(
     if not any_obs:
         raise ValueError("both bearing observations are missing")
     return _normalize_matrix(np.exp(ll - ll.max()))
+
+
+def anchor_bearing_rows(
+    to_anchor: np.ndarray,
+    observed_from_node: np.ndarray,
+    observed_from_anchor: np.ndarray,
+    bearing_model,
+) -> np.ndarray:
+    """:func:`anchor_bearing_potential` for a ``(L, K)`` slab of links'
+    cell-to-anchor bearings and ``(L, 1)`` observation columns (NaN =
+    missing); each row is bit-identical to the one-link potential.
+    """
+    has_node = np.isfinite(observed_from_node)
+    has_anchor = np.isfinite(observed_from_anchor)
+    if not (has_node | has_anchor).all():
+        raise ValueError("both bearing observations are missing")
+    from_anchor = np.arctan2(np.sin(to_anchor + np.pi), np.cos(to_anchor + np.pi))
+    # a missing side adds 0.0, which leaves every (never -0.0) sum as is
+    ll = 0.0 + np.where(
+        has_node, bearing_model.log_likelihood(observed_from_node, to_anchor), 0.0
+    )
+    ll = ll + np.where(
+        has_anchor, bearing_model.log_likelihood(observed_from_anchor, from_anchor), 0.0
+    )
+    return _normalize_matrix(np.exp(ll - ll.max(axis=1, keepdims=True)), axis=1)
 
 
 class RangingPotentialCache:

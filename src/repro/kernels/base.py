@@ -121,7 +121,9 @@ def config_key(grid: "Grid2D", cfg: "GridBPConfig", n_cells: int | None = None) 
         float(grid.width),
         float(grid.height),
         int(grid.n_cells if n_cells is None else n_cells),
-        dataclasses.astuple(cfg),
+        # every GridBPConfig field is a scalar, so this shallow tuple
+        # equals dataclasses.astuple(cfg) without its per-field deepcopy
+        tuple(getattr(cfg, f.name) for f in dataclasses.fields(cfg)),
     )
 
 

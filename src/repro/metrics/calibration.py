@@ -33,19 +33,22 @@ __all__ = ["predicted_rms", "calibration_ratio", "coverage_at_sigma"]
 def _belief_spreads(result: LocalizationResult) -> dict[int, float]:
     grid = result.extras.get("grid")
     beliefs = result.extras.get("beliefs")
+    covariances = result.extras.get("covariances")
     if grid is not None and beliefs is not None:
         # The grid cannot represent sub-cell uncertainty: a belief fully
         # concentrated in one cell still leaves a uniform-in-cell residual,
         # whose variance is (w² + h²)/12.  Folding it in keeps the
         # prediction meaningful at the quantization floor.
         quant_var = (grid.cell_width**2 + grid.cell_height**2) / 12.0
-        return {
-            int(u): float(
-                np.sqrt(max(np.trace(grid.covariance(b)), 0.0) + quant_var)
-            )
-            for u, b in beliefs.items()
-        }
-    covariances = result.extras.get("covariances")
+        spreads = {}
+        for u, b in beliefs.items():
+            # Grid-BP already reports each healthy belief's covariance;
+            # only fallback rows (NaN there) are recomputed from the belief.
+            cov = covariances[u] if covariances is not None else None
+            if cov is None or not np.isfinite(cov).all():
+                cov = grid.covariance(b)
+            spreads[int(u)] = float(np.sqrt(max(np.trace(cov), 0.0) + quant_var))
+        return spreads
     if covariances is not None:
         # Continuous-posterior solvers (MCMC) report per-node sample
         # covariances directly.  No quantization floor applies: the

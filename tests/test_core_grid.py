@@ -6,14 +6,26 @@ import pytest
 from repro.core.grid import Grid2D
 from repro.core.potentials import (
     RangingPotentialCache,
+    anchor_bearing_potential,
+    anchor_bearing_rows,
     anchor_connectivity_potential,
     anchor_ranging_potential,
     connectivity_potential,
     negative_anchor_potential,
     pairwise_ranging_potential,
+    ranging_potential_from_distances,
+    ranging_potential_rows,
+)
+from repro.measurement import (
+    BearingModel,
+    ChannelRSSIRanging,
+    ProportionalGaussianRanging,
+    RobustRanging,
+    RSSIRanging,
+    TOARanging,
 )
 from repro.measurement.ranging import GaussianRanging
-from repro.network.radio import UnitDiskRadio
+from repro.network.radio import QuasiUnitDiskRadio, UnitDiskRadio
 
 
 class TestGrid2D:
@@ -88,6 +100,74 @@ class TestGrid2D:
             Grid2D(5).distances_to_point(np.zeros(3))
 
 
+def _row_mean(grid, w):
+    """The per-row MMSE formula ``Grid2D.expectation`` used before
+    :meth:`Grid2D.moments` existed."""
+    return (w[:, None] * grid.centers).sum(axis=0) / w.sum()
+
+
+def _row_cov(grid, w):
+    """The per-row covariance formula ``Grid2D.covariance`` used before
+    :meth:`Grid2D.moments` existed."""
+    d = grid.centers - _row_mean(grid, w)
+    return np.einsum("k,ki,kj->ij", w / w.sum(), d, d)
+
+
+class TestMoments:
+    """``Grid2D.moments`` is the one implementation of the belief moments;
+    each row must be bit-identical to the per-row formulas."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (5, 9), (12, 12), (24, 24)])
+    def test_rows_bit_equal_to_per_row_formulas(self, shape):
+        rng = np.random.default_rng(shape[0] * 31 + shape[1])
+        g = Grid2D(shape[0], shape[1], 1.7, 0.6)
+        for sharpness in (1.0, 8.0, 60.0):
+            block = rng.uniform(size=(7, g.n_cells)) ** sharpness
+            means, covs = g.moments(block)
+            assert means.shape == (7, 2) and covs.shape == (7, 2, 2)
+            for r, w in enumerate(block):
+                assert np.array_equal(means[r], _row_mean(g, w))
+                assert np.array_equal(covs[r], _row_cov(g, w))
+                assert np.array_equal(g.expectation(w), means[r])
+                assert np.array_equal(g.covariance(w), covs[r])
+
+    def test_one_cell_belief(self):
+        g = Grid2D(6, 4, 1.2, 0.8)
+        w = np.zeros(g.n_cells)
+        w[9] = 0.25
+        means, covs = g.moments(w[None, :])
+        assert np.array_equal(means[0], _row_mean(g, w))
+        assert np.array_equal(covs[0], _row_cov(g, w))
+        assert np.allclose(means[0], g.centers[9])
+        assert np.allclose(covs[0], 0.0)
+
+    def test_one_row_block(self):
+        g = Grid2D(7)
+        w = np.random.default_rng(4).uniform(size=g.n_cells)
+        means, covs = g.moments(w[None, :])
+        assert np.array_equal(means, _row_mean(g, w)[None, :])
+        assert np.array_equal(covs, _row_cov(g, w)[None, :, :])
+
+    def test_strided_block(self):
+        g = Grid2D(5)
+        block = np.random.default_rng(5).uniform(size=(6, g.n_cells))[::-2]
+        means, covs = g.moments(block)
+        for r, w in enumerate(block):
+            assert np.array_equal(means[r], _row_mean(g, w))
+            assert np.array_equal(covs[r], _row_cov(g, w))
+
+    def test_validation(self):
+        g = Grid2D(5)
+        with pytest.raises(ValueError, match="shape"):
+            g.moments(np.ones(g.n_cells))
+        with pytest.raises(ValueError, match="shape"):
+            g.moments(np.ones((2, 7)))
+        block = np.ones((3, g.n_cells))
+        block[1] = 0.0
+        with pytest.raises(ValueError, match="positive mass"):
+            g.moments(block)
+
+
 class TestPotentials:
     GRID = Grid2D(12)
     RANGING = GaussianRanging(0.05)
@@ -158,6 +238,77 @@ class TestPotentials:
         with pytest.raises(ValueError):
             negative_anchor_potential(
                 self.GRID, np.array([0.5, 0.5]), UnitDiskRadio(5.0)
+            )
+
+
+class TestPotentialRows:
+    """One ``(L, K)`` slab equals L one-link potentials bit for bit."""
+
+    GRID = Grid2D(10, 7, 1.0, 0.7)
+
+    @pytest.mark.parametrize(
+        "ranging",
+        [
+            GaussianRanging(0.02),
+            ProportionalGaussianRanging(0.1),
+            TOARanging(0.03, mean_delay=0.01),
+            RSSIRanging(),
+            ChannelRSSIRanging(inversion_exponent=2.5),
+            RobustRanging(GaussianRanging(0.02)),
+        ],
+        ids=["gauss", "proportional", "toa", "rssi", "channel", "robust"],
+    )
+    @pytest.mark.parametrize("blur", [0.0, 0.02])
+    @pytest.mark.parametrize("radio", [None, QuasiUnitDiskRadio(0.4, 0.5)])
+    def test_rows_match_one_link_potentials(self, ranging, blur, radio):
+        rng = np.random.default_rng(2)
+        anchors = rng.uniform(0.0, 0.7, size=(4, 2))
+        fields = np.stack([self.GRID.distances_to_point(p) for p in anchors])
+        link_a = np.array([0, 0, 1, 2, 2, 2, 3])
+        observed = rng.uniform(0.05, 0.5, size=len(link_a))
+        observed[3] = 30.0  # gross outlier: the p_detect fallback row
+        pd = radio.p_detect(fields) if radio is not None else None
+        slab = ranging_potential_rows(
+            fields[link_a],
+            observed[:, None],
+            ranging,
+            blur_sigma=blur,
+            p_detect=pd[link_a] if pd is not None else None,
+        )
+        for row, (a, obs) in enumerate(zip(link_a, observed)):
+            one = ranging_potential_from_distances(
+                fields[a], obs, ranging, radio, blur_sigma=blur
+            )
+            assert np.array_equal(slab[row], one)
+
+    def test_bearing_rows_match_one_link_potentials(self):
+        # Anchors on cell-center rows/columns (bearing ±π ties) and links
+        # with one side missing (NaN) included.
+        model = BearingModel(0.2)
+        anchors = np.array([[0.35, 0.45], [0.05, 0.62], [0.71, 0.13]])
+        to_anchor = np.stack([self.GRID.bearings_to_point(p) for p in anchors])
+        link_a = np.array([0, 0, 1, 1, 2])
+        from_node = np.array([0.3, np.nan, -2.9, 3.1, 1.0])
+        from_anchor = np.array([np.nan, -1.2, 0.2, 3.14159, -0.4])
+        slab = anchor_bearing_rows(
+            to_anchor[link_a], from_node[:, None], from_anchor[:, None], model
+        )
+        for row, a in enumerate(link_a):
+            one = anchor_bearing_potential(
+                self.GRID, anchors[a], from_node[row], from_anchor[row], model
+            )
+            assert np.array_equal(slab[row], one)
+        with pytest.raises(ValueError, match="missing"):
+            anchor_bearing_rows(
+                to_anchor[:1], np.array([[np.nan]]), np.array([[np.nan]]), model
+            )
+
+    def test_zero_mass_row_raises(self):
+        d = np.stack([self.GRID.distances_to_point(np.array([0.1, 0.1]))] * 2)
+        with pytest.raises(ValueError, match="zero mass"):
+            ranging_potential_rows(
+                d, np.array([[0.2], [0.3]]), GaussianRanging(0.02),
+                p_detect=np.zeros_like(d),
             )
 
 

@@ -6,8 +6,12 @@ pre-knowledge improving accuracy, negative evidence helping, convergence,
 and the Localizer interface contract.
 """
 
+import dataclasses as dc
+
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
+from scipy.sparse import csr_matrix
 
 from repro.core import (
     CooperativeLocalizer,
@@ -16,9 +20,24 @@ from repro.core import (
     NBPConfig,
     NBPLocalizer,
 )
+from repro.core.bnloc import _anchor_hops
+from repro.core.grid import Grid2D
+from repro.core.potentials import _blurred_likelihood
 from repro.core.result import LocalizationResult
-from repro.measurement import ConnectivityOnly, GaussianRanging, observe
-from repro.network import NetworkConfig, UnitDiskRadio, generate_network
+from repro.measurement import (
+    BearingModel,
+    ConnectivityOnly,
+    GaussianRanging,
+    RSSIRanging,
+    observe,
+)
+from repro.network import (
+    LogNormalShadowingRadio,
+    NetworkConfig,
+    QuasiUnitDiskRadio,
+    UnitDiskRadio,
+    generate_network,
+)
 from repro.priors import GaussianPrior, PerNodePrior, UniformPrior
 
 
@@ -178,6 +197,231 @@ class TestGridBPLocalizer:
         base = GridBPLocalizer(config=SMALL_CFG).localize(measurements)
         assert np.isfinite(wrong.estimates).all()
         assert mean_unknown_error(wrong, net) > mean_unknown_error(base, net)
+
+
+def _builder_ms(seed=3, radio=None, ranging="gauss", bearings=False):
+    net = generate_network(
+        NetworkConfig(
+            n_nodes=22,
+            anchor_ratio=0.25,
+            radio=radio if radio is not None else UnitDiskRadio(0.33),
+            require_connected=True,
+        ),
+        rng=seed,
+    )
+    model = {"gauss": GaussianRanging(0.02), "rssi": RSSIRanging(), None: None}
+    return observe(
+        net,
+        model[ranging],
+        rng=seed + 1,
+        bearings=BearingModel(0.1) if bearings else None,
+    )
+
+
+def _isolate(ms, node):
+    """*ms* with every link of *node* removed (it then hears nobody)."""
+    adj = ms.adjacency.copy()
+    adj[node, :] = adj[:, node] = False
+    obs = ms.observed_distances.copy()
+    obs[node, :] = obs[:, node] = np.nan
+    return dc.replace(ms, adjacency=adj, observed_distances=obs)
+
+
+def _scipy_hops(adjacency, sources):
+    return scipy.sparse.csgraph.shortest_path(
+        csr_matrix(np.asarray(adjacency, dtype=np.int8)),
+        method="D",
+        unweighted=True,
+        directed=False,
+    )[:, sources]
+
+
+def _builders(ms, radio=None, prior=None, **overrides):
+    """(whole-array builder, per-(unknown, anchor) reference, their args)."""
+    cfg = GridBPConfig(grid_size=9, **overrides)
+    loc = GridBPLocalizer(prior=prior, radio=radio, config=cfg)
+    args = (
+        ms,
+        Grid2D(cfg.grid_size, cfg.grid_size, ms.width, ms.height),
+        prior if prior is not None else UniformPrior(ms.width, ms.height),
+        radio if radio is not None else UnitDiskRadio(ms.radio_range),
+        ms.unknown_ids,
+    )
+    return loc._node_potentials, loc._node_potentials_baseline, args
+
+
+def _both_builders(ms, radio=None, prior=None, **overrides):
+    """(whole-array builder, reference) log_phi for the same problem."""
+    fast, ref, args = _builders(ms, radio, prior, **overrides)
+    return fast(*args), ref(*args)
+
+
+class TestNodePotentialBuilder:
+    """``_node_potentials`` (one ranging slab, one hop BFS, stacked anchor
+    fields) must equal ``_node_potentials_baseline`` bit for bit."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"cell_blur_fraction": 0.0},
+            {"use_connectivity_in_ranging": False},
+            {"use_negative_evidence": False},
+            {"use_hop_bounds": False},
+        ],
+        ids=["blur", "no-blur", "no-conn", "no-negative", "no-hops"],
+    )
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_ranging(self, overrides, seed):
+        fast, ref = _both_builders(_builder_ms(seed), **overrides)
+        assert np.array_equal(fast, ref)
+
+    @pytest.mark.parametrize(
+        "kind", ["range-free", "bearings", "rssi", "gaussian-prior"]
+    )
+    def test_modalities(self, kind):
+        ms = _builder_ms(
+            5,
+            ranging={"range-free": None, "rssi": "rssi"}.get(kind, "gauss"),
+            bearings=kind == "bearings",
+        )
+        prior = GaussianPrior([0.5, 0.5], 0.3) if kind == "gaussian-prior" else None
+        fast, ref = _both_builders(ms, prior=prior)
+        assert np.array_equal(fast, ref)
+
+    @pytest.mark.parametrize(
+        "radio",
+        [QuasiUnitDiskRadio(0.36, alpha=0.6), LogNormalShadowingRadio(0.3)],
+        ids=["qudg", "lognormal"],
+    )
+    @pytest.mark.parametrize("ranging", ["gauss", None], ids=["ranging", "range-free"])
+    def test_radios(self, radio, ranging):
+        ms = _builder_ms(6, radio=radio, ranging=ranging)
+        fast, ref = _both_builders(ms, radio=radio)
+        assert np.array_equal(fast, ref)
+
+    def test_gross_outlier_link_takes_p_detect_row(self):
+        ms = _builder_ms(7)
+        u, a = next(
+            (int(u), int(a))
+            for u in ms.unknown_ids
+            for a in ms.anchor_ids
+            if ms.adjacency[u, a]
+        )
+        obs = ms.observed_distances.copy()
+        obs[u, a] = obs[a, u] = 40.0  # far outside the unit field
+        ms = dc.replace(ms, observed_distances=obs)
+        grid = Grid2D(9, 9, ms.width, ms.height)
+        d = grid.distances_to_point(ms.anchor_positions_full[a])
+        vals = _blurred_likelihood(
+            d, 40.0, ms.ranging, GridBPConfig().cell_blur_fraction * grid.cell_diagonal
+        )
+        # precondition: the masked likelihood is dead, the fallback runs
+        assert (vals * UnitDiskRadio(ms.radio_range).p_detect(d)).max() <= 0
+        fast, ref = _both_builders(ms)
+        assert np.array_equal(fast, ref)
+
+    def test_unknown_hearing_no_anchor(self):
+        ms = _builder_ms(8)
+        hops = _scipy_hops(ms.adjacency, ms.anchor_ids)
+        deaf = [
+            u
+            for u in ms.unknown_ids
+            if not ms.adjacency[u, ms.anchor_ids].any()
+            and np.isfinite(hops[u]).any()
+        ]
+        assert deaf  # precondition: multihop-only unknowns exist
+        fast, ref = _both_builders(ms)
+        assert np.array_equal(fast, ref)
+
+    @pytest.mark.parametrize("ranging", ["gauss", None], ids=["ranging", "range-free"])
+    def test_disconnected_component(self, ranging):
+        ms = _builder_ms(9, ranging=ranging)
+        node = int(ms.unknown_ids[0])
+        ms = _isolate(ms, node)
+        hops = _scipy_hops(ms.adjacency, ms.anchor_ids)
+        assert np.isinf(hops[node]).all() and np.isfinite(hops).any()
+        fast, ref = _both_builders(ms)
+        assert np.array_equal(fast, ref)
+
+    def test_negative_evidence_covering_anchor_raises(self):
+        # A silent anchor whose radio covers the whole grid is the
+        # baseline's model-misspecification error, on both builders.
+        ms = _builder_ms(10)
+        fast, ref, args = _builders(ms, radio=UnitDiskRadio(5.0))
+        for builder in (fast, ref):
+            with pytest.raises(ValueError, match="negative evidence"):
+                builder(*args)
+
+
+class TestAnchorHops:
+    """The frontier BFS equals scipy's all-pairs ``shortest_path`` on the
+    anchor columns, inf for unreachable pairs included."""
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(17)
+        for trial in range(400):
+            n = int(rng.integers(2, 40))
+            adj = rng.uniform(size=(n, n)) < rng.uniform(0.0, 0.35)
+            if trial % 3:
+                adj = adj | adj.T  # also exercise one-sided links
+            if trial % 5 == 0:
+                adj[0, :] = adj[:, 0] = False  # an isolated node
+            sources = np.sort(
+                rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            )
+            got = _anchor_hops(adj, sources)
+            want = _scipy_hops(adj, sources)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_isolated_anchor_and_components(self):
+        adj = np.zeros((6, 6), dtype=bool)
+        for i, j in [(1, 2), (2, 3), (4, 5)]:
+            adj[i, j] = adj[j, i] = True
+        got = _anchor_hops(adj, np.array([0, 1, 5]))
+        assert np.array_equal(got, _scipy_hops(adj, [0, 1, 5]))
+        assert np.isinf(got[1:, 0]).all() and got[3, 1] == 2.0
+
+
+@pytest.mark.perf
+class TestNodePotentialRouting:
+    """``_node_potentials`` must stay a whole-array pass: one
+    ``log_likelihood`` call per Gauss–Hermite node however many anchor
+    links the problem has, and no scipy csgraph solve."""
+
+    def test_one_likelihood_call_per_quadrature_node(self, monkeypatch):
+        ms = _builder_ms(11)
+        n_links = int(ms.adjacency[np.ix_(ms.unknown_ids, ms.anchor_ids)].sum())
+        assert n_links >= 3
+        calls = []
+        original = GaussianRanging.log_likelihood
+
+        def counted(self, observed, distances):
+            calls.append(np.shape(distances))
+            return original(self, observed, distances)
+
+        monkeypatch.setattr(GaussianRanging, "log_likelihood", counted)
+        fast, ref, args = _builders(ms)
+        fast(*args)
+        assert calls == [(n_links, 81)] * 3
+        ref(*args)  # the per-link reference: 3 calls per link
+        assert len(calls) == 3 + 3 * n_links
+
+    def test_no_csgraph_solve(self, monkeypatch):
+        ms = _builder_ms(12)
+        calls = []
+        original = scipy.sparse.csgraph.shortest_path
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.csgraph, "shortest_path", counted)
+        fast, ref, args = _builders(ms)
+        fast(*args)
+        assert calls == []
+        ref(*args)  # the reference still solves all pairs once
+        assert calls == [1]
 
 
 class TestNBPLocalizer:

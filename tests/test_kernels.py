@@ -46,6 +46,7 @@ from repro.kernels import (
     BPProblem,
     IncompatibleBatchError,
     compatibility_key,
+    config_key,
     deadline_scope,
     get_backend,
     group_compatible,
@@ -246,6 +247,28 @@ class TestCompatibilityPartition:
         for (loc, ms), b in zip(pairs, batched):
             ref = ReferenceGridBP(config=loc.config).localize(ms)
             _assert_bit_equal(b, ref)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"grid_size": 11, "tol": 1e-3, "damping": 0.0},
+            {"schedule": "serial", "estimator": "map", "max_product": True},
+            {"use_negative_evidence": False, "use_hop_bounds": False},
+            {"cell_blur_fraction": 0.0, "record_trace": True},
+            {"audit": "warn", "shared_cache": False, "restart_damping": 0.9},
+        ],
+    )
+    def test_config_key_equals_astuple_key(self, overrides):
+        # The key is a shallow field tuple; it must stay interchangeable
+        # with the dataclasses.astuple key it replaced (equal and
+        # equal-hashing), so groups and serve's request keys do not move.
+        cfg = dc.replace(BASE_CFG, **overrides)
+        grid = Grid2D(cfg.grid_size, cfg.grid_size, 1.5, 0.75)
+        key = config_key(grid, cfg)
+        deep = key[:-1] + (dc.astuple(cfg),)
+        assert key == deep and hash(key) == hash(deep)
+        assert key != config_key(grid, dc.replace(cfg, tol=cfg.tol * 2))
 
     def test_unknown_backend_rejected(self):
         # No option selects a kernel: the config has no such field, and

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import GridBPConfig, GridBPLocalizer
+from repro.core.result import LocalizationResult
 from repro.measurement import GaussianRanging, observe
 from repro.metrics import calibration_ratio, coverage_at_sigma, predicted_rms
 from repro.network import NetworkConfig, UnitDiskRadio, generate_network
@@ -51,6 +52,59 @@ class TestPredictedRMS:
         )
         with pytest.raises(ValueError):
             predicted_rms(bare)
+
+
+def _spread_from_belief(grid, b):
+    """A node's predicted RMS recomputed from its belief alone (the
+    per-row covariance formula, written out)."""
+    w = b / b.sum()
+    d = grid.centers - (b[:, None] * grid.centers).sum(axis=0) / b.sum()
+    cov = np.einsum("k,ki,kj->ij", w, d, d)
+    quant_var = (grid.cell_width**2 + grid.cell_height**2) / 12.0
+    return np.sqrt(max(np.trace(cov), 0.0) + quant_var)
+
+
+class TestReportedCovariances:
+    """Grid-BP spreads come from ``extras["covariances"]``; only rows
+    without a finite covariance (fallbacks) are recomputed from beliefs."""
+
+    def test_spreads_bit_identical_to_belief_formula(self, scenario):
+        net, res = scenario
+        pred = predicted_rms(res)
+        grid = res.extras["grid"]
+        for u, b in res.extras["beliefs"].items():
+            assert pred[u] == _spread_from_belief(grid, b)
+
+    def test_reads_covariances_for_finite_rows(self, scenario, monkeypatch):
+        net, res = scenario
+        expected = predicted_rms(res)
+        grid = res.extras["grid"]
+
+        def no_recompute(_weights):
+            raise AssertionError("finite covariance row was recomputed")
+
+        monkeypatch.setattr(grid, "covariance", no_recompute)
+        assert np.array_equal(predicted_rms(res), expected, equal_nan=True)
+
+    def test_fallback_rows_recomputed_from_belief(self, scenario):
+        net, res = scenario
+        u = int(np.flatnonzero(~net.anchor_mask)[0])
+        covs = res.extras["covariances"].copy()
+        covs[u] = np.nan
+        beliefs = dict(res.extras["beliefs"])
+        K = res.extras["grid"].n_cells
+        beliefs[u] = np.full(K, 1.0 / K)
+        fallback = LocalizationResult(
+            res.estimates.copy(),
+            res.localized_mask.copy(),
+            "x",
+            extras={**res.extras, "covariances": covs, "beliefs": beliefs},
+        )
+        pred = predicted_rms(fallback)
+        assert pred[u] == _spread_from_belief(res.extras["grid"], beliefs[u])
+        others = ~net.anchor_mask
+        others[u] = False
+        assert np.array_equal(pred[others], predicted_rms(res)[others])
 
 
 class TestCalibrationRatio:
