@@ -11,7 +11,9 @@ Two halves, one discipline:
 * :mod:`repro.audit.harness` + :mod:`repro.audit.corpus` — a seeded
   scenario corpus and a differential runner that executes solver pairs
   and asserts the declared equivalence tier: ``bit`` (byte-identical),
-  ``statistical`` (tolerance bands), or ``invariant`` (faulted runs).
+  ``statistical`` (tolerance bands), ``exact`` (grid-BP beliefs against
+  the exact marginals of small problems), or ``invariant`` (faulted
+  runs).
 
 Run it from the command line with ``python -m repro audit --corpus smoke``
 or from pytest via the ``audit`` marker lane.
@@ -31,6 +33,8 @@ from repro.audit.harness import (
     ReferenceGridBP,
     ScenarioContext,
     default_cases,
+    exact_marginals,
+    is_forest,
     run_case,
     run_corpus,
     summarize,
@@ -74,6 +78,8 @@ __all__ = [
     "DiffReport",
     "ReferenceGridBP",
     "default_cases",
+    "exact_marginals",
+    "is_forest",
     "run_case",
     "run_corpus",
     "summarize",

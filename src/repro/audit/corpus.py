@@ -133,6 +133,19 @@ def _smoke_corpus() -> list[ScenarioSpec]:
             seed=107,
         ),
     ]
+    # Eight nodes, five unknowns: small enough for the exact tier.  The
+    # unknown-unknown graph of the tree specs is one spanning tree and that
+    # of the loop spec one cycle; each seed is the first from 108 up with
+    # that shape (tree seeds taken in order), fixed before any case ran.
+    tiny = base.replace(n_nodes=8, radio_range=0.45)
+    specs += [
+        ScenarioSpec("smoke-tree-ranging", tiny, seed=118),
+        ScenarioSpec("smoke-tree-rangefree", tiny.replace(ranging="none"), seed=122),
+        ScenarioSpec(
+            "smoke-tree-bearings", tiny.replace(bearing_sigma=0.15), seed=141
+        ),
+        ScenarioSpec("smoke-loop-ranging", tiny, seed=108),
+    ]
     return specs
 
 

@@ -15,6 +15,13 @@ scenario:
     Same accuracy within a tolerance band, full coverage on both sides —
     for pairs that approximate the same posterior differently (multi-res
     or NBP vs single-grid BP).
+``exact``
+    The solver's beliefs against the exact marginals of the problem it
+    built (:func:`exact_marginals`, one ``np.einsum`` contraction per
+    node).  Sum-product BP is exact on trees, so on a forest the beliefs
+    must match within the case tolerance; on a loopy graph the max-abs
+    and KL marginal errors are recorded as tracked numbers and only have
+    to be finite.
 ``invariant``
     No cross-solver claim (faulted runs): only the runtime invariant set
     of :mod:`repro.audit.invariants` must hold.
@@ -46,20 +53,24 @@ from repro.audit.invariants import (
 )
 from repro.core.bnloc import GridBPConfig, GridBPLocalizer
 from repro.core.result import LocalizationResult
-from repro.kernels import get_backend
+from repro.kernels import BPProblem, get_backend
+from repro.obs import NULL_TRACER
 
 __all__ = [
     "ReferenceGridBP",
     "ScenarioContext",
     "DiffCase",
     "DiffReport",
+    "EXACT_MAX_INTERMEDIATE",
     "default_cases",
+    "exact_marginals",
+    "is_forest",
     "run_case",
     "run_corpus",
     "summarize",
 ]
 
-TIERS = ("bit", "statistical", "invariant")
+TIERS = ("bit", "statistical", "exact", "invariant")
 
 
 class ScenarioContext:
@@ -79,8 +90,9 @@ class DiffCase:
     """One solver pair (or single solver) and its declared equivalence tier.
 
     ``run_ref`` / ``run_alt`` map a :class:`ScenarioContext` to a payload —
-    a :class:`LocalizationResult`, a ``(result, round_stats)`` tuple, or
-    (for executor cases) a plain nested list.  ``applies`` gates the case
+    a :class:`LocalizationResult`, a ``(result, round_stats)`` tuple,
+    (for executor cases) a plain nested list, or (the ``exact`` tier's
+    ``run_alt``) an ``(exact marginals, is forest)`` pair.  ``applies`` gates the case
     per scenario (e.g. NBP needs ranging); ``slow`` marks cases excluded
     from the default lane (process-spawning pairs).
     """
@@ -248,6 +260,111 @@ def _compare_statistical(
     return passed, detail
 
 
+def _compare_exact(ref, exact, tol: float) -> tuple[bool, dict]:
+    from scipy.special import rel_entr
+
+    result = _result_of(ref)
+    marginals, forest = exact
+    beliefs = np.stack(list(result.extras["beliefs"].values()))
+    max_abs = float(np.abs(beliefs - marginals).max())
+    # KL(exact ‖ BP), with BP beliefs floored at the smallest normal
+    # double: a belief that underflowed to 0 where the exact mass is
+    # itself subnormal would otherwise make the KL infinite.
+    floored = np.maximum(beliefs, np.finfo(float).tiny)
+    max_kl = float(rel_entr(marginals, floored).sum(axis=1).max())
+    detail = {
+        "graph": "forest" if forest else "loopy",
+        "max_abs": max_abs,
+        "max_kl": max_kl,
+        "tol": tol,
+    }
+    if forest:
+        passed = bool(result.converged) and max_abs <= tol
+        if not passed:
+            detail["mismatch"] = "marginals" if result.converged else "converged"
+    else:
+        passed = bool(np.isfinite(max_abs) and np.isfinite(max_kl))
+        if not passed:
+            detail["mismatch"] = "non-finite error"
+    return passed, detail
+
+
+# --------------------------------------------------------------------- #
+# exact marginals
+# --------------------------------------------------------------------- #
+#: Largest intermediate, in cells, :func:`exact_marginals` will contract.
+EXACT_MAX_INTERMEDIATE = 2**24
+
+
+def _largest_intermediate(subscripts, path, output, n_cells: int) -> int:
+    """Cells of the largest index space a step of *path* spans.
+
+    A step joins its operands over the union of their indices, so that
+    union — not the smaller result the step keeps — sets its cost.  NumPy's
+    greedy planner ends with one step over every operand it could not
+    pair, which on a dense graph spans all of its variables at once.
+    Replays NumPy's bookkeeping: each step pops its operands and appends
+    its result at the end.
+    """
+    live = [set(s) for s in subscripts]
+    largest = 0
+    for step in path[1:]:
+        merged = set().union(*(live.pop(k) for k in sorted(step, reverse=True)))
+        live.append(merged & set(output).union(*live))
+        largest = max(largest, n_cells ** len(merged))
+    return largest
+
+
+def exact_marginals(problem: BPProblem) -> np.ndarray:
+    """Exact marginals ``(n_unknown, K)`` of a grid-BP problem.
+
+    The joint is the product of the node factors ``exp(log_phi[i] - max)``
+    and, per edge ``(i, j)``, the factor ``fwd[x_j, x_i]`` — the operator
+    the kernels apply for the i→j message.  Each marginal is one
+    ``np.einsum`` contraction of that product onto one node, on the path
+    NumPy's greedy planner picks.  Every path is planned before anything
+    is contracted: a problem whose largest planned intermediate exceeds
+    :data:`EXACT_MAX_INTERMEDIATE` cells raises ``ValueError``.
+    """
+    from scipy import sparse
+
+    n, K = problem.log_phi.shape
+    operands: list = []
+    for i, row in enumerate(problem.log_phi):
+        operands += [np.exp(row - row.max()), [i]]
+    for (i, j), (fwd, _bwd) in zip(problem.edges, problem.ops):
+        f = fwd.toarray() if sparse.issparse(fwd) else np.asarray(fwd, dtype=float)
+        operands += [f / f.max(), [j, i]]
+    paths = []
+    for v in range(n):
+        path, _ = np.einsum_path(*operands, [v], optimize="greedy")
+        cells = _largest_intermediate(operands[1::2], path, [v], K)
+        if cells > EXACT_MAX_INTERMEDIATE:
+            raise ValueError(
+                f"exact marginal of unknown {v} needs a {cells}-cell "
+                f"intermediate (limit {EXACT_MAX_INTERMEDIATE})"
+            )
+        paths.append(path)
+    out = np.empty((n, K))
+    for v, path in enumerate(paths):
+        m = np.einsum(*operands, [v], optimize=path)
+        out[v] = m / m.sum()
+    return out
+
+
+def is_forest(problem: BPProblem) -> bool:
+    """Whether the unknown-unknown graph of *problem* has no cycle (where
+    sum-product BP is exact)."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
+    n = problem.n_unknowns
+    rows, cols = np.asarray(problem.edges, dtype=int).reshape(-1, 2).T
+    graph = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    n_components, _ = connected_components(graph, directed=False)
+    return len(problem.edges) == n - n_components
+
+
 # --------------------------------------------------------------------- #
 # the standard case matrix
 # --------------------------------------------------------------------- #
@@ -287,6 +404,25 @@ def _run_grid(ctx: ScenarioContext, **overrides) -> LocalizationResult:
 def _run_reference(ctx: ScenarioContext, **overrides) -> LocalizationResult:
     cfg = _audit_bp_config(**overrides)
     return ReferenceGridBP(prior=ctx.prior, config=cfg).localize(ctx.measurements)
+
+
+# The exact tier's BP settings: undamped rounds to a fixed point.  On a
+# tree synchronous BP reaches it after diameter + 1 rounds, which the
+# default 6 damped rounds do not.
+_EXACT_BP = dict(damping=0.0, tol=1e-12, max_iterations=30)
+
+
+def _exact_problem(ctx: ScenarioContext, **overrides) -> BPProblem:
+    """The BP problem :func:`_run_grid` solves with the same *overrides*."""
+    loc = GridBPLocalizer(prior=ctx.prior, config=_audit_bp_config(**overrides))
+    return loc._prepare(ctx.measurements, NULL_TRACER).problem
+
+
+def _run_exact(ctx: ScenarioContext, **overrides) -> tuple[np.ndarray, bool]:
+    """Exact marginals of :func:`_exact_problem` and whether its unknown
+    graph is a forest."""
+    problem = _exact_problem(ctx, **overrides)
+    return exact_marginals(problem), is_forest(problem)
 
 
 def _run_distributed(ctx: ScenarioContext, with_stats: bool = False, **overrides):
@@ -468,6 +604,8 @@ def default_cases() -> list[DiffCase]:
     faulted = lambda spec: spec.faults is not None
     ranged = lambda spec: spec.faults is None and spec.config.ranging != "none"
     rssi = lambda spec: spec.faults is None and spec.config.ranging == "rssi"
+    # 8-node scenarios keep the exact oracle within its budget.
+    tiny = lambda spec: spec.faults is None and spec.config.n_nodes <= 8
     return [
         DiffCase(
             "central-vs-distributed",
@@ -556,6 +694,14 @@ def default_cases() -> list[DiffCase]:
             applies=rssi,
         ),
         DiffCase(
+            "grid-vs-exact",
+            "exact",
+            run_ref=functools.partial(_run_grid, **_EXACT_BP),
+            run_alt=functools.partial(_run_exact, **_EXACT_BP),
+            tol=1e-6,
+            applies=tiny,
+        ),
+        DiffCase(
             "faulted-distributed-invariants",
             "invariant",
             run_ref=functools.partial(_run_distributed, with_stats=True),
@@ -586,6 +732,8 @@ def run_case(case: DiffCase, ctx: ScenarioContext) -> DiffReport:
         violations += _payload_invariants(alt, ctx)
         if case.tier == "bit":
             passed, detail = _compare_bit(ref, alt)
+        elif case.tier == "exact":
+            passed, detail = _compare_exact(ref, alt, case.tol)
         else:
             passed, detail = _compare_statistical(ref, alt, ctx, case.tol)
         passed = passed and not violations
@@ -630,6 +778,12 @@ def summarize(reports: Sequence[DiffReport]) -> str:
             note = f"mismatch={r.detail['mismatch']}"
         elif r.tier == "statistical":
             note = f"gap={r.detail.get('error_gap')}"
+        if r.tier == "exact":
+            sep = "; " if note else ""
+            note = (
+                f"{note}{sep}{r.detail['graph']} "
+                f"max_abs={r.detail['max_abs']:.1e} kl={r.detail['max_kl']:.1e}"
+            )
         if r.violations:
             sep = "; " if note else ""
             note = f"{note}{sep}{len(r.violations)} invariant violation(s)"

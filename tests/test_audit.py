@@ -6,11 +6,15 @@ and (b) a deliberately broken fixture proving the harness detects the
 breakage — a differential harness that cannot fail is not a harness.
 """
 
+import dataclasses
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.audit import (
     AuditError,
@@ -24,6 +28,8 @@ from repro.audit import (
     check_result_geometry,
     check_round_accounting,
     check_symmetric_ops,
+    exact_marginals,
+    is_forest,
     load_manifest,
     make_corpus,
     manifest_dict,
@@ -32,8 +38,16 @@ from repro.audit import (
     run_corpus,
     summarize,
 )
-from repro.audit.harness import _run_distributed, _run_grid, _run_nbp
+from repro.audit.harness import (
+    _EXACT_BP,
+    EXACT_MAX_INTERMEDIATE,
+    _exact_problem,
+    _run_distributed,
+    _run_grid,
+    _run_nbp,
+)
 from repro.core.result import LocalizationResult
+from repro.kernels import BPProblem
 
 pytestmark = pytest.mark.audit
 
@@ -347,11 +361,14 @@ class TestRunCorpusSmoke:
         assert not failed, summarize(reports)
 
     def test_every_tier_exercised(self, reports):
-        assert {r.tier for r in reports} == {"bit", "statistical", "invariant"}
+        assert {r.tier for r in reports} == {"bit", "statistical", "exact", "invariant"}
 
     def test_summarize_renders(self, reports):
         text = summarize(reports)
-        assert "all clear" in text and "bit:" in text
+        assert "all clear" in text and "bit:" in text and "exact:" in text
+        exact_rows = [line for line in text.splitlines() if "grid-vs-exact" in line]
+        assert exact_rows and all("max_abs=" in line for line in exact_rows)
+        assert all(" kl=" in line for line in exact_rows)
         assert summarize([]).startswith("no audit cases ran")
 
     @pytest.mark.slow
@@ -558,3 +575,185 @@ class TestSolverVsReferenceCase:
         report = run_case(self._case(), ranging_ctx)
         assert not report.passed
         assert report.detail["mismatch"] in ("estimates", "beliefs")
+
+
+# --------------------------------------------------------------------- #
+# exact tier: the einsum oracle and the grid-vs-exact case
+# --------------------------------------------------------------------- #
+TREE_SPECS = ("smoke-tree-ranging", "smoke-tree-rangefree", "smoke-tree-bearings")
+LOOP_SPEC = "smoke-loop-ranging"
+
+
+def _toy_problem(log_phi, edges, ops):
+    return BPProblem(np.asarray(log_phi, dtype=float), edges, ops, grid=None, cfg=None)
+
+
+def _brute_force_marginals(problem):
+    """Marginals by enumerating every joint state: node i contributes
+    exp(log_phi[i, x_i]), edge (i, j) contributes fwd[x_j, x_i] — the
+    operator the kernels apply to send the i→j message."""
+    n, K = problem.log_phi.shape
+    phi = np.exp(problem.log_phi)
+    out = np.zeros((n, K))
+    for x in itertools.product(range(K), repeat=n):
+        w = np.prod([phi[i, x[i]] for i in range(n)])
+        for (i, j), (fwd, _bwd) in zip(problem.edges, problem.ops):
+            w *= fwd[x[j], x[i]]
+        for i in range(n):
+            out[i, x[i]] += w
+    return out / out.sum(axis=1, keepdims=True)
+
+
+def _exact_case():
+    from repro.audit import default_cases
+
+    return {c.name: c for c in default_cases()}["grid-vs-exact"]
+
+
+class TestExactOracle:
+    def test_chain(self):
+        rng = np.random.default_rng(0)
+        psi = rng.uniform(0.1, 1.0, (3, 3))
+        psi = psi + psi.T
+        p = _toy_problem(rng.normal(size=(4, 3)), [(0, 1), (1, 2), (2, 3)], [(psi, psi)] * 3)
+        np.testing.assert_allclose(exact_marginals(p), _brute_force_marginals(p), atol=1e-14)
+        assert is_forest(p)
+
+    def test_triangle(self):
+        rng = np.random.default_rng(1)
+        ops = []
+        for _ in range(3):
+            psi = rng.uniform(0.1, 1.0, (4, 4))
+            ops.append((psi + psi.T, psi + psi.T))
+        p = _toy_problem(rng.normal(size=(3, 4)), [(0, 1), (1, 2), (0, 2)], ops)
+        np.testing.assert_allclose(exact_marginals(p), _brute_force_marginals(p), atol=1e-14)
+        assert not is_forest(p)
+
+    def test_oriented_edge(self):
+        """An asymmetric pair (fwd != bwd, as bearings build): the oracle
+        follows the i→j orientation, and swapping the pair changes it."""
+        rng = np.random.default_rng(2)
+        fwd = rng.uniform(0.0, 1.0, (4, 4))
+        log_phi = rng.normal(size=(2, 4))
+        p = _toy_problem(log_phi, [(0, 1)], [(fwd, fwd.T)])
+        np.testing.assert_allclose(exact_marginals(p), _brute_force_marginals(p), atol=1e-14)
+        swapped = _toy_problem(log_phi, [(0, 1)], [(fwd.T, fwd)])
+        assert np.abs(exact_marginals(swapped) - exact_marginals(p)).max() > 1e-2
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force(self, data):
+        n = data.draw(st.integers(1, 4), label="unknowns")
+        K = data.draw(st.integers(2, 4), label="cells")
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        ops = []
+        for _ in edges:
+            fwd = rng.uniform(0.0, 1.0, (K, K))
+            ops.append((fwd, fwd.T))
+        p = _toy_problem(rng.normal(scale=3.0, size=(n, K)), edges, ops)
+        np.testing.assert_allclose(exact_marginals(p), _brute_force_marginals(p), atol=1e-12)
+
+    def test_over_budget_refused_before_contracting(self, monkeypatch):
+        K = 100
+        edges = list(itertools.combinations(range(5), 2))
+        psi = np.ones((K, K))
+        p = _toy_problem(np.zeros((5, K)), edges, [(psi, psi)] * len(edges))
+
+        def contracted(*args, **kwargs):
+            raise AssertionError("np.einsum ran on an over-budget problem")
+
+        monkeypatch.setattr(np, "einsum", contracted)
+        # The 5-clique's greedy plan ends in one step over all 5 nodes.
+        assert K**5 > EXACT_MAX_INTERMEDIATE
+        with pytest.raises(ValueError, match=f"{K**5}-cell intermediate"):
+            exact_marginals(p)
+
+
+class TestExactCorpus:
+    @pytest.mark.parametrize("scenario_id", TREE_SPECS)
+    def test_tree_specs_build_forests(self, scenario_id):
+        problem = _exact_problem(ScenarioContext(_spec(scenario_id)), **_EXACT_BP)
+        assert problem.edges and is_forest(problem)
+
+    def test_loop_spec_has_one_cycle(self):
+        problem = _exact_problem(ScenarioContext(_spec(LOOP_SPEC)), **_EXACT_BP)
+        assert not is_forest(problem)
+        assert len(problem.edges) == problem.n_unknowns  # connected + one cycle
+
+    def test_case_applies_to_the_tiny_specs_only(self):
+        case = _exact_case()
+        assert case.tier == "exact" and not case.slow and case.tol == 1e-6
+        applied = {s.scenario_id for s in make_corpus("smoke") if case.applies(s)}
+        assert applied == {*TREE_SPECS, LOOP_SPEC}
+
+    def test_loopy_errors_are_tracked(self):
+        report = run_case(_exact_case(), ScenarioContext(_spec(LOOP_SPEC)))
+        assert report.passed and report.detail["graph"] == "loopy"
+        assert 0 < report.detail["max_abs"] < 1 and report.detail["max_kl"] > 0
+
+    def test_detects_misoriented_messages(self, monkeypatch):
+        """A kernel that applies each edge's operators the wrong way round
+        still converges on the bearings tree, to the wrong marginals."""
+        from repro.kernels import get_backend
+
+        kernel = get_backend("batched")
+        original = kernel.run
+
+        def swapped(problem, tracer=None):
+            ops = [(bwd, fwd) for fwd, bwd in problem.ops]
+            return original(dataclasses.replace(problem, ops=ops))
+
+        monkeypatch.setattr(kernel, "run", swapped)
+        report = run_case(_exact_case(), ScenarioContext(_spec("smoke-tree-bearings")))
+        assert not report.passed
+        assert report.detail["mismatch"] == "marginals"
+        assert report.detail["max_abs"] > 1e-2
+
+
+@pytest.fixture
+def no_message_floor(monkeypatch):
+    """Every BP implementation with its 1e-12 message floor lowered to
+    1e-300, so tree beliefs can match the exact marginals to rounding."""
+    import repro.kernels.batched
+    import repro.kernels.reference
+    import repro.parallel.messaging
+
+    for module in (repro.kernels.reference, repro.kernels.batched, repro.parallel.messaging):
+        monkeypatch.setattr(module, "_MSG_FLOOR", 1e-300)
+
+
+class TestFloorlessBPExactOnTrees:
+    """Sum-product BP is exact on a tree; with the message floor out of the
+    way the only gap left is rounding."""
+
+    @pytest.fixture(scope="class", params=TREE_SPECS)
+    def tree(self, request):
+        ctx = ScenarioContext(_spec(request.param))
+        problem = _exact_problem(ctx, **_EXACT_BP)
+        return ctx, problem, exact_marginals(problem)
+
+    @staticmethod
+    def _solve(solver, ctx, problem):
+        """``(beliefs, converged)`` of one BP implementation."""
+        from repro.kernels import get_backend
+        from repro.parallel.messaging import DistributedBPSimulator
+
+        if solver == "distributed":
+            sim = DistributedBPSimulator(prior=ctx.prior, config=problem.cfg)
+            result, _ = sim.run(ctx.measurements)
+            return np.stack(list(result.extras["beliefs"].values())), result.converged
+        if solver == "serial-loop":
+            cfg = dataclasses.replace(problem.cfg, schedule="serial")
+            out = get_backend("reference").run(dataclasses.replace(problem, cfg=cfg))
+        else:
+            out = get_backend("batched").run(problem)
+        return out.beliefs, out.converged
+
+    @pytest.mark.parametrize("solver", ["sync-batched", "serial-loop", "distributed"])
+    def test_matches_exact_marginals(self, tree, solver, no_message_floor):
+        ctx, problem, exact = tree
+        beliefs, converged = self._solve(solver, ctx, problem)
+        assert converged
+        assert np.abs(beliefs - exact).max() <= 1e-12

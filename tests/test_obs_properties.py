@@ -162,42 +162,3 @@ class TestNBPTraceInvariants:
         traced = NBPLocalizer(config=cfg, tracer=Tracer()).localize(ms, rng=7)
         untraced = NBPLocalizer(config=cfg).localize(ms, rng=7)
         assert np.array_equal(traced.estimates, untraced.estimates)
-
-
-class TestFactorGraphBPTrace:
-    def test_residuals_recorded_and_nonnegative(self):
-        from repro.bayesnet.beliefprop import BeliefPropagation
-        from repro.bayesnet.factor import DiscreteFactor
-        from repro.bayesnet.graph import FactorGraph
-
-        rng = np.random.default_rng(3)
-        factors = [
-            DiscreteFactor(["a", "b"], (3, 3), rng.uniform(0.1, 1, (3, 3))),
-            DiscreteFactor(["b", "c"], (3, 3), rng.uniform(0.1, 1, (3, 3))),
-        ]
-        tracer = Tracer()
-        bp = BeliefPropagation(FactorGraph(factors), tracer=tracer)
-        result = bp.run()
-        trace = tracer.snapshot()
-        assert len(trace["iterations"]) == result.n_iterations
-        got = [rec["residual"] for rec in trace["iterations"]]
-        assert got == result.residuals
-        assert all(r >= 0 for r in got)
-        cums = [rec["messages_cum"] for rec in trace["iterations"]]
-        assert all(b >= a for a, b in zip(cums, cums[1:]))
-        assert trace["meta"]["converged"] == result.converged
-
-    def test_tracing_does_not_change_beliefs(self):
-        from repro.bayesnet.beliefprop import BeliefPropagation
-        from repro.bayesnet.factor import DiscreteFactor
-        from repro.bayesnet.graph import FactorGraph
-
-        rng = np.random.default_rng(4)
-        factors = [
-            DiscreteFactor(["x", "y"], (2, 2), rng.uniform(0.1, 1, (2, 2))),
-            DiscreteFactor(["y"], (2,), rng.uniform(0.1, 1, 2)),
-        ]
-        plain = BeliefPropagation(FactorGraph(factors)).run()
-        traced = BeliefPropagation(FactorGraph(factors), tracer=Tracer()).run()
-        for v in plain.beliefs:
-            assert np.array_equal(plain.beliefs[v], traced.beliefs[v])
