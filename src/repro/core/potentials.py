@@ -11,7 +11,11 @@ Pairwise matrices dominate cost and memory, so
 :class:`RangingPotentialCache` quantizes the observed distance and stores
 truncated sparse kernels: edges with (nearly) the same observed distance
 share one matrix.  For a 20×20 grid, a typical cache holds a few dozen
-sparse 400×400 kernels instead of one dense matrix per edge.
+sparse 400×400 kernels instead of one dense matrix per edge.  A kernel
+depends on a cell pair only through its centre distance, so each one is
+evaluated once per distinct distance (a few hundred on a 24×24 grid, not
+K²) and gathered into the sparse matrix; this relies on ranging and radio
+models being elementwise in the candidate distances.
 """
 
 from __future__ import annotations
@@ -384,6 +388,15 @@ def anchor_bearing_rows(
 class RangingPotentialCache:
     """Shared, truncated, sparse pairwise ranging potentials.
 
+    The first miss splits the grid's ``(K, K)`` centre distances into
+    distance classes (``np.unique``: sorted distinct values plus a compact
+    unsigned class index, kept for the cache's lifetime).  Every miss then
+    evaluates :func:`pairwise_ranging_potential` on the distinct distances
+    only and gathers the truncated values through the class index, giving
+    the same CSR arrays as ``csr_matrix`` of the truncated dense
+    potential, bit for bit: each step is elementwise in the distance, and
+    the global maxima it takes are the same over the distinct values.
+
     Parameters
     ----------
     grid:
@@ -428,6 +441,8 @@ class RangingPotentialCache:
         self.truncate = float(truncate)
         self.blur_sigma = float(blur_sigma)
         self._cache: dict[int, sparse.csr_matrix] = {}
+        #: (distinct cell-centre distances, (K, K) class index), on first miss
+        self._classes: tuple[np.ndarray, np.ndarray] | None = None
 
     def _key(self, observed_distance: float) -> int:
         return int(round(float(observed_distance) / self.quantum))
@@ -445,15 +460,27 @@ class RangingPotentialCache:
         key = self._key(observed_distance)
         mat = self._cache.get(key)
         if mat is None:
-            dense = pairwise_ranging_potential(
-                self.grid.pairwise_center_distances(),
-                key * self.quantum,
-                self.ranging,
-                self.radio,
+            if self._classes is None:
+                values, inverse = np.unique(
+                    self.grid.pairwise_center_distances(), return_inverse=True
+                )
+                inverse = inverse.astype(np.min_scalar_type(values.size - 1))
+                self._classes = (values, inverse.reshape(self.grid.n_cells, -1))
+            values, inverse = self._classes
+            vals = pairwise_ranging_potential(
+                values, key * self.quantum, self.ranging, self.radio,
                 blur_sigma=self.blur_sigma,
             )
-            dense[dense < self.truncate] = 0.0
-            mat = sparse.csr_matrix(dense)
+            vals[vals < self.truncate] = 0.0
+            # csr_matrix(vals[inverse]) without the dense (K, K) float pass
+            keep = (vals != 0.0)[inverse]
+            indptr = np.zeros(len(keep) + 1, dtype=np.int64)
+            np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+            flat = np.flatnonzero(keep)
+            mat = sparse.csr_matrix(
+                (vals[inverse.ravel()[flat]], flat % len(keep), indptr),
+                shape=keep.shape,
+            )
             self._cache[key] = mat
         return mat
 
@@ -463,8 +490,10 @@ class RangingPotentialCache:
 
     @property
     def nbytes(self) -> int:
-        """Approximate memory held by the cached sparse kernels."""
-        return sum(
+        """Approximate memory held by the cached sparse kernels and the
+        distance-class table."""
+        classes = sum(a.nbytes for a in self._classes or ())
+        return classes + sum(
             m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
             for m in self._cache.values()
         )

@@ -64,6 +64,9 @@ class RangingModel(ABC):
         """``log p(observed | true = candidate_distances)``, broadcast.
 
         *observed* is scalar or broadcastable against *candidate_distances*.
+        Must be elementwise in the candidate distances (no reduction over
+        the array): pairwise kernels evaluate it once per distinct cell
+        distance and gather the result over all cell pairs.
         """
 
     def sigma_at(self, distances: np.ndarray) -> np.ndarray:

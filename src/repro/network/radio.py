@@ -50,7 +50,11 @@ class RadioModel(ABC):
 
     @abstractmethod
     def p_detect(self, distances: np.ndarray) -> np.ndarray:
-        """Probability that a link exists at each given distance."""
+        """Probability that a link exists at each given distance.
+
+        Must be elementwise in *distances* (no reduction over the array):
+        pairwise kernels evaluate it once per distinct cell distance.
+        """
 
     def adjacency(
         self, positions: np.ndarray, rng: RNGLike = None

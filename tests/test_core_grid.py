@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.core.grid import Grid2D
 from repro.core.potentials import (
     RangingPotentialCache,
+    _blurred_likelihood,
     anchor_bearing_potential,
     anchor_bearing_rows,
     anchor_connectivity_potential,
@@ -19,13 +23,19 @@ from repro.core.potentials import (
 from repro.measurement import (
     BearingModel,
     ChannelRSSIRanging,
+    LatentNLOSRanging,
     ProportionalGaussianRanging,
     RobustRanging,
     RSSIRanging,
     TOARanging,
 )
 from repro.measurement.ranging import GaussianRanging
-from repro.network.radio import QuasiUnitDiskRadio, UnitDiskRadio
+from repro.network.radio import (
+    IrregularRadio,
+    LogNormalShadowingRadio,
+    QuasiUnitDiskRadio,
+    UnitDiskRadio,
+)
 
 
 class TestGrid2D:
@@ -381,3 +391,150 @@ class TestRangingPotentialCache:
             RangingPotentialCache(self.GRID, self.RANGING, truncate=1.0)
         with pytest.raises(ValueError):
             RangingPotentialCache(self.GRID, self.RANGING, quantum=0.0)
+
+
+def _dense_kernel(cache, observed_distance):
+    """Dense reference for a cache miss: ``csr_matrix`` of the truncated
+    ``(K, K)`` potential evaluated on every cell pair."""
+    dense = pairwise_ranging_potential(
+        cache.grid.pairwise_center_distances(),
+        cache._key(observed_distance) * cache.quantum,
+        cache.ranging,
+        cache.radio,
+        blur_sigma=cache.blur_sigma,
+    )
+    dense[dense < cache.truncate] = 0.0
+    return sparse.csr_matrix(dense)
+
+
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+_CLASS_RANGINGS = {
+    "gauss": GaussianRanging(0.02),
+    "gauss-narrow": GaussianRanging(1e-4),
+    "proportional": ProportionalGaussianRanging(0.1),
+    "toa": TOARanging(0.02, mean_delay=0.01),
+    "rssi": RSSIRanging(),
+    "channel-rssi": ChannelRSSIRanging(inversion_exponent=2.5),
+    "robust": RobustRanging(GaussianRanging(0.02)),
+    "latent-nlos": LatentNLOSRanging(GaussianRanging(0.02)),
+}
+_CLASS_RADIOS = {
+    "none": None,
+    "disk": UnitDiskRadio(0.35),
+    "qudg": QuasiUnitDiskRadio(0.35),
+    "lognormal": LogNormalShadowingRadio(0.35),
+    "doi": IrregularRadio(0.35, doi=0.2),
+}
+#: (grid, observed distances): two square grids and a non-square field
+#: whose cells are wider than tall (more distinct distances); 3.0 lies
+#: beyond every field.
+_CLASS_GRIDS = [
+    (Grid2D(12, 12, 1.0, 1.0), (0.0, 0.1, 0.35, 0.8, 1.5, 3.0)),
+    (Grid2D(24, 24, 1.0, 1.0), (0.0, 0.35, 3.0)),
+    (Grid2D(10, 16, 1.0, 0.6), (0.0, 0.1, 0.35, 0.8, 1.5, 3.0)),
+]
+
+
+class TestDistanceClassKernels:
+    """A cache miss evaluates the potential once per distinct cell-centre
+    distance and gathers it through the class index; the CSR it returns
+    must equal ``csr_matrix`` of the truncated dense potential bit for
+    bit, dtypes included."""
+
+    @pytest.mark.parametrize("radio", list(_CLASS_RADIOS))
+    @pytest.mark.parametrize("ranging", list(_CLASS_RANGINGS))
+    def test_matches_dense_reference(self, ranging, radio):
+        for grid, distances in _CLASS_GRIDS:
+            for blur in (0.0, 0.02):
+                cache = RangingPotentialCache(
+                    grid,
+                    _CLASS_RANGINGS[ranging],
+                    _CLASS_RADIOS[radio],
+                    blur_sigma=blur,
+                )
+                for d in distances:
+                    _assert_same_csr(cache.get(d), _dense_kernel(cache, d))
+
+    def test_p_detect_fallback(self):
+        # a narrow range far beyond the radio range: likelihood × p_detect
+        # is zero on every pair, so the kernel falls back to p_detect
+        grid = Grid2D(12, 12, 1.0, 1.0)
+        ranging, radio = GaussianRanging(1e-4), UnitDiskRadio(0.35)
+        D = grid.pairwise_center_distances()
+        pd = radio.p_detect(D)
+        for blur in (0.0, 0.02):
+            cache = RangingPotentialCache(grid, ranging, radio, blur_sigma=blur)
+            d = cache._key(3.0) * cache.quantum
+            assert (_blurred_likelihood(D, d, ranging, blur) * pd).max() <= 0
+            got = cache.get(3.0)
+            _assert_same_csr(got, _dense_kernel(cache, 3.0))
+            assert np.array_equal(got.toarray(), pd / pd.max())
+
+    def test_non_square_field_has_more_classes(self):
+        square = RangingPotentialCache(Grid2D(12, 12, 1.0, 1.0), GaussianRanging(0.02))
+        wide = RangingPotentialCache(Grid2D(10, 16, 1.0, 0.6), GaussianRanging(0.02))
+        for cache in (square, wide):
+            cache.get(0.2)
+        assert wide._classes[0].size > square._classes[0].size
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.floats(0.0, 3.0, allow_nan=False),
+        ranging=st.sampled_from(list(_CLASS_RANGINGS)),
+        radio=st.sampled_from(list(_CLASS_RADIOS)),
+        blur=st.sampled_from([0.0, 0.02]),
+    )
+    def test_observed_distance_sweep(self, d, ranging, radio, blur):
+        cache = RangingPotentialCache(
+            Grid2D(10, 16, 1.0, 0.6),
+            _CLASS_RANGINGS[ranging],
+            _CLASS_RADIOS[radio],
+            blur_sigma=blur,
+        )
+        try:
+            want = _dense_kernel(cache, d)
+        except ValueError:
+            with pytest.raises(ValueError):
+                cache.get(d)
+            return
+        _assert_same_csr(cache.get(d), want)
+
+
+@pytest.mark.perf
+class TestDistanceClassRouting:
+    """A miss must evaluate the likelihood on the distinct distances only,
+    from one class table built once per cache."""
+
+    def test_likelihood_sees_classes_not_cell_pairs(self, monkeypatch):
+        grid = Grid2D(24, 24, 1.0, 1.0)
+        K = grid.n_cells
+        n_classes = np.unique(grid.pairwise_center_distances()).size
+        shapes = []
+        original = GaussianRanging.log_likelihood
+
+        def counted(self, observed, distances):
+            shapes.append(np.shape(distances))
+            return original(self, observed, distances)
+
+        monkeypatch.setattr(GaussianRanging, "log_likelihood", counted)
+        cache = RangingPotentialCache(
+            grid, GaussianRanging(0.02), UnitDiskRadio(0.35), blur_sigma=0.02
+        )
+        cache.get(0.2)
+        table = cache._classes
+        values, inverse = table
+        assert values.size == n_classes
+        assert inverse.shape == (K, K) and inverse.dtype == np.uint16
+        cache.get(0.4)
+        assert cache._classes is table
+        assert cache._classes[0] is values and cache._classes[1] is inverse
+        assert len(shapes) == 6  # 3 Gauss–Hermite nodes per miss
+        assert all(np.prod(s) <= n_classes for s in shapes)
+        assert (K, K) not in shapes

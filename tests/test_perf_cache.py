@@ -191,6 +191,15 @@ class TestCacheRegistry:
         c = reg.ranging_cache(grid, GaussianRanging(0.03), None, 0.0)  # evicts a
         assert reg.nbytes == b.nbytes + c.nbytes + pairwise.nbytes
         assert reg.stats()["bytes"] == reg.nbytes
+        # a miss adds its kernel and, once per cache, the distance classes
+        kernel = c.get(0.3)
+        values, inverse = c._classes
+        assert c.nbytes == (
+            kernel.data.nbytes + kernel.indices.nbytes + kernel.indptr.nbytes
+            + values.nbytes + inverse.nbytes
+        )
+        assert reg.nbytes == b.nbytes + c.nbytes + pairwise.nbytes
+        assert reg.stats()["bytes"] == reg.nbytes
         reg.clear()
         assert reg.nbytes == 0 and reg.stats()["bytes"] == 0
 
