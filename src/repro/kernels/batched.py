@@ -17,15 +17,19 @@ Execution layout:
   one CSR kernel occupies a contiguous row block — so each round's
   mat-mat consumes and produces contiguous slabs with no per-round
   gather/scatter around the sparse products;
-* all round state (message/log-message double buffers, the per-group
-  transposed multivector and product slabs, the degree-pass staging
-  rows) is **preallocated once per active-set rebuild** and reused every
-  round: the hot loop performs no large allocations, so neither the
-  allocator nor first-touch page faults appear in steady state;
-* each group's whole pipeline — gather ``h``, max-shift, message
-  weights, sparse product, normalize/damp/floor, residual, ``log`` —
-  runs while the group's ~1 MB slab is cache-resident, instead of making
-  full-array passes over the 10s-of-MB stacked block per step;
+* all round state (message/log-message double buffers, the chunk
+  scratch slabs, the product slabs, the degree-pass staging rows) is
+  **preallocated once per active-set rebuild** and reused every round:
+  the hot loop performs no large allocations, so neither the allocator
+  nor first-touch page faults appear in steady state;
+* consecutive operator groups are packed into **chunks** of at most
+  ``_CHUNK_BYTES`` (a larger group is a chunk of its own), and each
+  chunk's row-wise steps — gather ``h``, reverse subtraction, max-shift,
+  weights, normalize/damp/floor, residual, ``log`` — run once on a slab
+  that stays cache-resident; only the sparse product runs per group, on
+  one shared pair of ``K × max_group_rows`` slabs.  (A group slab is
+  just ~18 KB at K = 144, so per-group passes were per-call overhead;
+  a whole-block pass falls out of cache at K = 576);
 * message weights come from the shared cutoff function
   :func:`~repro.kernels.reference._message_weights`: weights at or below
   ~1e-250 are exactly 0, so neither ``exp`` nor the sparse product ever
@@ -57,9 +61,10 @@ rests on these facts:
   gemv are *not* bit-identical;
 * row-wise reductions and elementwise ufuncs are computed per
   C-contiguous row block, so splitting the stacked block into operator
-  groups (or permuting rows) changes nothing — each row's pairwise
-  sum/max and each element's exp/log see identical inputs in identical
-  order;
+  groups or chunks (whose boundaries fall on group boundaries, so each
+  sparse product still sees exactly one group's rows), or permuting
+  rows, changes nothing — each row's pairwise sum/max and each
+  element's exp/log see identical inputs in identical order;
 * ``max`` reductions are order-independent (NaN included — ``np.maximum``
   propagates NaN), so a trial's residual computed as a segment reduction
   over the permuted stacked block equals the per-trial global max;
@@ -126,6 +131,23 @@ def _degree_passes(
         sel = order[ranks == d]
         passes.append((dst[sel], pos[sel]))
     return passes
+
+
+#: Byte budget of one round chunk's ``(rows, K)`` float64 slab, chosen by
+#: a perfbench sweep over all three workloads (see ROADMAP).
+_CHUNK_BYTES = 256 * 1024
+
+
+def _pack_chunks(group_rows: list[int], row_bytes: int) -> list[tuple[int, int]]:
+    """Consecutive operator groups packed into ``[lo, hi)`` chunks that
+    fit ``_CHUNK_BYTES``; a group over budget is a chunk of its own."""
+    starts, rows = [0], 0
+    for g, m in enumerate(group_rows):
+        if g > starts[-1] and (rows + m) * row_bytes > _CHUNK_BYTES:
+            starts.append(g)
+            rows = 0
+        rows += m
+    return list(zip(starts, starts[1:] + [len(group_rows)])) if group_rows else []
 
 
 class BatchedBackend(KernelBackend):
@@ -286,12 +308,12 @@ def _run_batch_sync(
 
     # ---------------------------------------------------------------- #
     # Active-set execution plan, rebuilt whenever a trial freezes.  The
-    # active slots are permuted into operator-grouped order; every round
-    # buffer is preallocated here and reused for the rebuild's lifetime.
+    # active slots are permuted into operator-grouped order and split into
+    # chunks; every round buffer is preallocated here and reused.
     act_trials: list[int] = []
     act_slots = src_act = swap_pos = None
     passes: list = []
-    group_plan: list = []  # (op, a, b, Hx, Y): contiguous sparse slabs
+    chunk_plan: list = []  # (a, b, pair_local, [(op, lo, hi, x, y)])
     dense_plan: list = []  # (op, row): per-slot dense products
     by_trial_order = by_trial_starts = None
     Mcur = Mold = Lcur = Lold = None
@@ -300,10 +322,10 @@ def _run_batch_sync(
 
     def rebuild() -> None:
         nonlocal act_trials, act_slots, src_act, swap_pos, passes
-        nonlocal group_plan, dense_plan, by_trial_order, by_trial_starts
+        nonlocal chunk_plan, dense_plan, by_trial_order, by_trial_starts
         nonlocal Mcur, Mold, Lcur, Lold, Hbuf, Sbuf, Tbuf, Pbuf, rowmax_buf
         act_trials = [t for t in range(T) if active[t]]
-        group_plan = []
+        chunk_plan = []
         dense_plan = []
         if not act_trials:
             act_slots = np.empty(0, dtype=np.intp)
@@ -351,24 +373,31 @@ def _run_batch_sync(
         max_pass = max((len(rows) for rows, _pos in passes), default=0)
         Tbuf = np.empty((max_pass, K))
         Pbuf = np.empty((max_pass, K))
-        max_m = 1
-        for op, a, b in bounds:
-            m = b - a
-            max_m = max(max_m, m)
+        # Groups run one after another too: every group's transposed
+        # multivector and product are views of one shared pair of slabs.
+        max_m = max((b - a for _op, a, b in bounds), default=1)
+        Xflat = np.empty(K * max_m)
+        Yflat = np.empty(K * max_m)
+        max_chunk = 1
+        for lo, hi in _pack_chunks([b - a for _op, a, b in bounds], K * 8):
+            a, b = bounds[lo][1], bounds[hi - 1][2]
+            max_chunk = max(max_chunk, b - a)
             # Symmetric ranging kernels reuse one operator for both
-            # directions of an edge, so a group usually holds whole
+            # directions of an edge, so a chunk usually holds whole
             # (fwd, bwd) slot pairs in adjacent positions.  When the
-            # group's reverse map is exactly that local pair swap, the
+            # chunk's reverse map is exactly that local pair swap, the
             # round can read reverse messages through a strided view of
-            # the group's own Lcur block instead of a gathered copy.
+            # the chunk's own Lcur block instead of a gathered copy.
             pair_local = False
-            if m % 2 == 0:
+            if (b - a) % 2 == 0:
                 expect = np.arange(a, b, dtype=np.intp)
                 expect = expect.reshape(-1, 2)[:, ::-1].ravel()
                 pair_local = bool(np.array_equal(swap_pos[a:b], expect))
-            group_plan.append(
-                (op, a, b, np.empty((K, m)), np.zeros((K, m)), pair_local)
-            )
+            groups = [
+                (op, ga - a, gb - a, Xflat[: K * (gb - ga)], Yflat[: K * (gb - ga)])
+                for op, ga, gb in bounds[lo:hi]
+            ]
+            chunk_plan.append((a, b, pair_local, groups))
         dense_plan = [(op, dense_lo + k) for k, op in enumerate(dense_ops)]
         # Per-trial residual segments: active rows sorted by trial (a
         # static permutation per rebuild) so a single max.reduceat
@@ -386,8 +415,8 @@ def _run_batch_sync(
         Lcur = log_messages[act_slots]
         Mold = np.empty_like(Mcur)
         Lold = np.empty_like(Lcur)
-        Hbuf = np.empty((max_m, K))
-        Sbuf = np.empty((max_m, K))
+        Hbuf = np.empty((max_chunk, K))
+        Sbuf = np.empty((max_chunk, K))
         rowmax_buf = np.empty(n_act)
 
     def sync_global() -> None:
@@ -424,33 +453,31 @@ def _run_batch_sync(
             Tb += Pb
             totals[rows] = Tb
 
-        for op, a, b, Hx, Y, pair_local in group_plan:
-            m = b - a
-            Hg = Hbuf[:m]
-            Sg = Sbuf[:m]
-            np.take(totals, src_act[a:b], axis=0, out=Hg)
+        for a, b, pair_local, groups in chunk_plan:
+            Hc = Hbuf[: b - a]
+            Sc = Sbuf[: b - a]
+            np.take(totals, src_act[a:b], axis=0, out=Hc)
             if pair_local:
                 # Reverse messages are this block's rows pair-swapped:
                 # subtract through the strided view, no gather.
                 sw = Lcur[a:b].reshape(-1, 2, K)[:, ::-1, :]
-                Hg3 = Hg.reshape(-1, 2, K)
-                np.subtract(Hg3, sw, out=Hg3)
+                Hc3 = Hc.reshape(-1, 2, K)
+                np.subtract(Hc3, sw, out=Hc3)
             else:
-                np.take(Lcur, swap_pos[a:b], axis=0, out=Sg)
-                np.subtract(Hg, Sg, out=Hg)
-            Hg -= Hg.max(axis=1, keepdims=True)
-            _message_weights(Hg, out=Hg)
+                np.take(Lcur, swap_pos[a:b], axis=0, out=Sc)
+                np.subtract(Hc, Sc, out=Hc)
+            Hc -= Hc.max(axis=1, keepdims=True)
+            _message_weights(Hc, out=Hc)
             res = Mnew[a:b]
-            if csr_matvecs is not None:
-                Hx[...] = Hg.T
-                Y.fill(0.0)
-                csr_matvecs(
-                    K, K, m, op.indptr, op.indices, op.data,
-                    Hx.ravel(), Y.ravel(),
-                )
-                res[...] = Y.T
-            else:  # pragma: no cover - exercised only on exotic scipys
-                res[...] = op.dot(Hg.T).T
+            for op, lo, hi, x, y in groups:
+                if csr_matvecs is not None:
+                    m = hi - lo
+                    x.reshape(K, m)[...] = Hc[lo:hi].T
+                    y.fill(0.0)
+                    csr_matvecs(K, K, m, op.indptr, op.indices, op.data, x, y)
+                    res[lo:hi] = y.reshape(K, m).T
+                else:  # pragma: no cover - exercised only on exotic scipys
+                    res[lo:hi] = op.dot(Hc[lo:hi].T).T
             # commit_rows, reference-exact, while the slab is cache-hot.
             prev = Mcur[a:b]
             sums = res.sum(axis=1)
@@ -461,12 +488,13 @@ def _run_batch_sync(
             res /= sums[:, None]
             if cfg.damping > 0:
                 res *= 1 - cfg.damping
-                res += cfg.damping * prev
+                np.multiply(prev, cfg.damping, out=Sc)
+                res += Sc
                 res /= res.sum(axis=1)[:, None]
             np.maximum(res, _MSG_FLOOR, out=res)
-            np.subtract(res, prev, out=Sg)
-            np.abs(Sg, out=Sg)
-            rowmax_buf[a:b] = Sg.max(axis=1)
+            np.subtract(res, prev, out=Sc)
+            np.abs(Sc, out=Sc)
+            rowmax_buf[a:b] = Sc.max(axis=1)
             np.log(res, out=Lnew[a:b])
 
         for op, r in dense_plan:

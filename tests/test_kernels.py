@@ -21,7 +21,10 @@ kernels on one prepared problem.  The suite covers:
 * the shared message-weight cutoff (``_message_weights``): its contract,
   bit identity of every message site on a problem whose weights fall off
   the cliff into the subnormal band, and a routing guard that fails when
-  a message site bypasses it.
+  a message site bypasses it;
+* the round's chunk plan: bit identity at chunk budgets from one group
+  per chunk to one chunk per round, and a routing guard that fails when
+  the round goes back to per-group weights or per-group product slabs.
 
 The fast lane (module marker ``kernel``) runs in the default suite; the
 randomized sweeps are additionally marked ``slow`` — select them with
@@ -52,8 +55,9 @@ from repro.kernels import (
     group_compatible,
     kernel_for,
 )
+from repro.kernels import batched as batched_kernel
 from repro.kernels.reference import _MSG_LOG_CUTOFF, _message_weights
-from repro.measurement import GaussianRanging, observe
+from repro.measurement import BearingModel, GaussianRanging, observe
 from repro.network import NetworkConfig, UnitDiskRadio, generate_network
 from repro.obs import NULL_TRACER, Tracer
 from repro.parallel import DistributedBPSimulator
@@ -65,7 +69,9 @@ pytestmark = pytest.mark.kernel
 BASE_CFG = GridBPConfig(grid_size=8, max_iterations=5, tol=1e-9)
 
 
-def _measurements(seed, n=14, anchor_ratio=0.25, radio=0.42, connected=True):
+def _measurements(
+    seed, n=14, anchor_ratio=0.25, radio=0.42, connected=True, bearings=False
+):
     net = generate_network(
         NetworkConfig(
             n_nodes=n,
@@ -75,7 +81,12 @@ def _measurements(seed, n=14, anchor_ratio=0.25, radio=0.42, connected=True):
         ),
         rng=seed,
     )
-    return observe(net, GaussianRanging(0.03), rng=seed + 1)
+    return observe(
+        net,
+        GaussianRanging(0.03),
+        rng=seed + 1,
+        bearings=BearingModel(0.1) if bearings else None,
+    )
 
 
 def _problem(ms, cfg):
@@ -673,6 +684,157 @@ class TestMessageWeightRouting:
             _measurements(113)
         )
         assert sum(calls) == sum(s.messages for s in stats) > 0
+
+
+# ------------------------------------------------------------------ #
+# Round chunks: consecutive operator groups share one pass of the
+# round's row-wise steps.
+
+#: ``_CHUNK_BYTES`` values for BASE_CFG (K = 64, 512 B per row): every
+#: group its own chunk; six rows, so pairs pack three to a chunk and the
+#: larger cross-trial groups run over budget; one chunk per round.
+_BUDGETS = {"per-group": 1, "mid": 6 * 64 * 8, "one-chunk": 1 << 62}
+
+
+@pytest.fixture(params=sorted(_BUDGETS))
+def chunk_budget(request, monkeypatch):
+    monkeypatch.setattr(batched_kernel, "_CHUNK_BYTES", _BUDGETS[request.param])
+    return request.param
+
+
+@pytest.fixture
+def chunk_plans(monkeypatch):
+    """Every ``(group_rows, chunks)`` plan the kernel builds."""
+    log: list = []
+    pack = batched_kernel._pack_chunks
+
+    def recorded(group_rows, row_bytes):
+        chunks = pack(group_rows, row_bytes)
+        log.append((list(group_rows), row_bytes, chunks))
+        return chunks
+
+    monkeypatch.setattr(batched_kernel, "_pack_chunks", recorded)
+    return log
+
+
+def _assert_three_way(ms_list, cfg):
+    """Batched ``localize_batch`` == sequential ``localize`` == plain loop."""
+    batched, reference = _run_pair(ms_list, cfg)
+    for b, r, ms in zip(batched, reference, ms_list):
+        _assert_bit_equal(b, GridBPLocalizer(config=cfg).localize(ms))
+        _assert_bit_equal(b, r)
+    return batched
+
+
+def _assert_batch_matches_plain_loop(problems):
+    """``run_batch`` == one batched run per problem == the plain loop."""
+    outs = get_backend("batched").run_batch(problems)
+    for out, problem in zip(outs, problems):
+        _assert_outcomes_equal(out, get_backend("batched").run(problem))
+        _assert_outcomes_equal(out, get_backend("reference").run(problem))
+    return outs
+
+
+class TestChunkBoundaries:
+    """Bit identity does not depend on where chunk boundaries fall."""
+
+    def test_ranging_and_bearing_batch(self, chunk_budget, chunk_plans):
+        # Bearing kernels differ per direction, so bearing problems add
+        # singleton groups that are not pair-local beside the ranging
+        # problems' pair-local ones.
+        ms_list = [_measurements(120 + s, bearings=bool(s % 2)) for s in range(4)]
+        _assert_three_way(ms_list, BASE_CFG)
+        rows, row_bytes, chunks = chunk_plans[0]
+        assert 1 in rows and 2 in rows
+        if chunk_budget == "per-group":
+            assert all(hi - lo == 1 for lo, hi in chunks)
+        elif chunk_budget == "one-chunk":
+            assert chunks == [(0, len(rows))]
+        else:
+            assert any(hi - lo > 1 for lo, hi in chunks)
+            over = [g for g, m in enumerate(rows) if m * row_bytes > _BUDGETS["mid"]]
+            assert over and all((g, g + 1) in chunks for g in over)
+
+    def test_trials_freeze_mid_run(self, chunk_budget):
+        cfg = dc.replace(BASE_CFG, max_iterations=15, tol=1e-3)
+        batched = _assert_three_way([_measurements(s) for s in (40, 42, 44, 46)], cfg)
+        assert len({r.n_iterations for r in batched}) > 1
+
+    def test_dense_operator_slots(self, chunk_budget):
+        problems = [
+            _problem(_measurements(s), dc.replace(BASE_CFG, record_trace=True))
+            for s in (130, 131)
+        ]
+        ops = problems[0].ops
+        ops[::2] = [(f.toarray(), b.toarray()) for f, b in ops[::2]]
+        _assert_batch_matches_plain_loop(problems)
+
+    def test_nonfinite_messages_repaired(self, chunk_budget):
+        problems = [_problem(_measurements(s), BASE_CFG) for s in (132, 133)]
+        poisoned = problems[0].ops[0][0].copy()
+        poisoned.data[:] = np.nan
+        problems[0].ops[0] = (poisoned, poisoned)
+        outs = _assert_batch_matches_plain_loop(problems)
+        assert outs[0].health["message_repairs"] > 0
+        assert outs[1].health["message_repairs"] == 0
+
+    def test_deadline_stop(self, chunk_budget):
+        problems = [_problem(_measurements(s), BASE_CFG) for s in (134, 135)]
+        with deadline_scope(seconds=0.0):
+            outs = _assert_batch_matches_plain_loop(problems)
+        assert all(o.n_iterations == 1 and o.health["deadline_stop"] for o in outs)
+
+
+@pytest.mark.perf
+class TestChunkRouting:
+    """On a serve-shape batch (8 problems x 25 nodes, grid 12) a round
+    runs its row-wise steps once per chunk, not once per operator group,
+    and a rebuild allocates no per-group product slabs."""
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        cfg = dc.replace(BASE_CFG, grid_size=12, max_iterations=10, tol=1e-300)
+        return [
+            _problem(_measurements(140 + s, n=25, anchor_ratio=0.24, radio=0.35), cfg)
+            for s in range(8)
+        ]
+
+    @staticmethod
+    def _n_groups(problems):
+        return len({id(op) for p in problems for pair in p.ops for op in pair})
+
+    def test_weights_once_per_chunk(self, problems, chunk_plans, monkeypatch):
+        calls: list[int] = []
+
+        def counted(h, out=None):
+            calls.append(h.shape[0])
+            return _message_weights(h, out=out)
+
+        monkeypatch.setattr(batched_kernel, "_message_weights", counted)
+        outs = get_backend("batched").run_batch(problems)
+        assert {o.n_iterations for o in outs} == {10}
+        ((_rows, _row_bytes, chunks),) = chunk_plans
+        assert len(calls) == 10 * len(chunks)
+        assert len(chunks) <= self._n_groups(problems) / 4
+
+    def test_rebuild_allocates_no_group_slabs(self, problems, monkeypatch):
+        shapes: list = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, shape, *args, **kwargs):
+                shapes.append(shape)
+                return np.empty(shape, *args, **kwargs)
+
+            def zeros(self, shape, *args, **kwargs):
+                shapes.append(shape)
+                return np.zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(batched_kernel, "np", CountingNumpy())
+        get_backend("batched").run_batch(problems)
+        assert 0 < len(shapes) < self._n_groups(problems) / 2
 
 
 @pytest.mark.slow
