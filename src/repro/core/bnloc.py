@@ -599,8 +599,9 @@ class GridBPLocalizer(Localizer):
     ) -> np.ndarray:
         """Log node potentials ``(n_unknown, K)``: prior × anchor evidence.
 
-        Built in whole-array passes: the anchor fields (distances,
-        detection and negative-evidence rows) once per problem as
+        Built in whole-array passes: the prior's rows in one
+        :meth:`PositionPrior.grid_weight_rows` gather, the anchor fields
+        (distances, detection and negative-evidence rows) once per problem as
         ``(n_anchor, K)`` stacks, every anchor link's potential in one
         ``(links, K)`` slab (:func:`ranging_potential_rows`,
         :func:`anchor_bearing_rows`), hop counts by one BFS from all
@@ -622,10 +623,7 @@ class GridBPLocalizer(Localizer):
             pd = radio.p_detect(anchor_d)
         log_tiny = np.log(1e-300)
 
-        log_phi = np.empty((len(u_idx), grid.n_cells))
-        for ui, u in enumerate(u_idx):
-            log_phi[ui] = prior.grid_weights(int(u), grid)
-        log_phi = np.log(np.maximum(log_phi, 1e-300))
+        log_phi = np.log(np.maximum(prior.grid_weight_rows(u_idx, grid), 1e-300))
         adj = ms.adjacency[u_idx][:, anchor_ids]
         if cfg.use_hop_bounds:
             hops = _anchor_hops(ms.adjacency, anchor_ids)[u_idx]

@@ -42,11 +42,9 @@ def healthy_belief_rows(beliefs: np.ndarray) -> np.ndarray:
     and the row carries positive total mass.
     """
     finite = np.isfinite(beliefs).all(axis=1)
-    nonneg = np.ones(len(beliefs), dtype=bool)
-    nonneg[finite] = (beliefs[finite] >= 0).all(axis=1)
-    mass = np.zeros(len(beliefs))
-    mass[finite] = beliefs[finite].sum(axis=1)
-    return finite & nonneg & (mass > 0)
+    # a non-finite row is already unhealthy; its NaN/inf sum is ignored
+    with np.errstate(invalid="ignore"):
+        return finite & (beliefs >= 0).all(axis=1) & (beliefs.sum(axis=1) > 0)
 
 
 def repair_nonfinite_messages(messages: np.ndarray) -> int:

@@ -45,6 +45,19 @@ class PositionPrior(ABC):
         w[finite] = np.exp(logd[finite] - logd[finite].max())
         return w / w.sum()
 
+    def grid_weight_rows(self, nodes, grid: "Grid2D") -> np.ndarray:
+        """``(len(nodes), K)`` block of :meth:`grid_weights` rows, one per
+        node of *nodes* in order.
+
+        Default implementation calls :meth:`grid_weights` per node;
+        priors that already hold their rows as a block override it with
+        one gather.
+        """
+        out = np.empty((len(nodes), grid.n_cells))
+        for i, node in enumerate(nodes):
+            out[i] = self.grid_weights(int(node), grid)
+        return out
+
     def sample(self, node: int, n: int, grid: "Grid2D", rng: RNGLike = None) -> np.ndarray:
         """Draw *n* positions approximately from the prior.
 

@@ -7,12 +7,26 @@ prior) and coarse-to-fine multi-resolution solving (coarse posterior →
 fine prior).  Evaluation on a different grid resolution works by
 nearest-cell lookup on the source grid, optionally smoothed by a Gaussian
 diffusion kernel (used by the tracker as its motion model).
+
+Layout: the prior holds its beliefs as one C-contiguous ``(N, K)``
+weight block, one row per node that has a belief, plus a node → row
+index.  Validation, normalization and the floor run as row-wise passes
+over the whole block; :attr:`GridBeliefPrior.weights` is a read-only
+``{node: row view}`` mapping over it, and
+:meth:`GridBeliefPrior.grid_weight_rows` hands a solver all its rows in
+one gather.  A row-wise ``sum`` or division over a C-contiguous block is
+bit-equal to the same operation on each row alone, so a block prior is
+bit-identical to one built vector by vector.  The diffusion is the
+exception: the block product ``(kernel @ W.T).T`` sums in a different
+order than the matvec ``kernel @ w`` (differences up to ~5e-14 at
+K = 144), so it stays one matvec per row.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Mapping
+from collections.abc import Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -60,16 +74,68 @@ def diffusion_kernel(grid: "Grid2D", sigma: float) -> np.ndarray:
     return kernel
 
 
+class _Rows(Mapping):
+    """Read-only ``{node: row view}`` mapping over a prior's block."""
+
+    __slots__ = ("block", "index")
+
+    def __init__(self, block: np.ndarray, index: dict[int, int]) -> None:
+        self.block = block
+        self.index = index
+
+    def __getitem__(self, node) -> np.ndarray:
+        return self.block[self.index[int(node)]]
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
+def _stack(beliefs: Mapping, n_cells: int) -> tuple[dict[int, int], np.ndarray]:
+    """Node → row index and the ``(N, K)`` float64 block of *beliefs*."""
+    if isinstance(beliefs, _Rows) and beliefs.block.shape[1] == n_cells:
+        # another prior's rows: already a block
+        return beliefs.index, beliefs.block
+    index = {int(node): i for i, node in enumerate(beliefs)}
+    if len(index) != len(beliefs):
+        raise ValueError("belief node ids must be distinct integers")
+    if not index:
+        return index, np.empty((0, n_cells))
+    try:
+        block = np.array(list(beliefs.values()), dtype=np.float64)
+    except ValueError:  # ragged rows; named below
+        block = None
+    if block is None or block.shape != (len(index), n_cells):
+        for node, b in zip(index, beliefs.values()):
+            if np.shape(b) != (n_cells,):
+                raise ValueError(
+                    f"belief for node {node} has shape {np.shape(b)}, "
+                    f"expected ({n_cells},)"
+                )
+    return index, block
+
+
 class GridBeliefPrior(PositionPrior):
     """Per-node priors given by belief vectors over a source grid.
+
+    The beliefs live in one read-only ``(N, K)`` block (:attr:`block`),
+    row ``index[node]`` for each node; :attr:`weights` views it as
+    ``{node: (K,) row}``.  Each row is the node's belief normalized,
+    optionally diffused (one ``kernel @ w`` matvec per row, see the
+    module docstring) and re-normalized, then mixed with the floor.
 
     Parameters
     ----------
     grid:
         The grid the belief vectors are defined on.
     beliefs:
-        ``{node_id: (K,) probability vector}``; nodes without an entry get
-        a flat prior.
+        ``{node_id: (K,) probability vector}`` (or another prior's
+        :attr:`weights`); nodes without an entry get a flat prior.  Every
+        vector must be finite and non-negative with positive mass
+        (:func:`repro.core.health.healthy_belief_rows`); otherwise a
+        ``ValueError`` names the first node whose vector is not.
     diffusion_sigma:
         If positive, each belief is pre-convolved with an isotropic
         Gaussian of this σ (a bounded-displacement motion model, or a
@@ -87,6 +153,9 @@ class GridBeliefPrior(PositionPrior):
         diffusion_sigma: float = 0.0,
         floor: float = 1e-6,
     ) -> None:
+        # imported here: repro.core imports this module at package init
+        from repro.core.health import healthy_belief_rows
+
         if diffusion_sigma < 0:
             raise ValueError("diffusion_sigma must be non-negative")
         if not (0 <= floor < 1):
@@ -94,41 +163,60 @@ class GridBeliefPrior(PositionPrior):
         self.grid = grid
         self.diffusion_sigma = float(diffusion_sigma)
         self.floor = float(floor)
-        kernel = None
+        index, w = _stack(beliefs, grid.n_cells)
+        healthy = healthy_belief_rows(w)
+        if not healthy.all():
+            node = list(index)[np.flatnonzero(~healthy)[0]]
+            raise ValueError(
+                f"belief for node {node} is not a probability vector "
+                "(needs finite, non-negative entries with positive mass)"
+            )
+        w = w / w.sum(axis=1, keepdims=True)
         if self.diffusion_sigma > 0:
             kernel = diffusion_kernel(grid, self.diffusion_sigma)
-        self.weights: dict[int, np.ndarray] = {}
-        uniform = 1.0 / grid.n_cells
-        for node, b in beliefs.items():
-            w = np.asarray(b, dtype=np.float64)
-            if w.shape != (grid.n_cells,):
-                raise ValueError(
-                    f"belief for node {node} has shape {w.shape}, "
-                    f"expected ({grid.n_cells},)"
-                )
-            if w.sum() <= 0:
-                raise ValueError(f"belief for node {node} has zero mass")
-            w = w / w.sum()
-            if kernel is not None:
-                w = kernel @ w
-                w = w / w.sum()
-            if self.floor > 0:
-                w = (1 - self.floor) * w + self.floor * uniform
-            self.weights[int(node)] = w
+            diffused = np.empty_like(w)
+            for i in range(len(w)):
+                np.dot(kernel, w[i], out=diffused[i])  # the kernel @ w gemv
+            w = diffused
+            w /= w.sum(axis=1, keepdims=True)
+        if self.floor > 0:
+            w *= 1 - self.floor
+            w += self.floor * (1.0 / grid.n_cells)
+        w.flags.writeable = False
+        #: ``(N, K)`` weight block, one read-only row per node with a belief
+        self.block = w
+        #: node → row of :attr:`block`
+        self.index = index
+
+    @property
+    def weights(self) -> Mapping[int, np.ndarray]:
+        """Read-only ``{node: (K,) row view of block}`` mapping."""
+        return _Rows(self.block, self.index)
+
+    def row_index(self, nodes) -> np.ndarray:
+        """Row of :attr:`block` for each of *nodes* (``-1``: no belief)."""
+        get = self.index.get
+        return np.fromiter(
+            (get(int(u), -1) for u in nodes), dtype=np.intp, count=len(nodes)
+        )
+
+    def _same_grid(self, grid: "Grid2D") -> bool:
+        return grid.n_cells == self.grid.n_cells and grid.nx == self.grid.nx
 
     def log_density(self, node: int, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
-        w = self.weights.get(int(node))
-        if w is None:
+        row = self.index.get(int(node))
+        if row is None:
             return np.zeros(len(pts))
         cells = self.grid.cell_of(pts)
-        return safe_log(w[cells])
+        return safe_log(self.block[row][cells])
 
     def grid_weights(self, node: int, grid: "Grid2D") -> np.ndarray:
-        w = self.weights.get(int(node))
-        if w is None:
+        row = self.index.get(int(node))
+        if row is None:
             return np.full(grid.n_cells, 1.0 / grid.n_cells)
-        if grid.n_cells == self.grid.n_cells and grid.nx == self.grid.nx:
+        w = self.block[row]
+        if self._same_grid(grid):
             return w
         # Cross-resolution transfer: evaluate at the target cell centers.
         out = w[self.grid.cell_of(grid.centers)]
@@ -136,3 +224,17 @@ class GridBeliefPrior(PositionPrior):
         if total <= 0:  # pragma: no cover - floor prevents this
             return np.full(grid.n_cells, 1.0 / grid.n_cells)
         return out / total
+
+    def grid_weight_rows(self, nodes, grid: "Grid2D") -> np.ndarray:
+        """All of *nodes*' rows in one gather from :attr:`block` (uniform
+        rows for nodes without a belief); cross-resolution grids take the
+        per-node :meth:`grid_weights` path."""
+        if not self._same_grid(grid):
+            return super().grid_weight_rows(nodes, grid)
+        rows = self.row_index(nodes)
+        have = rows >= 0
+        if have.all():
+            return self.block[rows]
+        out = np.full((len(rows), grid.n_cells), 1.0 / grid.n_cells)
+        out[have] = self.block[rows[have]]
+        return out

@@ -119,6 +119,16 @@ class StreamConfig:
         return max(64, 3 * n_networks)
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a short 1-D array, bit-equal to it (the mean of
+    the two middle values for an even length), without its overhead."""
+    s = np.sort(values)
+    m = len(s) // 2
+    if len(s) % 2:
+        return float(s[m])
+    return float((s[m - 1] + s[m]) / 2)
+
+
 class NetworkState:
     """Watermark, reorder buffer, and warm-start state of one network."""
 
@@ -181,6 +191,14 @@ class StreamRuntime:
             self.config.width,
             self.config.height,
         )
+        # Same geometry, but nothing ever caches a (K, K) matrix on it:
+        # the grid every wire prior carries (see _wire_prior).
+        self._wire_grid = Grid2D(
+            self.config.grid_size,
+            self.config.grid_size,
+            self.config.width,
+            self.config.height,
+        )
         self._warm_cfg = GridBPConfig(
             grid_size=self.config.grid_size,
             max_iterations=self.config.warm_iterations,
@@ -212,22 +230,25 @@ class StreamRuntime:
         )
 
     def _coast_prior(self, state: NetworkState) -> None:
-        """Advance the prior through the motion model with no evidence."""
+        """Advance the prior through the motion model with no evidence
+        (its block goes straight back through the diffusion)."""
         if state.prior is not None:
             state.prior = self._diffuse(state.prior.weights)
 
     def _wire_prior(self, prior: GridBeliefPrior | None):
-        """Pipe-light copy of a prior: fresh grid (no cached (K, K)
-        pairwise matrix rides the pickle), diffusion already applied."""
+        """Pipe-light copy of a prior, sent with each warm item.
+
+        Its grid is the runtime's ``_wire_grid``, built once: same
+        geometry as ``_grid`` but never asked for its ``(K, K)`` pairwise
+        matrix, so no such matrix rides the pickle to a pool worker.  The
+        rows are the prior's block (reused, not restacked) re-normalized
+        in one division, diffusion and floor already applied.
+        """
         if prior is None:
             return None
-        light = Grid2D(
-            self.config.grid_size,
-            self.config.grid_size,
-            self.config.width,
-            self.config.height,
+        return GridBeliefPrior(
+            self._wire_grid, prior.weights, diffusion_sigma=0.0, floor=0.0
         )
-        return GridBeliefPrior(light, prior.weights, diffusion_sigma=0.0, floor=0.0)
 
     def _key(self, network_id: int, step: int) -> str:
         return f"{network_id}:{step}"
@@ -328,17 +349,24 @@ class StreamRuntime:
             unknown_ids = np.flatnonzero(~anchors)
         else:
             unknown_ids = np.arange(n)
-        for node in unknown_ids:
-            w = state.prior.weights.get(int(node)) if state.prior is not None else None
-            if w is not None:
-                estimates[node] = self._grid.expectation(w)
-            elif state.last_estimates is not None and np.isfinite(
-                state.last_estimates[node]
-            ).all():
-                estimates[node] = state.last_estimates[node]
+        localized[unknown_ids] = True
+        # Nodes with a prior row: the prior mean, all rows in one pass.
+        rows = (
+            state.prior.row_index(unknown_ids)
+            if state.prior is not None
+            else np.full(len(unknown_ids), -1)
+        )
+        have = rows >= 0
+        if have.any():
+            estimates[unknown_ids[have]] = self._grid.moments(
+                state.prior.block[rows[have]]
+            )[0]
+        last = state.last_estimates
+        for node in unknown_ids[~have]:
+            if last is not None and np.isfinite(last[node]).all():
+                estimates[node] = last[node]
             else:
                 estimates[node] = center
-            localized[node] = True
         return estimates, localized
 
     # ------------------------------------------------------------------ #
@@ -380,7 +408,7 @@ class StreamRuntime:
                 jumps = np.linalg.norm(est[both] - prev[both], axis=1)
                 gap = max(epoch.step - state.last_solved_step, 1)
                 limit = self.config.jump_guard_radii * ms.radio_range * gap
-                if float(np.median(jumps)) > limit:
+                if _median(jumps) > limit:
                     return "guard"
         return "ok"
 

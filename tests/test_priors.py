@@ -10,12 +10,15 @@ from repro.network.deployment import CShapeDeployment, GaussianClusterDeployment
 from repro.priors import (
     DeploymentPrior,
     GaussianPrior,
+    GridBeliefPrior,
     MixturePrior,
     PerNodePrior,
+    PositionPrior,
     ProductPrior,
     RegionPrior,
     UniformPrior,
     combine,
+    diffusion_kernel,
 )
 
 GRID = Grid2D(15, 15)
@@ -222,3 +225,206 @@ class TestSampling:
         np.testing.assert_array_equal(
             prior.sample(0, 50, GRID, rng=4), prior.sample(0, 50, GRID, rng=4)
         )
+
+
+# ---------------------------------------------------------------------- #
+# GridBeliefPrior as one (N, K) block
+# ---------------------------------------------------------------------- #
+class _PerVectorBeliefPrior(PositionPrior):
+    """Per-vector reference for :class:`GridBeliefPrior`: each belief is
+    normalized, diffused, re-normalized and floored on its own, and the
+    solver reads it through the default per-node ``grid_weight_rows``."""
+
+    def __init__(self, grid, beliefs, diffusion_sigma=0.0, floor=1e-6):
+        self.grid = grid
+        self.diffusion_sigma = float(diffusion_sigma)
+        self.floor = float(floor)
+        kernel = diffusion_kernel(grid, diffusion_sigma) if diffusion_sigma > 0 else None
+        self.weights = {}
+        for node, b in beliefs.items():
+            w = np.asarray(b, dtype=np.float64)
+            w = w / w.sum()
+            if kernel is not None:
+                w = kernel @ w
+                w = w / w.sum()
+            if floor > 0:
+                w = (1 - floor) * w + floor * (1.0 / grid.n_cells)
+            self.weights[int(node)] = w
+
+    def log_density(self, node, points):
+        w = self.weights.get(int(node))
+        if w is None:
+            return np.zeros(len(points))
+        return np.log(np.maximum(w[self.grid.cell_of(points)], 1e-300))
+
+    def grid_weights(self, node, grid):
+        w = self.weights.get(int(node))
+        if w is None:
+            return np.full(grid.n_cells, 1.0 / grid.n_cells)
+        if grid.n_cells == self.grid.n_cells and grid.nx == self.grid.nx:
+            return w
+        out = w[self.grid.cell_of(grid.centers)]
+        return out / out.sum()
+
+
+def _random_beliefs(grid, nodes, seed):
+    gen = np.random.default_rng(seed)
+    out = {}
+    for node in nodes:
+        w = gen.random(grid.n_cells) ** 4  # spiky, with near-zero cells
+        w[gen.integers(grid.n_cells, size=3)] = 0.0  # exact zeros too
+        out[node] = w
+    return out
+
+
+class TestGridBeliefPriorBlock:
+    @pytest.mark.parametrize("grid", [Grid2D(12, 12), Grid2D(5, 7, 1.0, 1.4)])
+    @pytest.mark.parametrize("sigma", [0.0, 0.07])
+    @pytest.mark.parametrize("floor", [0.0, 1e-6, 1e-3])
+    def test_block_equals_per_vector_reference(self, grid, sigma, floor):
+        beliefs = _random_beliefs(grid, [4, 0, 9, 2, 7], seed=3)
+        prior = GridBeliefPrior(grid, beliefs, diffusion_sigma=sigma, floor=floor)
+        ref = _PerVectorBeliefPrior(grid, beliefs, diffusion_sigma=sigma, floor=floor)
+        assert prior.block.shape == (5, grid.n_cells)
+        assert prior.block.flags.c_contiguous
+        np.testing.assert_array_equal(
+            prior.block, np.stack([ref.weights[n] for n in beliefs])
+        )
+        assert list(prior.weights) == list(beliefs)
+        for node in beliefs:
+            np.testing.assert_array_equal(prior.weights[node], ref.weights[node])
+            np.testing.assert_array_equal(
+                prior.grid_weights(node, grid), ref.grid_weights(node, grid)
+            )
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.07])
+    def test_rows_gather_and_missing_nodes_are_uniform(self, sigma):
+        grid = Grid2D(12, 12)
+        beliefs = _random_beliefs(grid, [1, 3, 5], seed=8)
+        prior = GridBeliefPrior(grid, beliefs, diffusion_sigma=sigma)
+        ref = _PerVectorBeliefPrior(grid, beliefs, diffusion_sigma=sigma)
+        nodes = np.array([5, 0, 3, 4, 1])  # 0 and 4 have no row
+        np.testing.assert_array_equal(prior.row_index(nodes), [2, -1, 1, -1, 0])
+        rows = prior.grid_weight_rows(nodes, grid)
+        np.testing.assert_array_equal(rows, ref.grid_weight_rows(nodes, grid))
+        np.testing.assert_array_equal(rows[1], np.full(grid.n_cells, 1.0 / grid.n_cells))
+        # an empty prior gathers all-uniform rows
+        empty = GridBeliefPrior(grid, {})
+        assert empty.block.shape == (0, grid.n_cells)
+        np.testing.assert_array_equal(
+            empty.grid_weight_rows(nodes, grid),
+            np.full((5, grid.n_cells), 1.0 / grid.n_cells),
+        )
+
+    def test_cross_resolution_matches_reference(self):
+        coarse, fine = Grid2D(8, 8), Grid2D(16, 16)
+        beliefs = _random_beliefs(coarse, [0, 2], seed=5)
+        prior = GridBeliefPrior(coarse, beliefs, diffusion_sigma=0.1, floor=1e-4)
+        ref = _PerVectorBeliefPrior(coarse, beliefs, diffusion_sigma=0.1, floor=1e-4)
+        nodes = [2, 1, 0]
+        for node in nodes:
+            np.testing.assert_array_equal(
+                prior.grid_weights(node, fine), ref.grid_weights(node, fine)
+            )
+        np.testing.assert_array_equal(
+            prior.grid_weight_rows(nodes, fine), ref.grid_weight_rows(nodes, fine)
+        )
+
+    def test_rediffusing_a_prior_uses_its_block(self):
+        # what a coasting stream step does: the prior's own rows go back
+        # through the diffusion, bit-identical to a dict of copies
+        grid = Grid2D(12, 12)
+        first = GridBeliefPrior(grid, _random_beliefs(grid, [6, 2], seed=1), 0.05)
+        again = GridBeliefPrior(grid, first.weights, diffusion_sigma=0.05)
+        copies = {n: np.array(w) for n, w in first.weights.items()}
+        np.testing.assert_array_equal(
+            again.block, GridBeliefPrior(grid, copies, diffusion_sigma=0.05).block
+        )
+
+    def test_weights_are_read_only_row_views(self):
+        grid = Grid2D(6, 6)
+        prior = GridBeliefPrior(grid, _random_beliefs(grid, [1, 4], seed=0))
+        row = prior.weights[4]
+        assert np.shares_memory(row, prior.block)
+        assert len(prior.weights) == 2 and 4 in prior.weights and 2 not in prior.weights
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+        with pytest.raises(TypeError):
+            prior.weights[4] = row  # type: ignore[index]
+
+    def test_shape_error_names_the_node(self):
+        grid = Grid2D(6, 6)
+        good = np.ones(grid.n_cells)
+        with pytest.raises(ValueError, match="node 3 has shape"):
+            GridBeliefPrior(grid, {1: good, 3: np.ones(5)})
+        with pytest.raises(ValueError, match="node 3 has shape"):
+            GridBeliefPrior(grid, {1: good, 3: np.ones((grid.n_cells, 1))})
+        with pytest.raises(ValueError, match="node 1 has shape"):
+            GridBeliefPrior(grid, {1: np.ones(5), 3: np.ones(5)})
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda w: np.where(np.arange(w.size) == 3, np.nan, w),
+            lambda w: np.where(np.arange(w.size) == 3, np.inf, w),
+            lambda w: np.where(np.arange(w.size) == 3, -np.inf, w),
+            lambda w: np.where(np.arange(w.size) == 3, -0.5, w),
+            lambda w: np.zeros_like(w),
+        ],
+        ids=["nan", "inf", "neg-inf", "negative", "zero-mass"],
+    )
+    def test_corrupt_belief_is_rejected_naming_the_first_bad_node(self, corrupt):
+        grid = Grid2D(6, 6)
+        w = np.full(grid.n_cells, 1.0)
+        beliefs = {0: w, 7: corrupt(w), 9: corrupt(w)}
+        with pytest.raises(ValueError, match="node 7 is not a probability vector"):
+            GridBeliefPrior(grid, beliefs, diffusion_sigma=0.1)
+
+
+class TestBeliefPriorConsumersUnchanged:
+    """Tracking and multi-resolution output with the block prior equals
+    the output with the per-vector reference prior swapped in."""
+
+    def _ms(self, seed):
+        from repro.measurement import GaussianRanging, observe
+        from repro.network import NetworkConfig, UnitDiskRadio, generate_network
+
+        net = generate_network(
+            NetworkConfig(n_nodes=30, anchor_ratio=0.25, radio=UnitDiskRadio(0.35)),
+            rng=seed,
+        )
+        return observe(net, GaussianRanging(0.03), np.random.default_rng(seed + 1))
+
+    def test_multires(self, monkeypatch):
+        import repro.core.multires as multires
+
+        ms = self._ms(4)
+        block = multires.MultiResolutionLocalizer(levels=(6, 12)).localize(ms, 0)
+        monkeypatch.setattr(multires, "GridBeliefPrior", _PerVectorBeliefPrior)
+        ref = multires.MultiResolutionLocalizer(levels=(6, 12)).localize(ms, 0)
+        np.testing.assert_array_equal(block.estimates, ref.estimates)
+
+    def test_sequential_tracker(self, monkeypatch):
+        import repro.mobility.tracking as tracking
+        from repro.core.bnloc import GridBPConfig
+        from repro.measurement import GaussianRanging
+        from repro.network import UnitDiskRadio
+
+        ms = self._ms(6)
+
+        def run():
+            tracker = tracking.SequentialGridTracker(
+                UnitDiskRadio(0.35), GaussianRanging(0.03), motion_sigma=0.04,
+                config=GridBPConfig(grid_size=10, max_iterations=4),
+            )
+            prior, out = None, []
+            for t in range(3):
+                result, prior = tracker.step(ms, prior, t)
+                out.append(result.estimates)
+            return np.stack(out), np.stack(list(prior.weights.values()))
+
+        block = run()
+        monkeypatch.setattr(tracking, "GridBeliefPrior", _PerVectorBeliefPrior)
+        ref = run()
+        np.testing.assert_array_equal(block[0], ref[0])
+        np.testing.assert_array_equal(block[1], ref[1])

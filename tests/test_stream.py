@@ -57,6 +57,7 @@ from repro.stream import (
     fleet_events,
     run_stream,
 )
+from repro.stream.runtime import _median
 
 pytestmark = pytest.mark.stream
 
@@ -339,6 +340,26 @@ class TestDivergenceGuard:
         assert result.lost_networks == []
 
 
+class TestGuardMedian:
+    """The guard's median is bit-equal to ``np.median``."""
+
+    _VALUES = st.one_of(
+        st.floats(0.0, 1e3, allow_nan=False),
+        st.sampled_from([0.0, 0.05, 0.125, 1.0]),  # ties
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), half=st.integers(0, 19), odd=st.booleans())
+    def test_bit_equal_to_numpy_median(self, data, half, odd):
+        n = 2 * half + 1 if odd else 2 * half + 2
+        values = np.array(
+            data.draw(st.lists(self._VALUES, min_size=n, max_size=n))
+        )
+        got = _median(values)
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == np.float64(np.median(values)).tobytes()
+
+
 # ---------------------------------------------------------------------- #
 # per-network failure isolation
 # ---------------------------------------------------------------------- #
@@ -417,6 +438,192 @@ class TestFailureIsolation:
         # the healthy networks are untouched by network 0's faults
         for nid in (1, 2):
             assert np.isfinite(result.networks[nid].estimates).all()
+
+
+# ---------------------------------------------------------------------- #
+# coasted, shed and failed estimates, and the prior's routing
+# ---------------------------------------------------------------------- #
+def _per_node_coast(runtime, state):
+    """Per-node reference for coasted/shed estimates: the prior mean of a
+    node with a prior row, else its last finite estimate, else the field
+    centre."""
+    n = state.n_nodes if state.n_nodes is not None else runtime._default_n_nodes
+    est = np.full((n, 2), np.nan)
+    center = np.array([runtime.config.width / 2.0, runtime.config.height / 2.0])
+    if state.anchor_mask is not None and state.last_anchor_full is not None:
+        est[state.anchor_mask] = state.last_anchor_full[state.anchor_mask]
+        unknown = np.flatnonzero(~state.anchor_mask)
+    else:
+        unknown = np.arange(n)
+    for node in unknown:
+        w = state.prior.weights.get(int(node)) if state.prior is not None else None
+        if w is not None:
+            est[node] = runtime._grid.expectation(w)
+        elif state.last_estimates is not None and np.isfinite(
+            state.last_estimates[node]
+        ).all():
+            est[node] = state.last_estimates[node]
+        else:
+            est[node] = center
+    return est
+
+
+def _per_node_fallback(runtime, state, ms):
+    """Per-node reference for a failed epoch: centroid of the heard
+    anchors, else the prior mean, else the field centre."""
+    est = np.full((ms.n_nodes, 2), np.nan)
+    est[ms.anchor_mask] = ms.anchor_positions_full[ms.anchor_mask]
+    grid = runtime._grid
+    for node in np.flatnonzero(~ms.anchor_mask):
+        heard = [a for a in ms.anchor_ids if ms.adjacency[node, a]]
+        if heard:
+            est[node] = ms.anchor_positions_full[heard].mean(axis=0)
+        elif state.prior is not None:
+            est[node] = state.prior.grid_weights(int(node), grid) @ grid.centers
+        else:
+            est[node] = [ms.width / 2.0, ms.height / 2.0]
+    return est
+
+
+class _FailEveryThird:
+    """Inline executor that fails every third item it is given."""
+
+    def __init__(self):
+        self.inner = InlineExecutor()
+        self.seen = 0
+
+    def solve(self, items):
+        payloads = self.inner.solve(items)
+        for i in range(len(payloads)):
+            if (self.seen + i) % 3 == 2:
+                payloads[i] = {"ok": False, "error": "injected"}
+        self.seen += len(payloads)
+        return payloads
+
+    def close(self):
+        pass
+
+    def snapshot(self):
+        return self.inner.snapshot()
+
+
+class _CheckedRuntime(StreamRuntime):
+    """Runtime that checks every coasted, shed and failed step against
+    the per-node references, computed from the state before the step."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checked: dict[str, int] = {}
+
+    def _tick(self, kind):
+        self.checked[kind] = self.checked.get(kind, 0) + 1
+
+    def _coast(self, state, kind):
+        step, want = state.next_step, _per_node_coast(self, state)
+        super()._coast(state, kind)
+        np.testing.assert_array_equal(state.steps[step]["estimates"], want)
+        self._tick(kind)
+
+    def _commit_failed(self, state, epoch, payload):
+        want = _per_node_fallback(self, state, epoch.measurements)
+        super()._commit_failed(state, epoch, payload)
+        np.testing.assert_array_equal(state.steps[epoch.step]["estimates"], want)
+        self._tick("failed")
+
+
+class TestCoastEstimates:
+    def test_block_pass_matches_per_node_formula(self):
+        runtime = StreamRuntime(STREAM)
+        state = runtime._state(0)
+        k = runtime._grid.n_cells
+        gen = np.random.default_rng(4)
+        state.n_nodes = 10
+        state.anchor_mask = np.zeros(10, dtype=bool)
+        state.anchor_mask[[0, 5]] = True
+        state.last_anchor_full = gen.random((10, 2))
+        # nodes 1, 4, 8 have prior rows; 2 and 7 only a last estimate;
+        # 3, 6, 9 neither (NaN last estimate) -> field centre
+        state.prior = GridBeliefPrior(
+            runtime._grid, {n: gen.random(k) ** 3 for n in (8, 1, 4)},
+            diffusion_sigma=STREAM.motion_sigma,
+        )
+        state.last_estimates = gen.random((10, 2))
+        state.last_estimates[[3, 6, 9]] = np.nan
+        est, localized = runtime._coast_estimates(state)
+        np.testing.assert_array_equal(est, _per_node_coast(runtime, state))
+        assert localized.all()
+        # no prior and no anchor record: last estimates, then the centre
+        state.prior = None
+        state.anchor_mask = None
+        est, _ = runtime._coast_estimates(state)
+        np.testing.assert_array_equal(est, _per_node_coast(runtime, state))
+
+    def test_coasted_shed_and_failed_steps_match_per_node_formulas(self):
+        fleet = dataclasses.replace(FLEET, n_networks=4, n_steps=10)
+        stream = dataclasses.replace(STREAM, reorder_window=3, max_ready_burst=1)
+        events, _ = StreamDisruption(
+            late_rate=0.3, duplicate_rate=0.1, drop_rate=0.2, max_lag=6, seed=5
+        ).apply(fleet_events(fleet))
+        runtime = _CheckedRuntime(
+            stream, executor=_FailEveryThird(), expected_networks=fleet.n_networks
+        )
+        result = runtime.run(
+            events, final_step=fleet.n_steps,
+            network_ids=range(fleet.n_networks), n_nodes=fleet.n_nodes,
+        )
+        assert result.lost_networks == []
+        for kind in ("coasted", "shed", "failed"):
+            assert runtime.checked.get(kind, 0) > 0, runtime.checked
+
+
+@pytest.mark.perf
+class TestBeliefPriorRouting:
+    """The warm path reads the prior as one block: the node potentials
+    gather every row at once and the wire copy reuses one grid."""
+
+    def _warm(self):
+        runtime = StreamRuntime(STREAM, expected_networks=FLEET.n_networks)
+        epoch = fleet_events(FLEET)[0]
+        state = runtime._state(epoch.network_id)
+        k = runtime._grid.n_cells
+        gen = np.random.default_rng(0)
+        state.prior = GridBeliefPrior(
+            runtime._grid,
+            {n: gen.random(k) for n in range(epoch.measurements.n_nodes)},
+            diffusion_sigma=STREAM.motion_sigma,
+        )
+        return runtime, state, epoch
+
+    def test_node_potentials_make_no_grid_weights_calls(self, monkeypatch):
+        runtime, state, epoch = self._warm()
+        calls = []
+        original = GridBeliefPrior.grid_weights
+
+        def counted(self, node, grid):
+            calls.append(node)
+            return original(self, node, grid)
+
+        monkeypatch.setattr(GridBeliefPrior, "grid_weights", counted)
+        (payload,) = InlineExecutor().solve([runtime._item(state, epoch, warm=True)])
+        assert payload["ok"]
+        assert calls == []
+
+    def test_wire_prior_builds_no_grid_per_item(self, monkeypatch):
+        import repro.stream.runtime as stream_runtime
+
+        runtime, state, _ = self._warm()
+        built = []
+
+        class CountedGrid(Grid2D):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(stream_runtime, "Grid2D", CountedGrid)
+        wires = [runtime._wire_prior(state.prior) for _ in range(4)]
+        assert built == []
+        assert all(w.grid is wires[0].grid for w in wires)
+        assert wires[0].grid is not runtime._grid
 
 
 # ---------------------------------------------------------------------- #
@@ -741,6 +948,43 @@ class TestPoolExecutor:
         assert pooled.lost_networks == []
         # n_workers (and worker death) is a pure throughput knob
         _assert_same_results(pooled, inline)
+
+    def test_wire_prior_is_pipe_light_and_pool_payloads_match_inline(self):
+        runtime = StreamRuntime(STREAM, expected_networks=FLEET.n_networks)
+        events = fleet_events(FLEET)
+        for epoch in (e for e in events if e.step == 0):
+            runtime.ingest(epoch)
+        runtime._drain(force=True)
+        # the runtime's own grid has its (K, K) matrix cached ...
+        runtime._grid.pairwise_center_distances()
+        assert runtime._grid._pairwise is not None
+        items = [
+            runtime._item(runtime._states[e.network_id], e, warm=True)
+            for e in events
+            if e.step == 1
+        ]
+        # ... but no wire prior carries one to the workers
+        for item in items:
+            assert item["prior"] is not None
+            assert item["prior"].grid._pairwise is None
+        inline = InlineExecutor().solve(items)
+        pool = PoolExecutor(
+            dataclasses.replace(STREAM, n_workers=1, worker_timeout_s=60.0)
+        )
+        try:
+            pooled = pool.solve(items)
+        finally:
+            pool.close()
+        assert len(pooled) == len(inline)
+        for a, b in zip(pooled, inline):
+            assert a.keys() == b.keys()
+            for key in a:
+                if key == "beliefs":
+                    assert list(a[key]) == list(b[key])
+                    for node in a[key]:
+                        np.testing.assert_array_equal(a[key][node], b[key][node])
+                else:
+                    np.testing.assert_array_equal(a[key], b[key])
 
 
 # ---------------------------------------------------------------------- #
