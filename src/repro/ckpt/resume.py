@@ -4,11 +4,11 @@ A :class:`Checkpoint` wraps one ledger file for one logical run: opening
 it replays every durable trial record, recording appends (and fsyncs) a
 new one, and the header's ``meta`` dict pins the run identity so a ledger
 cannot silently be resumed against a different sweep.  Entry points
-(``run_trials_resilient``, ``evaluate_methods[_parallel]``, ``run_sweep``)
-consult :meth:`Checkpoint.get` per cell and skip the finished ones; the
-missing cells run on the same deterministically derived child seeds they
-would have used in an uninterrupted run, which is what makes a resumed
-run bit-identical to one that never died.
+(``evaluate_methods``, ``run_sweep``) consult :meth:`Checkpoint.get` per
+cell and skip the finished ones; the missing cells run on the same
+deterministically derived child seeds they would have used in an
+uninterrupted run, which is what makes a resumed run bit-identical to
+one that never died.
 
 :func:`trap_signals` converts ``SIGTERM`` (and optionally others) into
 ``KeyboardInterrupt`` inside a ``with`` block, so the normal

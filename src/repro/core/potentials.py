@@ -529,8 +529,8 @@ def _fingerprint(obj) -> tuple | None:
 class PotentialCacheRegistry:
     """Process-level store of potential caches shared across solver runs.
 
-    Monte-Carlo sweeps (:func:`repro.parallel.run_trials` and the
-    resilient variant) run hundreds of trials over the *same* grid
+    Monte-Carlo sweeps (:func:`repro.parallel.run_trials`) run hundreds
+    of trials over the *same* grid
     geometry, ranging model, and radio — yet each
     :class:`~repro.core.bnloc.GridBPLocalizer` call used to rebuild its
     :class:`RangingPotentialCache` (and the grid's ``(K, K)`` center

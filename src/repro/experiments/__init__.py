@@ -16,7 +16,6 @@ from repro.experiments.runner import (
     MethodResult,
     SweepResult,
     evaluate_methods,
-    evaluate_methods_parallel,
     run_sweep,
     standard_methods,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "MethodResult",
     "SweepResult",
     "evaluate_methods",
-    "evaluate_methods_parallel",
     "run_sweep",
     "standard_methods",
     "sweep_table",

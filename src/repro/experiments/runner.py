@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import time
-from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -37,7 +36,6 @@ from repro.core.result import Localizer
 from repro.experiments.config import ScenarioConfig, build_scenario
 from repro.metrics.error import ErrorSummary, summarize_errors
 from repro.obs import NULL_TRACER, NullTracer
-from repro.parallel.pool import WarmPool
 from repro.priors.base import PositionPrior
 from repro.utils.rng import RNGLike, spawn_seeds
 
@@ -46,7 +44,6 @@ __all__ = [
     "SweepResult",
     "standard_methods",
     "evaluate_methods",
-    "evaluate_methods_parallel",
     "run_sweep",
 ]
 
@@ -319,9 +316,9 @@ def _json_safe(value):
     return value
 
 
-def _evaluate_meta(config, names, n_trials, seed, kind, extra) -> dict:
+def _evaluate_meta(config, names, n_trials, seed, extra) -> dict:
     meta = {
-        "kind": kind,
+        "kind": "evaluate",
         "config": config.to_dict(),
         "methods": list(names),
         "n_trials": int(n_trials),
@@ -394,9 +391,7 @@ def evaluate_methods(
     if checkpoint is not None:
         ck, owned = resolve_checkpoint(
             checkpoint,
-            lambda: _evaluate_meta(
-                config, names, n_trials, seed, "evaluate", checkpoint_meta
-            ),
+            lambda: _evaluate_meta(config, names, n_trials, seed, checkpoint_meta),
         )
     trap = trap_signals() if ck is not None else contextlib.nullcontext()
     try:
@@ -430,119 +425,6 @@ def evaluate_methods(
             if owned:
                 ck.close()
     return _collect(per_trial, methods)
-
-
-def _parallel_worker(args) -> dict:
-    """Module-level worker (picklable) for :func:`evaluate_methods_parallel`."""
-    config, method_names, std_kwargs, seed_int = args
-    methods = standard_methods(include=method_names, **std_kwargs)
-    return _run_one_trial(config, methods, np.random.SeedSequence(seed_int))
-
-
-def evaluate_methods_parallel(
-    config: ScenarioConfig,
-    method_names: Sequence[str],
-    n_trials: int,
-    seed: RNGLike = 0,
-    n_workers: int = 2,
-    grid_size: int = 20,
-    max_iterations: int = 15,
-    nbp_particles: int = 150,
-    mcmc_samples: int = 150,
-    tracer: NullTracer | None = None,
-    checkpoint=None,
-    checkpoint_meta: dict | None = None,
-) -> dict[str, MethodResult]:
-    """Multiprocess variant of :func:`evaluate_methods`.
-
-    Restricted to :func:`standard_methods` names (factories must be
-    reconstructable inside worker processes).  Trials carry independent
-    spawned integer seeds, so the result is identical for any
-    ``n_workers`` (scheduling order cannot matter) and reproducible from
-    the master seed.  A *tracer* times the batch from the coordinating
-    process only; workers run untraced (tracers do not cross process
-    boundaries — have the trial function export and return
-    ``Tracer.snapshot()`` dicts and combine them with
-    :func:`repro.obs.merge_traces` for per-worker telemetry).
-
-    Trials run one per call on a :class:`~repro.parallel.pool.WarmPool`.
-    With ``checkpoint=``, finished trials are durably recorded the moment
-    each one completes, so a killed run resumes from the last fsync'd
-    record with any worker count.  The ledger kind is
-    ``"evaluate-parallel"``: trial seed streams differ from
-    :func:`evaluate_methods`, so the two entry points never silently
-    resume each other's ledgers.  On any interruption — including a
-    trapped SIGTERM — the pool's workers are killed rather than orphaned.
-    """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    tracer = tracer if tracer is not None else NULL_TRACER
-    std_kwargs = {
-        "grid_size": grid_size,
-        "max_iterations": max_iterations,
-        "nbp_particles": nbp_particles,
-        "mcmc_samples": mcmc_samples,
-    }
-    names = list(method_names)
-    standard_methods(include=names, **std_kwargs)  # validate early
-    from repro.utils.rng import child_seed_ints
-
-    seeds = child_seed_ints(seed, n_trials)
-    args = [(config, names, std_kwargs, s) for s in seeds]
-
-    ck = None
-    owned = False
-    if checkpoint is not None:
-        extra = {"method_kwargs": dict(std_kwargs)}
-        extra.update(checkpoint_meta or {})
-        ck, owned = resolve_checkpoint(
-            checkpoint,
-            lambda: _evaluate_meta(
-                config, names, n_trials, seed, "evaluate-parallel", extra
-            ),
-        )
-    per_trial: list = [None] * n_trials
-    pending = list(range(n_trials))
-    if ck is not None:
-        pending = []
-        for i in range(n_trials):
-            trial = _replay_trial(ck, i, names)
-            if trial is None:
-                pending.append(i)
-            else:
-                per_trial[i] = trial
-
-    def _record(i: int, trial: dict) -> None:
-        if ck is not None:
-            ck.record(f"trial:{i}", {"result": encode_value(trial)})
-
-    trap = trap_signals() if ck is not None else contextlib.nullcontext()
-    try:
-        with tracer.timer("evaluate_parallel"), trap:
-            if n_workers == 1:
-                for i in pending:
-                    per_trial[i] = _parallel_worker(args[i])
-                    _record(i, per_trial[i])
-            elif pending:
-                with WarmPool(n_workers) as pool:
-                    running = {
-                        pool.submit(_parallel_worker, args[i]): i for i in pending
-                    }
-                    for fut in as_completed(running):
-                        i = running[fut]
-                        per_trial[i] = fut.result()
-                        _record(i, per_trial[i])
-    finally:
-        if ck is not None:
-            ck.emit_counters(tracer)
-            if owned:
-                ck.close()
-    if tracer.enabled:
-        tracer.count("trials", n_trials)
-        tracer.annotate("n_workers", n_workers)
-    return _collect(per_trial, names)
 
 
 @dataclass

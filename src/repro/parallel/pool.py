@@ -1,9 +1,7 @@
 """One warm, supervised pool of spawn worker processes.
 
 Every multiprocess path in the package runs here: Monte-Carlo trials
-(:func:`~repro.parallel.run_trials`, :func:`~repro.parallel.run_trials_resilient`,
-:func:`~repro.experiments.runner.evaluate_methods_parallel`), served
-localization batches (:class:`repro.serve.workers.WorkerPool`) and stream
+(:func:`~repro.parallel.run_trials`), served localization batches (:class:`repro.serve.workers.WorkerPool`) and stream
 shards (:class:`repro.stream.pool.PoolExecutor`).  Workers are long-lived
 (spawn context — each imports numpy/scipy once and keeps its potential
 caches warm across calls).  The parent talks to each over a duplex
@@ -83,13 +81,13 @@ def _backoff(
     """Exponential backoff with seeded, deterministic jitter.
 
     The jitter multiplier lies in ``[1, 1 + jitter)`` and is a pure
-    function of *token* — callers pass the retry attempt's child seed (or
-    the pool's replacement count), so a wave of retries after a
-    correlated failure fans out over distinct delays instead of
-    stampeding back in lockstep, while the exact same run replays the
-    exact same sleeps.  The trial seed streams themselves are untouched:
-    the jitter draw comes from a fresh :class:`~numpy.random.SeedSequence`
-    namespaced under :data:`_BACKOFF_JITTER_KEY`.
+    function of *token* — the pool passes its replacement count, so a
+    wave of replacements after a correlated failure fans out over
+    distinct delays instead of stampeding back in lockstep, while the
+    exact same run replays the exact same sleeps.  No trial seed stream
+    is touched: the jitter draw comes from a fresh
+    :class:`~numpy.random.SeedSequence` namespaced under
+    :data:`_BACKOFF_JITTER_KEY`.
     """
     delay = base * factor**attempt if base > 0 else 0.0
     if delay > 0.0 and jitter > 0.0 and token is not None:

@@ -53,6 +53,12 @@ class UniformPrior(PositionPrior):
         )
         return np.where(inside, 0.0, -np.inf)
 
+    def grid_weight_rows(self, nodes, grid) -> np.ndarray:
+        """Every node has the same row: build it once and repeat it."""
+        if len(nodes) == 0:
+            return np.empty((0, grid.n_cells))
+        return np.tile(self.grid_weights(int(nodes[0]), grid), (len(nodes), 1))
+
 
 class GaussianPrior(PositionPrior):
     """Isotropic Gaussian around a single known point (all nodes share it)."""

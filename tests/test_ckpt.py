@@ -42,13 +42,11 @@ from repro.ckpt.ledger import frame_record, parse_line
 from repro.experiments import ScenarioConfig
 from repro.experiments.runner import (
     evaluate_methods,
-    evaluate_methods_parallel,
     run_sweep,
     standard_methods,
 )
 from repro.metrics.error import ErrorSummary
 from repro.obs import Tracer
-from repro.parallel import run_trials_resilient
 
 pytestmark = pytest.mark.ckpt
 
@@ -401,107 +399,7 @@ class TestTrapSignals:
 
 
 # ---------------------------------------------------------------------- #
-# resume bit-identity: run_trials_resilient
-# ---------------------------------------------------------------------- #
-def _vec_trial(seed: int) -> np.ndarray:
-    """Picklable trial whose result exercises the ndarray codec."""
-    return np.random.default_rng(seed).normal(size=4)
-
-
-def _assert_batches_equal(a, b):
-    assert len(a.results) == len(b.results)
-    for x, y in zip(a.results, b.results):
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-    assert a.failures == b.failures
-
-
-class TestResumeTrials:
-    def test_serial_interrupt_resume_bit_identical(self, tmp_path):
-        reference = run_trials_resilient(_vec_trial, 4, seed=5)
-        path = tmp_path / "trials.jsonl"
-        with pytest.raises(CheckpointAbort):
-            run_trials_resilient(
-                _vec_trial, 4, seed=5, checkpoint=Checkpoint(path, abort_after=2)
-            )
-        assert read_ledger(path).n_records == 2
-        resumed = run_trials_resilient(_vec_trial, 4, seed=5, checkpoint=str(path))
-        _assert_batches_equal(resumed, reference)
-
-    def test_full_ledger_resume_is_noop(self, tmp_path):
-        path = tmp_path / "trials.jsonl"
-        run_trials_resilient(_vec_trial, 3, seed=5, checkpoint=str(path))
-        calls = []
-
-        def counting(seed):
-            calls.append(seed)
-            return _vec_trial(seed)
-
-        ck = Checkpoint(path)
-        resumed = run_trials_resilient(counting, 3, seed=5, checkpoint=ck)
-        assert calls == []  # zero trials re-ran
-        assert ck.n_recorded == 0 and ck.n_replayed == 3
-        _assert_batches_equal(
-            resumed, run_trials_resilient(_vec_trial, 3, seed=5)
-        )
-        ck.close()
-
-    def test_trial_error_mid_batch_keeps_ledger_resumable(self, tmp_path):
-        path = tmp_path / "trials.jsonl"
-        boom = []
-
-        def flaky(seed):
-            if not boom:
-                boom.append(seed)
-                raise KeyboardInterrupt("operator ^C")
-            return _vec_trial(seed)
-
-        with pytest.raises(KeyboardInterrupt):
-            run_trials_resilient(flaky, 3, seed=5, checkpoint=str(path))
-        # whatever completed before the interrupt is durable and resumable
-        resumed = run_trials_resilient(_vec_trial, 3, seed=5, checkpoint=str(path))
-        _assert_batches_equal(resumed, run_trials_resilient(_vec_trial, 3, seed=5))
-
-    def test_checkpoint_rejects_entropy_seed(self, tmp_path):
-        with pytest.raises(ValueError, match="reproducible master seed"):
-            run_trials_resilient(
-                _vec_trial, 2, seed=None, checkpoint=str(tmp_path / "l.jsonl")
-            )
-
-    def test_tracer_counters(self, tmp_path):
-        path = tmp_path / "trials.jsonl"
-        with pytest.raises(CheckpointAbort):
-            run_trials_resilient(
-                _vec_trial, 3, seed=5, checkpoint=Checkpoint(path, abort_after=1)
-            )
-        tracer = Tracer()
-        run_trials_resilient(_vec_trial, 3, seed=5, checkpoint=str(path), tracer=tracer)
-        counters = tracer.snapshot(include_timings=False)["counters"]
-        assert counters["ckpt_trials_replayed"] == 1
-        assert counters["ckpt_trials_recorded"] == 2
-
-    @pytest.mark.slow
-    def test_process_mode_interrupt_resume_bit_identical(self, tmp_path):
-        reference = run_trials_resilient(_vec_trial, 4, seed=5, n_workers=2)
-        path = tmp_path / "trials.jsonl"
-        with pytest.raises(CheckpointAbort):
-            run_trials_resilient(
-                _vec_trial,
-                4,
-                seed=5,
-                n_workers=2,
-                checkpoint=Checkpoint(path, abort_after=2),
-            )
-        resumed = run_trials_resilient(
-            _vec_trial, 4, seed=5, n_workers=2, checkpoint=str(path)
-        )
-        _assert_batches_equal(resumed, reference)
-        # and the process ledger replays into the serial runner identically
-        serial = run_trials_resilient(_vec_trial, 4, seed=5, checkpoint=str(path))
-        _assert_batches_equal(serial, reference)
-
-
-# ---------------------------------------------------------------------- #
-# resume bit-identity: evaluate_methods / evaluate_methods_parallel / sweep
+# resume bit-identity: evaluate_methods / sweep
 # ---------------------------------------------------------------------- #
 _CFG = ScenarioConfig(n_nodes=16, anchor_ratio=0.25, radio_range=0.45)
 _METHOD_KW = dict(grid_size=8, max_iterations=4, include=["bn-pk", "centroid"])
@@ -553,63 +451,6 @@ class TestResumeEvaluate:
             evaluate_methods(
                 _CFG.replace(noise_ratio=0.3), _methods(), 2, seed=3, checkpoint=str(path)
             )
-
-    def test_serial_and_parallel_ledgers_are_distinct_kinds(self, tmp_path):
-        # the two entry points derive child seeds differently, so their
-        # ledgers must never silently resume each other
-        path = tmp_path / "eval.jsonl"
-        evaluate_methods(_CFG, _methods(), 2, seed=3, checkpoint=str(path))
-        with pytest.raises(CheckpointMismatch, match="kind"):
-            evaluate_methods_parallel(
-                _CFG,
-                _METHOD_KW["include"],
-                2,
-                seed=3,
-                n_workers=1,
-                grid_size=_METHOD_KW["grid_size"],
-                max_iterations=_METHOD_KW["max_iterations"],
-                checkpoint=str(path),
-            )
-
-    def test_parallel_one_worker_interrupt_resume(self, tmp_path):
-        kwargs = dict(
-            n_workers=1,
-            grid_size=_METHOD_KW["grid_size"],
-            max_iterations=_METHOD_KW["max_iterations"],
-        )
-        names = _METHOD_KW["include"]
-        reference = evaluate_methods_parallel(_CFG, names, 2, seed=3, **kwargs)
-        path = tmp_path / "evalp.jsonl"
-        with pytest.raises(CheckpointAbort):
-            evaluate_methods_parallel(
-                _CFG, names, 2, seed=3,
-                checkpoint=Checkpoint(path, abort_after=1), **kwargs,
-            )
-        resumed = evaluate_methods_parallel(
-            _CFG, names, 2, seed=3, checkpoint=str(path), **kwargs
-        )
-        assert _flatten(resumed) == _flatten(reference)
-
-    @pytest.mark.slow
-    def test_parallel_pool_interrupt_resume(self, tmp_path):
-        kwargs = dict(
-            n_workers=2,
-            grid_size=_METHOD_KW["grid_size"],
-            max_iterations=_METHOD_KW["max_iterations"],
-        )
-        names = _METHOD_KW["include"]
-        reference = evaluate_methods_parallel(_CFG, names, 3, seed=3, **kwargs)
-        path = tmp_path / "evalp.jsonl"
-        with pytest.raises(CheckpointAbort):
-            evaluate_methods_parallel(
-                _CFG, names, 3, seed=3,
-                checkpoint=Checkpoint(path, abort_after=1), **kwargs,
-            )
-        assert read_ledger(path).n_records >= 1
-        resumed = evaluate_methods_parallel(
-            _CFG, names, 3, seed=3, checkpoint=str(path), **kwargs
-        )
-        assert _flatten(resumed) == _flatten(reference)
 
 
 class TestResumeSweep:

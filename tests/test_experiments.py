@@ -175,46 +175,3 @@ class TestReports:
         res = evaluate_methods(SMALL, FAST, n_trials=1, seed=0)
         out = methods_table(res)
         assert "mean/r" in out and "centroid" in out
-
-
-class TestParallelEvaluation:
-    def test_worker_counts_agree(self):
-        from repro.experiments import evaluate_methods_parallel
-
-        kwargs = dict(
-            method_names=["bn", "centroid"],
-            n_trials=3,
-            seed=4,
-            grid_size=10,
-            max_iterations=3,
-        )
-        serial = evaluate_methods_parallel(SMALL, n_workers=1, **kwargs)
-        parallel = evaluate_methods_parallel(SMALL, n_workers=2, **kwargs)
-        for name in kwargs["method_names"]:
-            assert serial[name].mean_error == parallel[name].mean_error
-            assert serial[name].summaries[0].mean == parallel[name].summaries[0].mean
-
-    def test_validates_method_names_early(self):
-        from repro.experiments import evaluate_methods_parallel
-
-        with pytest.raises(ValueError):
-            evaluate_methods_parallel(SMALL, ["oracle"], n_trials=1)
-
-    def test_validates_counts(self):
-        from repro.experiments import evaluate_methods_parallel
-
-        with pytest.raises(ValueError):
-            evaluate_methods_parallel(SMALL, ["bn"], n_trials=0)
-        with pytest.raises(ValueError):
-            evaluate_methods_parallel(SMALL, ["bn"], n_trials=1, n_workers=0)
-
-    def test_reproducible(self):
-        from repro.experiments import evaluate_methods_parallel
-
-        a = evaluate_methods_parallel(
-            SMALL, ["centroid"], n_trials=2, seed=5, n_workers=1
-        )
-        b = evaluate_methods_parallel(
-            SMALL, ["centroid"], n_trials=2, seed=5, n_workers=1
-        )
-        assert a["centroid"].mean_error == b["centroid"].mean_error

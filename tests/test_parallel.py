@@ -7,8 +7,9 @@ from repro.core import GridBPConfig, GridBPLocalizer
 from repro.measurement import ConnectivityOnly, GaussianRanging, observe
 from repro.network import NetworkConfig, UnitDiskRadio, generate_network
 from repro.obs import Tracer, merge_traces
-from repro.parallel import DistributedBPSimulator, TrialExecutor, run_trials
+from repro.parallel import DistributedBPSimulator, TrialExecutionError, run_trials
 from repro.parallel.executor import child_seed_ints
+from repro.parallel.pool import RemoteError
 
 
 def _trial(seed: int) -> float:
@@ -17,8 +18,24 @@ def _trial(seed: int) -> float:
     return float(rng.uniform())
 
 
-def _param_trial(param: str, seed: int) -> tuple:
-    return param, _trial(seed)
+def _raise_even(seed: int) -> int:
+    if seed % 2 == 0:
+        raise ValueError(f"even seed {seed}")
+    return seed % 997
+
+
+def _unpicklable_even(seed: int):
+    if seed % 2 == 0:
+        return lambda: seed  # a result that cannot travel back over the pipe
+    return seed % 997
+
+
+def _first_even_index(seed: int, n: int) -> int:
+    seeds = child_seed_ints(seed, n)
+    return next(i for i, s in enumerate(seeds) if s % 2 == 0)
+
+
+_WORKERS = [1, pytest.param(2, marks=pytest.mark.slow)]
 
 
 def _traced_localization_trial(seed: int) -> dict:
@@ -79,30 +96,12 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(_trial, 3, seed=0, n_workers=0)
 
-    def test_executor_map(self):
-        ex = TrialExecutor(n_workers=1)
-        assert ex.map(_trial, 4, seed=1) == run_trials(_trial, 4, seed=1)
-
-    def test_executor_map_over_blocks_independent(self):
-        ex = TrialExecutor(n_workers=1)
-        out = ex.map_over(lambda p, s: (p, _trial(s)), ["a", "b"], 3, seed=5)
-        assert len(out) == 2 and len(out[0]) == 3
-        # adding a parameter must not change earlier blocks
-        out2 = ex.map_over(lambda p, s: (p, _trial(s)), ["a", "b", "c"], 3, seed=5)
-        assert out2[:2] == out
-
-    def test_executor_validation(self):
-        with pytest.raises(ValueError):
-            TrialExecutor(n_workers=0)
-
     def test_unpicklable_fn_fails_fast_with_guidance(self):
         captured = []  # closure over a local → not picklable
         with pytest.raises(TypeError, match="module-level callable"):
             run_trials(lambda s: captured.append(s), 4, seed=0, n_workers=2)
         with pytest.raises(TypeError, match="n_workers=1"):
-            TrialExecutor(n_workers=2).map_over(
-                lambda p, s: (p, s), ["a"], 2, seed=0
-            )
+            run_trials(lambda s: s, 2, seed=0, n_workers=2)
 
     def test_unpicklable_fn_fine_when_serial(self):
         out = run_trials(lambda s: s, 3, seed=0, n_workers=1)
@@ -116,6 +115,45 @@ class TestRunTrials:
         assert trace["meta"]["n_workers"] == 1
         assert trace["timers"]["run_trials"]["calls"] == 1
         assert trace["timers"]["run_trials"]["seconds"] >= 0
+
+
+class TestTrialExecutionError:
+    @pytest.mark.parametrize("n_workers", _WORKERS)
+    def test_serial_failure_names_index_and_seed(self, n_workers):
+        idx = _first_even_index(3, 8)
+        seeds = child_seed_ints(3, 8)
+        with pytest.raises(TrialExecutionError) as exc_info:
+            run_trials(_raise_even, 8, seed=3, n_workers=n_workers)
+        err = exc_info.value
+        assert err.trial_index == idx
+        assert err.trial_seed == seeds[idx]
+        assert str(err.trial_seed) in str(err)
+        assert f"fn({err.trial_seed})" in str(err)
+        assert "ValueError: even seed" in str(err)
+        if n_workers == 1:
+            assert isinstance(err.__cause__, ValueError)
+        else:  # the worker's exception, carried back as text
+            assert isinstance(err.__cause__, RemoteError)
+            assert err.__cause__.type_name == "ValueError"
+            assert "_raise_even" in err.__cause__.traceback
+
+    @pytest.mark.slow
+    def test_unpicklable_result_names_index_and_seed(self):
+        idx = _first_even_index(3, 8)
+        seeds = child_seed_ints(3, 8)
+        with pytest.raises(TrialExecutionError) as exc_info:
+            run_trials(_unpicklable_even, 8, seed=3, n_workers=2)
+        err = exc_info.value
+        assert err.trial_index == idx
+        assert err.trial_seed == seeds[idx]
+        assert isinstance(err.__cause__, RemoteError)
+        assert "pickle" in err.__cause__.message.lower()
+
+    def test_reproduce_from_reported_seed(self):
+        with pytest.raises(TrialExecutionError) as exc_info:
+            run_trials(_raise_even, 8, seed=3)
+        with pytest.raises(ValueError):
+            _raise_even(exc_info.value.trial_seed)
 
 
 class TestParallelDeterminism:
@@ -132,16 +170,6 @@ class TestParallelDeterminism:
             # and tracing is observation-only even across process boundaries
             assert s["estimates"] == p["estimates"]
             assert s["trace"] == p["trace"]
-
-    @pytest.mark.slow
-    def test_map_over_worker_count_does_not_change_results(self):
-        serial = TrialExecutor(n_workers=1).map_over(
-            _param_trial, ["a", "b"], 3, seed=5
-        )
-        pooled = TrialExecutor(n_workers=2).map_over(
-            _param_trial, ["a", "b"], 3, seed=5
-        )
-        assert pooled == serial
 
     @pytest.mark.slow
     def test_worker_traces_merge_to_serial_totals(self):

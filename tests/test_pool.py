@@ -3,7 +3,7 @@
 The mechanics every multiprocess caller relies on are tested here once:
 ordering, remote errors, crash and timeout replacement, the replacement
 backoff, idle-worker probes and teardown.  Each caller's own retry policy
-is tested with the caller (resilient trials, serve, stream).
+is tested with the caller (serve, stream).
 """
 
 import multiprocessing
@@ -21,6 +21,7 @@ from repro.parallel.pool import (
     WarmPool,
     WorkerCrash,
     WorkerTimeout,
+    _backoff,
     _replace_delay,
 )
 
@@ -40,6 +41,40 @@ def _raise_value_error(msg: str) -> None:
 
 def _sigkill_self() -> None:
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestBackoffJitter:
+    """Seeded jitter on retry backoff: deterministic, bounded, and
+    invisible to the trial seed streams."""
+
+    def test_zero_jitter_is_pure_exponential(self):
+        for attempt in range(4):
+            assert _backoff(0.5, 2.0, attempt) == 0.5 * 2.0**attempt
+            assert (
+                _backoff(0.5, 2.0, attempt, jitter=0.0, token=123)
+                == 0.5 * 2.0**attempt
+            )
+
+    def test_jitter_bounds_and_determinism(self):
+        base, factor, jitter = 0.25, 2.0, 0.4
+        for attempt, token in [(0, 7), (1, 7), (2, 99), (3, 2**63)]:
+            raw = base * factor**attempt
+            d1 = _backoff(base, factor, attempt, jitter=jitter, token=token)
+            d2 = _backoff(base, factor, attempt, jitter=jitter, token=token)
+            assert d1 == d2  # same token -> identical delay across runs
+            assert raw <= d1 < raw * (1.0 + jitter)
+
+    def test_tokens_desynchronize(self):
+        delays = {
+            _backoff(1.0, 2.0, 0, jitter=0.5, token=t) for t in range(32)
+        }
+        assert len(delays) == 32  # distinct tokens -> distinct delays
+
+    def test_no_token_means_no_jitter(self):
+        assert _backoff(1.0, 2.0, 1, jitter=0.5, token=None) == 2.0
+
+    def test_zero_base_stays_zero(self):
+        assert _backoff(0.0, 2.0, 3, jitter=0.5, token=5) == 0.0
 
 
 class TestReplacementBackoff:

@@ -36,6 +36,21 @@ class TestUniformPrior:
         ld = UniformPrior().log_density(0, np.array([[2.0, 0.5]]))
         assert ld[0] == -np.inf
 
+    @pytest.mark.parametrize(
+        "grid", [Grid2D(12), Grid2D(24), Grid2D(10, 6, width=2.0, height=1.0)]
+    )
+    @pytest.mark.parametrize("field", [(1.0, 1.0), (0.5, 0.8), (2.0, 1.0)])
+    def test_grid_weight_rows_match_per_node_loop(self, grid, field):
+        prior = UniformPrior(*field)
+        for nodes in ([], [3], [0, 4, 7, 2], list(range(19))):
+            rows = prior.grid_weight_rows(nodes, grid)
+            ref = PositionPrior.grid_weight_rows(prior, nodes, grid)
+            assert rows.shape == (len(nodes), grid.n_cells)
+            np.testing.assert_array_equal(rows, ref)
+        rows = prior.grid_weight_rows([1, 2], grid)
+        rows[0, 0] = -1.0  # a fresh array, not views of one shared row
+        assert rows[1, 0] != -1.0
+
 
 class TestGaussianPrior:
     def test_peak_at_mean(self):
