@@ -28,10 +28,16 @@ with :class:`~repro.priors.deployment.UniformPrior` is the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.grid import Grid2D
+from repro.core.health import (
+    fallback_position,
+    healthy_belief_rows,
+    residuals_diverging,
+)
 from repro.core.potentials import (
     RangingPotentialCache,
     _normalize_matrix,
@@ -188,6 +194,44 @@ class GridBPConfig:
             raise ValueError("restart_damping must lie in [0, 1)")
 
 
+class _Estimates(NamedTuple):
+    """The estimate pass over a ``(R, K)`` block of belief rows: per row,
+    the health mask, the point estimate and the covariance (both NaN on
+    unhealthy rows)."""
+
+    healthy: np.ndarray
+    points: np.ndarray
+    covariances: np.ndarray
+
+    def rows(self, start: int, stop: int) -> "_Estimates":
+        return _Estimates(*(a[start:stop] for a in self))
+
+
+def _estimate_rows(
+    grid: Grid2D, beliefs: np.ndarray, cfg: GridBPConfig
+) -> _Estimates:
+    """The one estimate code path: health mask, MMSE or MAP point and
+    covariance of every row of *beliefs*.
+
+    Each output row depends on its belief row alone (health is row-wise,
+    :meth:`Grid2D.moments` is bit-equal row by row whatever the block
+    size), so one pass over the stacked rows of a kernel group equals
+    each problem's own pass over its rows.
+    """
+    n = len(beliefs)
+    healthy = (
+        healthy_belief_rows(beliefs) if cfg.health_checks else np.ones(n, dtype=bool)
+    )
+    block = beliefs if healthy.all() else beliefs[healthy]
+    points = np.full((n, 2), np.nan)
+    covariances = np.full((n, 2, 2), np.nan)
+    means, covariances[healthy] = grid.moments(block)
+    points[healthy] = (
+        means if cfg.estimator == "mmse" else grid.centers[np.argmax(block, axis=1)]
+    )
+    return _Estimates(healthy, points, covariances)
+
+
 @dataclass
 class _Prepared:
     """Output of :meth:`GridBPLocalizer._prepare`: the kernel-ready
@@ -272,10 +316,14 @@ class GridBPLocalizer(Localizer):
         kernel = self._kernel()
         with tracer.timer("bp"):
             outcome = kernel.run(prep.problem, tracer)
-        outcome, restarted = self._maybe_restart(prep, outcome, kernel, tracer)
+        with tracer.timer("estimate"):
+            est = _estimate_rows(prep.grid, outcome.beliefs, self.config)
+        outcome, est, restarted = self._maybe_restart(
+            prep, outcome, est, kernel, tracer
+        )
         if tracer.enabled:
             tracer.annotate("backend", kernel.name)
-        return self._finish(prep, outcome, restarted, tracer)
+        return self._finish(prep, outcome, est, restarted, tracer)
 
     def _kernel(self) -> KernelBackend:
         """The kernel :meth:`localize` runs: the one the config's schedule
@@ -398,34 +446,35 @@ class GridBPLocalizer(Localizer):
         self,
         prep: "_Prepared",
         outcome: BPOutcome,
+        est: _Estimates,
         kernel: KernelBackend,
         tracer: NullTracer,
-    ) -> tuple[BPOutcome, bool]:
+    ) -> tuple[BPOutcome, _Estimates, bool]:
         """Graceful degradation: a numerically broken or diverging run gets
-        one damped restart before we resort to per-node fallbacks.  On
-        healthy runs (no repairs, finite beliefs, shrinking residuals)
-        this is observation-only — outputs stay bit-identical."""
+        one damped restart before we resort to per-node fallbacks.  *est*
+        is the estimate pass over *outcome*'s rows; a restarted run
+        recomputes it for the new rows.  On healthy runs (no repairs,
+        finite beliefs, shrinking residuals) this is observation-only —
+        outputs stay bit-identical."""
         cfg = self.config
         if not (cfg.health_checks and prep.problem.edges):
-            return outcome, False
+            return outcome, est, False
         if outcome.health.get("deadline_stop"):
             # The kernel was stopped by an expired deadline scope — there
             # is no time budget left for a restart; the caller flags the
             # (internally consistent) partial answer as degraded instead.
-            return outcome, False
-        from repro.core.health import healthy_belief_rows, residuals_diverging
-
+            return outcome, est, False
         health = outcome.health
         broken = (
             health["message_repairs"] > 0
-            or not healthy_belief_rows(outcome.beliefs).all()
+            or not est.healthy.all()
             or (
                 not outcome.converged
                 and residuals_diverging(health["residuals"])
             )
         )
         if not broken:
-            return outcome, False
+            return outcome, est, False
         import dataclasses as _dc
 
         cfg_restart = _dc.replace(cfg, damping=max(cfg.damping, cfg.restart_damping))
@@ -435,6 +484,8 @@ class GridBPLocalizer(Localizer):
             )
         if tracer.enabled:
             tracer.count("damped_restarts")
+        with tracer.timer("estimate"):
+            est = _estimate_rows(prep.grid, rerun.beliefs, cfg)
         return (
             BPOutcome(
                 beliefs=rerun.beliefs,
@@ -443,6 +494,7 @@ class GridBPLocalizer(Localizer):
                 trace=rerun.trace,
                 health=rerun.health,
             ),
+            est,
             True,
         )
 
@@ -450,10 +502,12 @@ class GridBPLocalizer(Localizer):
         self,
         prep: "_Prepared",
         outcome: BPOutcome,
+        est: _Estimates,
         restarted: bool,
         tracer: NullTracer,
     ) -> LocalizationResult:
-        """Everything after the BP loop: estimates, fallbacks, trace,
+        """Everything after the BP loop: estimates (from *est*, the
+        estimate pass over *outcome*'s rows), fallbacks, trace,
         communication accounting, telemetry, audit."""
         ms = prep.ms
         cfg = self.config
@@ -470,26 +524,13 @@ class GridBPLocalizer(Localizer):
         trace_logs = outcome.trace
         health = outcome.health
         with tracer.timer("estimate"):
-            from repro.core.health import fallback_position, healthy_belief_rows
-
             estimates, mask = self._result_skeleton(ms)
             covariances = np.full((n, 2, 2), np.nan)
             fallback = np.zeros(n, dtype=bool)
-            healthy = (
-                healthy_belief_rows(beliefs)
-                if cfg.health_checks
-                else np.ones(len(unknowns), dtype=bool)
-            )
-            ok = unknowns[healthy]
-            block = beliefs[healthy]
-            means, covariances[ok] = grid.moments(block)
-            estimates[ok] = (
-                means
-                if cfg.estimator == "mmse"
-                else grid.centers[np.argmax(block, axis=1)]
-            )
+            estimates[unknowns] = est.points
+            covariances[unknowns] = est.covariances
             mask[unknowns] = True
-            for ui in np.flatnonzero(~healthy):
+            for ui in np.flatnonzero(~est.healthy):
                 # Belief beyond repair: baseline fallback estimate and
                 # an honest uniform belief for downstream consumers.
                 u = int(unknowns[ui])
@@ -814,12 +855,16 @@ def localize_batch(
 
     Results come back in input order and are bit-identical to calling
     ``localize`` pair by pair (gated by ``tests/test_kernels.py`` and the
-    ``repro.audit`` ``batched-batch-vs-sequential`` DiffCase).  Damped
-    health restarts, estimation, and communication accounting still happen
-    per trial.  Telemetry: each solver's tracer records its own
-    preparation and estimate phases; for groups larger than one the BP
-    loop itself is a shared pass, so per-trial ``bp`` timers are not
-    emitted — the tracer gets ``batch_size`` / ``batch_groups``
+    ``repro.audit`` ``batched-batch-vs-sequential`` DiffCase).  The
+    estimate pass (health mask, point estimates, covariances) runs once
+    per group over the group's stacked belief rows; each problem then
+    reads its own row slice.  A problem that takes a damped health
+    restart recomputes its own rows; fallbacks and communication
+    accounting stay per trial.  Telemetry: each solver's tracer records
+    its own preparation and estimate phases, and the group's estimate
+    pass is timed on the first solver's tracer; for groups larger than
+    one the BP loop itself is a shared pass, so per-trial ``bp`` timers
+    are not emitted — the tracer gets ``batch_size`` / ``batch_groups``
     annotations instead.
     """
     pairs = list(pairs)
@@ -844,15 +889,25 @@ def localize_batch(
                 outcomes = [kernel.run(problems[0], tr)]
         else:
             outcomes = kernel.run_batch(problems)
+        with pairs[idxs[0]][0].tracer.timer("estimate"):
+            group_est = _estimate_rows(
+                problems[0].grid,
+                np.concatenate([o.beliefs for o in outcomes]),
+                problems[0].cfg,
+            )
+        stop = 0
         for i, outcome in zip(idxs, outcomes):
+            start, stop = stop, stop + len(outcome.beliefs)
             loc = pairs[i][0]
             tr = loc.tracer
-            outcome, restarted = loc._maybe_restart(preps[i], outcome, kernel, tr)
+            outcome, est, restarted = loc._maybe_restart(
+                preps[i], outcome, group_est.rows(start, stop), kernel, tr
+            )
             if tr.enabled:
                 tr.annotate("backend", kernel.name)
                 tr.annotate("batch_size", len(idxs))
                 tr.annotate("batch_groups", len(groups))
-            result = loc._finish(preps[i], outcome, restarted, tr)
+            result = loc._finish(preps[i], outcome, est, restarted, tr)
             if tr.enabled:
                 result.telemetry = tr.snapshot()
             results[i] = result

@@ -15,6 +15,14 @@ from repro.utils.validation import check_positive
 __all__ = ["Grid2D"]
 
 
+def _cell_order_sum(terms: np.ndarray) -> np.ndarray:
+    """Column totals of a C-contiguous ``(K, R)`` block, each summed in
+    row order k = 0, 1, … (see :meth:`Grid2D.moments`)."""
+    if terms.shape[1] == 1:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0)
+
+
 class Grid2D:
     """Regular ``nx × ny`` grid over ``[0, width] × [0, height]``.
 
@@ -138,19 +146,45 @@ class Grid2D:
 
         The one implementation of the moment math: :meth:`expectation`
         and :meth:`covariance` are its one-row cases, and each row of a
-        block is bit-identical to them.
+        block is bit-identical to them, whatever the block's size.
+
+        Sum order is part of the contract (the golden traces pin it):
+        every weighted sum adds its terms in cell order k = 0, 1, …, one
+        running total per row, with each covariance term formed as
+        ``(w_k d_ki) d_kj``.  The terms are laid out as a C-contiguous
+        ``(K, R)`` block and reduced over axis 0, which adds cell k's
+        R-vector into the totals in that order.  A lone row (R == 1)
+        would be reduced pairwise, so it takes the last entry of a
+        running ``accumulate`` instead.  ``w @ centers``, ``sum(axis=1)``
+        over the ``(R, K)`` block and a two-operand ``einsum`` over a
+        contiguous k axis (``"rk,rk->r"``) all add in other orders, so
+        none of them is bit-equal.
         """
         w = np.asarray(beliefs, dtype=np.float64)
         if w.ndim != 2 or w.shape[1] != self.n_cells:
             raise ValueError(
                 f"beliefs must have shape (R, {self.n_cells}), got {w.shape}"
             )
-        total = w.sum(axis=1)[:, None]
+        total = w.sum(axis=1)
         if (total <= 0).any():
             raise ValueError("weights must have positive mass")
-        means = (w[:, :, None] * self.centers).sum(axis=1) / total
-        d = self.centers - means[:, None, :]
-        return means, np.einsum("rk,rki,rkj->rij", w / total, d, d)
+        wt = np.ascontiguousarray(w.T)
+        cx = self.centers[:, 0:1]
+        cy = self.centers[:, 1:2]
+        means = np.empty((len(w), 2))
+        means[:, 0] = _cell_order_sum(wt * cx) / total
+        means[:, 1] = _cell_order_sum(wt * cy) / total
+        wn = wt / total
+        dx = cx - means[:, 0]
+        dy = cy - means[:, 1]
+        wx = wn * dx
+        wy = wn * dy
+        cov = np.empty((len(w), 2, 2))
+        cov[:, 0, 0] = _cell_order_sum(wx * dx)
+        cov[:, 0, 1] = _cell_order_sum(wx * dy)
+        cov[:, 1, 0] = _cell_order_sum(wy * dx)
+        cov[:, 1, 1] = _cell_order_sum(wy * dy)
+        return means, cov
 
     def expectation(self, weights: np.ndarray) -> np.ndarray:
         """Mean position under a normalized belief vector (MMSE estimate)."""

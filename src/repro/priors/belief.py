@@ -14,18 +14,23 @@ index.  Validation, normalization and the floor run as row-wise passes
 over the whole block; :attr:`GridBeliefPrior.weights` is a read-only
 ``{node: row view}`` mapping over it, and
 :meth:`GridBeliefPrior.grid_weight_rows` hands a solver all its rows in
-one gather.  A row-wise ``sum`` or division over a C-contiguous block is
-bit-equal to the same operation on each row alone, so a block prior is
-bit-identical to one built vector by vector.  The diffusion is the
-exception: the block product ``(kernel @ W.T).T`` sums in a different
-order than the matvec ``kernel @ w`` (differences up to ~5e-14 at
-K = 144), so it stays one matvec per row.
+one gather.  A row-wise ``sum`` over a C-contiguous block adds each
+row's K entries in one fixed order (numpy's pairwise sum along the
+contiguous axis), the same whatever the number of rows, N == 1
+included; with row-wise divisions and elementwise floors that makes a
+block prior bit-identical to one built vector by vector, and makes
+:meth:`GridBeliefPrior.stacked` — many networks' beliefs built as one
+block, each network's prior its row slice — bit-identical to each
+network's own build.  The diffusion is the exception: the block product
+``(kernel @ W.T).T`` sums in a different order than the matvec
+``kernel @ w`` (differences up to ~5e-14 at K = 144), so it stays one
+matvec per row.  The cached kernels are read-only.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,6 +73,9 @@ def diffusion_kernel(grid: "Grid2D", sigma: float) -> np.ndarray:
     kernel = np.exp(-(D**2) / (2 * sigma**2))
     kernel[D > 4 * sigma] = 0.0
     kernel /= kernel.sum(axis=0)[None, :]
+    # shared by every later prior on this grid: an in-place edit would
+    # silently corrupt all of them
+    kernel.flags.writeable = False
     _KERNEL_CACHE[key] = kernel
     while len(_KERNEL_CACHE) > _KERNEL_CACHE_MAX:
         _KERNEL_CACHE.popitem(last=False)
@@ -93,28 +101,62 @@ class _Rows(Mapping):
         return len(self.index)
 
 
-def _stack(beliefs: Mapping, n_cells: int) -> tuple[dict[int, int], np.ndarray]:
-    """Node → row index and the ``(N, K)`` float64 block of *beliefs*."""
-    if isinstance(beliefs, _Rows) and beliefs.block.shape[1] == n_cells:
-        # another prior's rows: already a block
-        return beliefs.index, beliefs.block
+class _Parts:
+    """Several belief mappings read as one block, row after row: the
+    constructor input behind :meth:`GridBeliefPrior.stacked`."""
+
+    __slots__ = ("parts", "indexes")
+
+    def __init__(self, parts: Sequence[Mapping]) -> None:
+        self.parts = list(parts)
+        #: node → row within its own part, one dict per part
+        self.indexes = [_node_index(b) for b in self.parts]
+
+    def __iter__(self):
+        """The node id of every row, in block order."""
+        return (node for index in self.indexes for node in index)
+
+
+def _node_index(beliefs: Mapping) -> dict[int, int]:
     index = {int(node): i for i, node in enumerate(beliefs)}
     if len(index) != len(beliefs):
         raise ValueError("belief node ids must be distinct integers")
-    if not index:
-        return index, np.empty((0, n_cells))
+    return index
+
+
+def _stack(
+    beliefs, n_cells: int
+) -> tuple[dict[int, int], np.ndarray, Iterable[int]]:
+    """Node → row index, the ``(N, K)`` float64 block of *beliefs* and
+    the row nodes (iterable, in row order; for error messages).
+
+    A :class:`_Parts` input stacks all its parts into one block; its
+    index is empty (the parts keep their own, see
+    :meth:`GridBeliefPrior.stacked`).
+    """
+    if isinstance(beliefs, _Rows) and beliefs.block.shape[1] == n_cells:
+        # another prior's rows: already a block
+        return beliefs.index, beliefs.block, beliefs.index
+    if isinstance(beliefs, _Parts):
+        index, nodes = {}, beliefs
+        vectors = [v for b in beliefs.parts for v in b.values()]
+    else:
+        index = nodes = _node_index(beliefs)
+        vectors = list(beliefs.values())
+    if not vectors:
+        return index, np.empty((0, n_cells)), nodes
     try:
-        block = np.array(list(beliefs.values()), dtype=np.float64)
+        block = np.array(vectors, dtype=np.float64)
     except ValueError:  # ragged rows; named below
         block = None
-    if block is None or block.shape != (len(index), n_cells):
-        for node, b in zip(index, beliefs.values()):
+    if block is None or block.shape != (len(vectors), n_cells):
+        for node, b in zip(nodes, vectors):
             if np.shape(b) != (n_cells,):
                 raise ValueError(
                     f"belief for node {node} has shape {np.shape(b)}, "
                     f"expected ({n_cells},)"
                 )
-    return index, block
+    return index, block, nodes
 
 
 class GridBeliefPrior(PositionPrior):
@@ -163,10 +205,10 @@ class GridBeliefPrior(PositionPrior):
         self.grid = grid
         self.diffusion_sigma = float(diffusion_sigma)
         self.floor = float(floor)
-        index, w = _stack(beliefs, grid.n_cells)
+        index, w, nodes = _stack(beliefs, grid.n_cells)
         healthy = healthy_belief_rows(w)
         if not healthy.all():
-            node = list(index)[np.flatnonzero(~healthy)[0]]
+            node = list(nodes)[np.flatnonzero(~healthy)[0]]
             raise ValueError(
                 f"belief for node {node} is not a probability vector "
                 "(needs finite, non-negative entries with positive mass)"
@@ -187,6 +229,40 @@ class GridBeliefPrior(PositionPrior):
         self.block = w
         #: node → row of :attr:`block`
         self.index = index
+
+    @classmethod
+    def stacked(
+        cls,
+        grid: "Grid2D",
+        beliefs: Sequence[Mapping[int, np.ndarray]],
+        diffusion_sigma: float = 0.0,
+        floor: float = 1e-6,
+    ) -> list["GridBeliefPrior"]:
+        """One prior per mapping of *beliefs*, built as one block.
+
+        All rows go through a single constructor call: one health check,
+        one normalization, the per-row diffusion matvecs, one
+        re-normalization and one floor over the whole ``(N, K)`` block.
+        Prior ``j`` then holds the row slice of ``beliefs[j]``; every step
+        is row-wise, so it is byte-equal to ``cls(grid, beliefs[j],
+        diffusion_sigma, floor)`` built alone.  A vector that is not a
+        probability vector raises the constructor's ``ValueError`` naming
+        its node.
+        """
+        parts = _Parts(beliefs)
+        if not parts.parts:
+            return []
+        whole = cls(grid, parts, diffusion_sigma, floor)
+        out = []
+        stop = 0
+        for index in parts.indexes:
+            start, stop = stop, stop + len(index)
+            part = object.__new__(type(whole))
+            part.__dict__.update(
+                whole.__dict__, block=whole.block[start:stop], index=index
+            )
+            out.append(part)
+        return out
 
     @property
     def weights(self) -> Mapping[int, np.ndarray]:

@@ -229,6 +229,21 @@ class StreamRuntime:
             self._grid, beliefs, diffusion_sigma=self.config.motion_sigma
         )
 
+    def _next_priors(self, payloads: list[dict]) -> list[GridBeliefPrior | None]:
+        """The next priors of solved *payloads*, all built as one block
+        (:meth:`GridBeliefPrior.stacked`), each byte-equal to
+        :meth:`_diffuse` of its own beliefs; ``None`` where a payload
+        carries no beliefs."""
+        beliefs = [p.get("beliefs") or {} for p in payloads]
+        built = iter(
+            GridBeliefPrior.stacked(
+                self._grid,
+                [b for b in beliefs if b],
+                diffusion_sigma=self.config.motion_sigma,
+            )
+        )
+        return [next(built) if b else None for b in beliefs]
+
     def _coast_prior(self, state: NetworkState) -> None:
         """Advance the prior through the motion model with no evidence
         (its block goes straight back through the diffusion)."""
@@ -417,6 +432,7 @@ class StreamRuntime:
         state: NetworkState,
         epoch: Epoch,
         payload: dict,
+        prior: GridBeliefPrior | None,
         degraded: bool,
         reason: str | None,
     ) -> None:
@@ -437,7 +453,7 @@ class StreamRuntime:
             self.checkpoint.record(
                 self._key(state.network_id, step), encode_value(decoded)
             )
-        self._apply_solved(state, epoch, decoded)
+        self._apply_solved(state, epoch, decoded, prior)
         arrived = state.arrival_t.pop(step, None)
         if arrived is not None:
             self.metrics.observe_staleness(self.metrics.now() - arrived)
@@ -482,14 +498,23 @@ class StreamRuntime:
         self.metrics.count("failed")
         self._note_epoch_shape(state, ms)
 
-    def _apply_solved(self, state: NetworkState, epoch: Epoch, decoded: dict) -> None:
+    def _apply_solved(
+        self,
+        state: NetworkState,
+        epoch: Epoch,
+        decoded: dict,
+        prior: GridBeliefPrior | None = None,
+    ) -> None:
+        """Commit a solved step; *prior* is its next prior when already
+        built (a live batch's block build), else built here from the
+        step's beliefs (ledger replay)."""
         step = epoch.step
         state.steps[step] = decoded
         state.next_step = step + 1
         state.last_progress_event = self._events_ingested
         beliefs = decoded.get("beliefs") or {}
         if beliefs:
-            state.prior = self._diffuse(beliefs)
+            state.prior = prior if prior is not None else self._diffuse(beliefs)
         else:  # pragma: no cover - solved epochs always carry beliefs
             self._coast_prior(state)
         state.last_estimates = np.asarray(decoded["estimates"])
@@ -533,28 +558,46 @@ class StreamRuntime:
             for state, epoch in live
         ]
         payloads = self.executor.solve(items)
+        # Every verdict first (each reads only its own network's state),
+        # so the next priors of all accepted solves build as one block.
+        verdicts = [
+            self._assess(state, epoch, payload)
+            for (state, epoch), payload in zip(live, payloads)
+        ]
+        priors = iter(
+            self._next_priors(
+                [p for p, v in zip(payloads, verdicts) if v == "ok"]
+            )
+        )
         retry: list[tuple[NetworkState, Epoch]] = []
-        for (state, epoch), payload in zip(live, payloads):
-            verdict = self._assess(state, epoch, payload)
+        for (state, epoch), payload, verdict in zip(live, payloads, verdicts):
             if verdict == "failed":
                 self._commit_failed(state, epoch, payload)
             elif verdict == "guard":
                 self.metrics.count("guard_trips")
                 retry.append((state, epoch))
             else:
-                self._commit(state, epoch, payload, degraded=False, reason=None)
+                self._commit(
+                    state, epoch, payload, next(priors), degraded=False, reason=None
+                )
         if not retry:
             return
         # Poisoned-prior fallback: cold re-solve at full iterations.
         self.metrics.count("cold_resolves", len(retry))
         cold_items = [self._item(state, epoch, warm=False) for state, epoch in retry]
         cold_payloads = self.executor.solve(cold_items)
+        priors = iter(self._next_priors([p for p in cold_payloads if p.get("ok")]))
         for (state, epoch), payload in zip(retry, cold_payloads):
             if not payload.get("ok"):
                 self._commit_failed(state, epoch, payload)
             else:
                 self._commit(
-                    state, epoch, payload, degraded=True, reason="warm-divergence"
+                    state,
+                    epoch,
+                    payload,
+                    next(priors),
+                    degraded=True,
+                    reason="warm-divergence",
                 )
 
     # ------------------------------------------------------------------ #

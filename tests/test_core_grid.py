@@ -178,6 +178,72 @@ class TestMoments:
             g.moments(block)
 
 
+def _einsum_moments(grid, w):
+    """The block formula :meth:`Grid2D.moments` used before its ``(K, R)``
+    reductions; it pins the sum order the golden traces depend on."""
+    total = w.sum(axis=1)[:, None]
+    means = (w[:, :, None] * grid.centers).sum(axis=1) / total
+    d = grid.centers - means[:, None, :]
+    return means, np.einsum("rk,rki,rkj->rij", w / total, d, d)
+
+
+def _edge_block(rng, n_rows, n_cells):
+    """Belief rows with exact zeros, one-hot rows and rows near e**-90."""
+    block = rng.uniform(size=(n_rows, n_cells)) ** rng.uniform(1.0, 40.0)
+    block[rng.uniform(size=block.shape) < 0.3] = 0.0
+    for r in range(n_rows):
+        kind = r % 4
+        if kind == 1:
+            block[r] = 0.0
+            block[r, rng.integers(n_cells)] = rng.uniform(0.1, 2.0)
+        elif kind == 2:
+            block[r] = np.exp(-90.0) * (rng.uniform(size=n_cells) + 0.01)
+        elif not block[r].any():  # never a zero-mass row
+            block[r, rng.integers(n_cells)] = 0.5
+    return block
+
+
+class TestMomentsSumOrder:
+    """Byte equality of :meth:`Grid2D.moments` with the three-operand
+    einsum it replaced: every sum runs in cell order (the lone-row case
+    included), on C- and F-ordered input."""
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 8, 257])
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 9), (24, 24)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_byte_equal_to_einsum(self, n_rows, shape, order):
+        g = Grid2D(shape[0], shape[1], 1.7, 0.6)
+        rng = np.random.default_rng(n_rows * 1009 + shape[0] * 31 + shape[1])
+        block = np.asarray(_edge_block(rng, n_rows, g.n_cells), order=order)
+        means, covs = g.moments(block)
+        want_means, want_covs = _einsum_moments(g, block)
+        assert means.tobytes() == want_means.tobytes()
+        assert covs.tobytes() == want_covs.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 40),
+        nx=st.integers(2, 16),
+        ny=st.integers(2, 16),
+    )
+    def test_byte_equal_to_einsum_random(self, seed, n_rows, nx, ny):
+        g = Grid2D(nx, ny, 0.9, 1.4)
+        block = _edge_block(np.random.default_rng(seed), n_rows, g.n_cells)
+        means, covs = g.moments(block)
+        want_means, want_covs = _einsum_moments(g, block)
+        assert means.tobytes() == want_means.tobytes()
+        assert covs.tobytes() == want_covs.tobytes()
+
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    def test_zero_mass_row_raises(self, n_rows):
+        g = Grid2D(12, 12)
+        block = np.ones((n_rows, g.n_cells))
+        block[-1] = 0.0
+        with pytest.raises(ValueError, match="positive mass"):
+            g.moments(block)
+
+
 class TestPotentials:
     GRID = Grid2D(12)
     RANGING = GaussianRanging(0.05)

@@ -24,7 +24,10 @@ kernels on one prepared problem.  The suite covers:
   a message site bypasses it;
 * the round's chunk plan: bit identity at chunk budgets from one group
   per chunk to one chunk per round, and a routing guard that fails when
-  the round goes back to per-group weights or per-group product slabs.
+  the round goes back to per-group weights or per-group product slabs;
+* the group estimate pass: ``localize_batch`` byte-equal to pair-by-pair
+  ``localize`` with a fallback node, a damped restart, MAP estimates,
+  health checks off, recorded traces and two grid shapes in one batch.
 
 The fast lane (module marker ``kernel``) runs in the default suite; the
 randomized sweeps are additionally marked ``slow`` — select them with
@@ -890,3 +893,105 @@ class TestRandomizedEquivalence:
         # distinct groups have distinct keys — nothing co-batched
         keys = [key for key, _idxs in groups]
         assert len(set(keys)) == len(keys)
+
+
+# ---------------------------------------------------------------------- #
+# the group estimate pass
+def _assert_byte_equal(a, b):
+    """Byte equality of everything the estimate pass feeds a result."""
+    assert a.estimates.tobytes() == b.estimates.tobytes()
+    assert a.localized_mask.tobytes() == b.localized_mask.tobytes()
+    assert a.fallback_mask.tobytes() == b.fallback_mask.tobytes()
+    assert (
+        a.extras["covariances"].tobytes() == b.extras["covariances"].tobytes()
+    )
+    assert (a.n_iterations, a.converged) == (b.n_iterations, b.converged)
+    ba, bb = a.extras["beliefs"], b.extras["beliefs"]
+    assert list(ba) == list(bb)
+    for u in ba:
+        assert ba[u].tobytes() == bb[u].tobytes()
+    assert len(a.trace) == len(b.trace)
+    for sa, sb in zip(a.trace, b.trace):
+        assert sa.tobytes() == sb.tobytes()
+
+
+def _break_target(monkeypatch, target: BPProblem, runs: int | None):
+    """Make ``BatchedBackend.run_batch`` (which ``run`` also goes
+    through) hand back a NaN belief row for *target*: on its first *runs*
+    runs, or on every run when *runs* is None.  Returns the reset hook
+    that rearms the count between the batched and the pairwise pass."""
+    key = target.log_phi.tobytes()
+    seen = [0]
+    original = batched_kernel.BatchedBackend.run_batch
+
+    def run_batch(self, problems, tracer=NULL_TRACER):
+        outcomes = original(self, problems, tracer)
+        for p, o in zip(problems, outcomes):
+            if p.log_phi.tobytes() == key:
+                seen[0] += 1
+                if runs is None or seen[0] <= runs:
+                    o.beliefs[1] = np.nan
+        return outcomes
+
+    monkeypatch.setattr(batched_kernel.BatchedBackend, "run_batch", run_batch)
+    return lambda: seen.__setitem__(0, 0)
+
+
+class TestGroupEstimatePass:
+    """``localize_batch`` runs the estimate pass once per kernel group over
+    the stacked belief rows; every result must stay byte-equal to
+    ``localize`` run pair by pair, including the rows that take a
+    restart or a fallback."""
+
+    SEEDS = (90, 91, 92)
+
+    def _compare(self, cfgs, reset=lambda: None):
+        ms_list = [_measurements(s) for s in self.SEEDS]
+        pairs = [
+            (GridBPLocalizer(config=c, tracer=Tracer()), ms)
+            for c, ms in zip(cfgs, ms_list)
+        ]
+        batched = localize_batch(pairs)
+        reset()
+        for (loc, ms), b in zip(pairs, batched):
+            single = GridBPLocalizer(config=loc.config, tracer=Tracer())
+            s = single.localize(ms)
+            _assert_byte_equal(b, s)
+            # per-round records and timers are per-trial only at T == 1
+            assert b.telemetry["counters"] == s.telemetry["counters"]
+        return batched
+
+    def _target(self, cfg):
+        return _problem(_measurements(self.SEEDS[1]), cfg)
+
+    def test_nan_row_gives_a_fallback_node(self, monkeypatch):
+        reset = _break_target(monkeypatch, self._target(BASE_CFG), runs=None)
+        batched = self._compare([BASE_CFG] * 3, reset)
+        assert batched[1].fallback_mask.sum() == 1
+        assert batched[1].telemetry["counters"]["damped_restarts"] == 1
+        assert not batched[0].fallback_mask.any()
+        assert not batched[2].fallback_mask.any()
+
+    def test_damped_restart_inside_a_group(self, monkeypatch):
+        reset = _break_target(monkeypatch, self._target(BASE_CFG), runs=1)
+        batched = self._compare([BASE_CFG] * 3, reset)
+        assert batched[1].telemetry["counters"]["damped_restarts"] == 1
+        assert not any(r.fallback_mask.any() for r in batched)
+        assert "damped_restarts" not in batched[0].telemetry["counters"]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"estimator": "map"}, {"health_checks": False}, {"record_trace": True}],
+    )
+    def test_config_variants(self, overrides):
+        cfg = dc.replace(BASE_CFG, **overrides)
+        batched = self._compare([cfg] * 3)
+        assert all(r.telemetry["meta"]["batch_size"] == 3 for r in batched)
+        if cfg.record_trace:
+            assert all(len(r.trace) == r.n_iterations + 1 for r in batched)
+
+    def test_batch_spanning_two_grid_shapes(self):
+        cfgs = [BASE_CFG, dc.replace(BASE_CFG, grid_size=10), BASE_CFG]
+        batched = self._compare(cfgs)
+        assert [r.telemetry["meta"]["batch_groups"] for r in batched] == [2] * 3
+        assert [r.telemetry["meta"]["batch_size"] for r in batched] == [2, 1, 2]

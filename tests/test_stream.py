@@ -4,8 +4,8 @@ Fast in-process lane (default suite, ``-m stream``): hostile-stream
 ingest hygiene, gap coasting, staleness shedding, the warm-start
 divergence guard, per-network failure isolation, in-process
 abort-and-resume bit-identity, the tracker warm-start step API, the
-``TrackingResult`` wire codec, and ``GridBeliefPrior`` motion-diffusion
-edge cases.
+``TrackingResult`` wire codec, the batch's block build of its next
+priors, and ``GridBeliefPrior`` motion-diffusion edge cases.
 
 Slow crash-recovery lane (``-m "stream and slow"``): a real subprocess
 SIGKILL'd mid-stream whose ledger resumes bit-identically, and a
@@ -625,6 +625,118 @@ class TestBeliefPriorRouting:
         assert all(w.grid is wires[0].grid for w in wires)
         assert wires[0].grid is not runtime._grid
 
+    def test_one_diffusing_build_per_solved_batch(self, monkeypatch):
+        import repro.stream.runtime as stream_runtime
+
+        builds = []
+
+        class CountedPrior(GridBeliefPrior):
+            def __init__(self, grid, beliefs, diffusion_sigma=0.0, floor=1e-6):
+                if diffusion_sigma > 0:
+                    builds.append(grid)
+                super().__init__(grid, beliefs, diffusion_sigma, floor)
+
+        class CountedExecutor(InlineExecutor):
+            calls = 0
+
+            def solve(self, items):
+                CountedExecutor.calls += 1
+                return super().solve(items)
+
+        monkeypatch.setattr(stream_runtime, "GridBeliefPrior", CountedPrior)
+        runtime = StreamRuntime(
+            STREAM, executor=CountedExecutor(), expected_networks=FLEET.n_networks
+        )
+        result = runtime.run(
+            fleet_events(FLEET), final_step=FLEET.n_steps,
+            network_ids=range(FLEET.n_networks), n_nodes=FLEET.n_nodes,
+        )
+        assert result.metrics["counters"]["solved"] == TOTAL_CELLS
+        assert len(builds) == CountedExecutor.calls < TOTAL_CELLS
+
+
+class _PriorCheckedRuntime(StreamRuntime):
+    """Runtime that checks every block-built next prior against the
+    per-network build of the same beliefs."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checked = 0
+
+    def _apply_solved(self, state, epoch, decoded, prior=None):
+        super()._apply_solved(state, epoch, decoded, prior)
+        if prior is not None:
+            alone = self._diffuse(decoded["beliefs"])
+            assert prior.block.tobytes() == alone.block.tobytes()
+            assert prior.index == alone.index
+            assert state.prior is prior
+            self.checked += 1
+
+
+class TestBlockPriorBuild:
+    """A batch's next priors build as one block; each network's prior must
+    be byte-equal to ``GridBeliefPrior`` built alone from its beliefs —
+    the build the ledger replay and coasting paths still make."""
+
+    def test_stream_priors_byte_equal_to_lone_builds(self):
+        fleet = dataclasses.replace(FLEET, n_networks=5, n_steps=4)
+        runtime = _PriorCheckedRuntime(STREAM, expected_networks=fleet.n_networks)
+        result = runtime.run(
+            fleet_events(fleet), final_step=fleet.n_steps,
+            network_ids=range(fleet.n_networks), n_nodes=fleet.n_nodes,
+        )
+        assert runtime.checked == result.metrics["counters"]["solved"] > 0
+
+    @pytest.mark.parametrize("sigma, floor", [(0.03, 1e-6), (0.0, 1e-6), (0.1, 0.0)])
+    def test_stacked_parts_match_lone_builds(self, sigma, floor):
+        grid = Grid2D(12, 12, 1.0, 1.0)
+        gen = np.random.default_rng(17)
+        parts = [
+            {n: gen.random(grid.n_cells) ** 6 for n in nodes}
+            for nodes in ([3, 1, 4], [0], [9, 2, 6, 5, 8], [1, 4])
+        ]
+        stacked = GridBeliefPrior.stacked(grid, parts, sigma, floor)
+        assert len(stacked) == len(parts)
+        for prior, beliefs in zip(stacked, parts):
+            alone = GridBeliefPrior(grid, beliefs, sigma, floor)
+            assert prior.block.tobytes() == alone.block.tobytes()
+            assert prior.index == alone.index
+            assert not prior.block.flags.writeable
+            for node in beliefs:
+                assert prior.weights[node].tobytes() == alone.weights[node].tobytes()
+        assert GridBeliefPrior.stacked(grid, []) == []
+
+    def test_next_priors_skip_payloads_without_beliefs(self):
+        runtime = StreamRuntime(STREAM)
+        k = runtime._grid.n_cells
+        payloads = [{"beliefs": {0: np.ones(k)}}, {"beliefs": {}}, {}]
+        first, second, third = runtime._next_priors(payloads)
+        assert first.block.tobytes() == runtime._diffuse({0: np.ones(k)}).block.tobytes()
+        assert second is None and third is None
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda w: np.where(np.arange(w.size) == 3, np.nan, w),
+            lambda w: np.where(np.arange(w.size) == 3, -0.5, w),
+            lambda w: np.zeros_like(w),
+        ],
+        ids=["nan", "negative", "zero-mass"],
+    )
+    def test_corrupt_belief_names_its_node(self, corrupt):
+        runtime = StreamRuntime(STREAM)
+        w = np.full(runtime._grid.n_cells, 1.0)
+        payloads = [
+            {"beliefs": {0: w, 1: w}},
+            {"beliefs": {2: w, 5: corrupt(w), 7: corrupt(w)}},
+        ]
+        with pytest.raises(ValueError, match="node 5 is not a probability vector"):
+            runtime._next_priors(payloads)
+        with pytest.raises(ValueError, match="node 5 is not a probability vector"):
+            GridBeliefPrior.stacked(
+                runtime._grid, [p["beliefs"] for p in payloads], 0.03
+            )
+
 
 # ---------------------------------------------------------------------- #
 # checkpoint / resume
@@ -862,6 +974,16 @@ class TestBeliefDiffusionEdges:
         belief._KERNEL_CACHE.clear()
         rebuilt = diffusion_kernel(grid, 0.1)
         np.testing.assert_array_equal(rebuilt, cached)
+
+    def test_cached_kernel_is_read_only(self):
+        # one in-place edit would otherwise corrupt every later prior
+        # built on this grid
+        kernel = diffusion_kernel(self.GRID, 0.12)
+        with pytest.raises(ValueError, match="read-only"):
+            kernel[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            kernel *= 2.0
+        assert diffusion_kernel(self.GRID, 0.12) is kernel
 
     def test_kernel_requires_positive_sigma(self):
         with pytest.raises(ValueError, match="sigma"):
