@@ -378,8 +378,10 @@ class ReferenceGridBP(GridBPLocalizer):
     is the solver's own code.  This is the bit-identity reference the
     ``solver-vs-reference`` case, the kernel tests and the E12 A/B
     baseline compare the solver against.  Only :meth:`localize` runs the
-    reference path: ``localize_batch`` stacks problems on the kernel the
-    schedule picks.
+    whole reference path.  Inside ``localize_batch`` its pairs keep the
+    baseline node potentials (the override keeps them out of the batch's
+    node-potential blocks; each builds its own), while BP stacks them on
+    the kernel the schedule picks.
     """
 
     def _node_potentials(self, ms, grid, prior, radio, unknowns):

@@ -40,6 +40,7 @@ from repro.core.health import (
 )
 from repro.core.potentials import (
     RangingPotentialCache,
+    _fingerprint,
     _normalize_matrix,
     anchor_bearing_potential,
     anchor_bearing_rows,
@@ -56,6 +57,7 @@ from repro.kernels.base import (
     BPOutcome,
     BPProblem,
     KernelBackend,
+    config_key,
     group_compatible,
     kernel_for,
 )
@@ -330,29 +332,40 @@ class GridBPLocalizer(Localizer):
         picks (:func:`repro.kernels.kernel_for`)."""
         return kernel_for(self.config)
 
+    def _models(self, ms: MeasurementSet) -> tuple[PositionPrior, RadioModel]:
+        """The prior and radio a solve of *ms* uses: the solver's own, else
+        the uniform prior and a unit disk at the set's radio range."""
+        prior = self.prior if self.prior is not None else UniformPrior(ms.width, ms.height)
+        radio = self.radio if self.radio is not None else UnitDiskRadio(ms.radio_range)
+        return prior, radio
+
     def _prepare(
         self,
         measurements: MeasurementSet,
         tracer: NullTracer,
         grid: Grid2D | None = None,
+        prebuilt: tuple[PositionPrior, RadioModel, np.ndarray] | None = None,
     ) -> "_Prepared":
         """Everything before the BP loop: grid, prior/radio resolution,
         node potentials, edge operators.  Returns the prepared problem
         plus the context :meth:`_finish` needs afterwards.  *grid*, when
         given, must match the config's grid size and the field extent
-        (:func:`localize_batch` shares one per distinct geometry)."""
+        (:func:`localize_batch` shares one per distinct geometry).
+        *prebuilt*, when given, is the ``(prior, radio, log_phi)`` a
+        :func:`localize_batch` node-potential block already built."""
         ms = measurements
         cfg = self.config
         if grid is None:
             grid = Grid2D(cfg.grid_size, cfg.grid_size, ms.width, ms.height)
-        prior = self.prior if self.prior is not None else UniformPrior(ms.width, ms.height)
-        radio = self.radio if self.radio is not None else UnitDiskRadio(ms.radio_range)
-
         unknowns = ms.unknown_ids
         index = {int(u): ui for ui, u in enumerate(unknowns)}
 
-        with tracer.timer("node_potentials"):
-            log_phi = self._node_potentials(ms, grid, prior, radio, unknowns)
+        if prebuilt is None:
+            prior, radio = self._models(ms)
+            with tracer.timer("node_potentials"):
+                log_phi = self._node_potentials(ms, grid, prior, radio, unknowns)
+        else:
+            prior, radio, log_phi = prebuilt
 
         # Edges between unknowns, with their pairwise potentials.  Each
         # edge carries an oriented operator pair (fwd, bwd): the i→j
@@ -640,97 +653,170 @@ class GridBPLocalizer(Localizer):
     ) -> np.ndarray:
         """Log node potentials ``(n_unknown, K)``: prior × anchor evidence.
 
-        Built in whole-array passes: the prior's rows in one
-        :meth:`PositionPrior.grid_weight_rows` gather, the anchor fields
-        (distances, detection and negative-evidence rows) once per problem as
-        ``(n_anchor, K)`` stacks, every anchor link's potential in one
-        ``(links, K)`` slab (:func:`ranging_potential_rows`,
-        :func:`anchor_bearing_rows`), hop counts by one BFS from all
-        anchors (:func:`_anchor_hops`).  The anchor-outer loop then only
-        adds precomputed rows to row blocks: per anchor, hop bound, link
-        (ranging or connectivity, then bearing) and negative evidence, as
-        the baseline adds them.  Every row thus gets the baseline's adds
-        in the baseline's order, and the output is bit-identical to
-        :meth:`_node_potentials_baseline`.
+        The per-problem hook (:meth:`localize`,
+        :class:`~repro.parallel.messaging.DistributedBPSimulator`): the
+        block pass :meth:`_node_potential_block` over a block of one.  Its
+        output is bit-identical to :meth:`_node_potentials_baseline`.
+        """
+        return self._node_potential_block(grid, [(ms, prior, radio, unknowns)])[0]
+
+    def _node_potential_block(
+        self,
+        grid: Grid2D,
+        problems: list[tuple[MeasurementSet, PositionPrior, RadioModel, np.ndarray]],
+    ) -> list[np.ndarray]:
+        """Log node potentials of every ``(ms, prior, radio, unknowns)``
+        problem of a block, one ``(n_unknown, K)`` array per problem.
+
+        The problems share *grid* and this solver's config, and their
+        radios, ranging models and bearing models fingerprint equal
+        (:func:`localize_batch` groups them so), so the first problem's
+        models serve all.  Each step runs once over the block's stacked
+        anchors, unknowns and links: the anchor fields (distances,
+        detection and negative-evidence rows) as one ``(ΣA, K)`` stack,
+        one ``log`` of the stacked prior rows (each prior's rows gathered
+        by one :meth:`PositionPrior.grid_weight_rows`), every anchor
+        link's potential in one ``(links, K)`` slab
+        (:func:`ranging_potential_rows`, :func:`anchor_bearing_rows`),
+        hop counts by one BFS over the stacked adjacency
+        (:func:`_anchor_hop_block`) and one peak pass.  The loop over
+        anchor slots 0…A_max−1 then only adds precomputed rows to the
+        rows of all problems at once: per slot, hop bound, link (ranging
+        or connectivity, then bearing) and negative evidence, as the
+        baseline adds them per anchor.  Every row thus gets the
+        baseline's adds in the baseline's order, every slab row depends
+        on its own link alone, and each problem's output is bit-identical
+        to :meth:`_node_potentials_baseline` whatever the block holds.
         """
         cfg = self.config
-        anchor_ids = ms.anchor_ids
-        u_idx = np.asarray(unknowns, dtype=np.intp)
-        apos = ms.anchor_positions_full[anchor_ids][:, None, :]
+        ms0, _, radio, _ = problems[0]
+        n_b = len(problems)
+        anchor_ids = [ms.anchor_ids for ms, _, _, _ in problems]
+        u_ids = [np.asarray(u, dtype=np.intp) for _, _, _, u in problems]
+        n_a = np.array([len(a) for a in anchor_ids], dtype=np.intp)
+        n_u = np.array([len(u) for u in u_ids], dtype=np.intp)
+        a_off = np.concatenate(([0], np.cumsum(n_a)))
+        u_off = np.concatenate(([0], np.cumsum(n_u)))
+        n_max = max(ms.n_nodes for ms, _, _, _ in problems)
+        # padded per-problem tables: slot s of problem b is anchor
+        # A[b, s], row j is unknown U[b, j]
+        A = np.zeros((n_b, int(n_a.max())), dtype=np.intp)
+        U = np.zeros((n_b, int(n_u.max())), dtype=np.intp)
+        adjacency = np.zeros((n_b, n_max, n_max), dtype=bool)
+        observed = np.zeros((n_b, n_max, n_max)) if ms0.has_ranging else None
+        bearings = np.zeros((n_b, n_max, n_max)) if ms0.has_bearings else None
+        for b, (ms, _, _, _) in enumerate(problems):
+            n = ms.n_nodes
+            A[b, : n_a[b]] = anchor_ids[b]
+            U[b, : n_u[b]] = u_ids[b]
+            adjacency[b, :n, :n] = ms.adjacency
+            if observed is not None:
+                observed[b, :n, :n] = ms.observed_distances
+            if bearings is not None:
+                bearings[b, :n, :n] = ms.observed_bearings
+        a_ok = np.arange(A.shape[1]) < n_a[:, None]
+        u_ok = np.arange(U.shape[1]) < n_u[:, None]
+        b_col = np.arange(n_b)[:, None]
+        # global anchor / unknown row of each padded slot
+        g_anchor = a_off[:-1, None] + np.arange(A.shape[1])
+        g_row = u_off[:-1, None] + np.arange(U.shape[1])
+        pair_ok = u_ok[:, :, None] & a_ok[:, None, :]
+        heard = adjacency[b_col[:, :, None], U[:, :, None], A[:, None, :]] & pair_ok
+        silent = pair_ok & ~heard
+
+        apos = np.concatenate(
+            [ms.anchor_positions_full[a] for (ms, _, _, _), a in zip(problems, anchor_ids)]
+        )[:, None, :]
         diff = grid.centers - apos
         anchor_d = np.sqrt(np.einsum("aki,aki->ak", diff, diff))
         conn_radio = radio if cfg.use_connectivity_in_ranging else None
-        if conn_radio is not None or cfg.use_negative_evidence or not ms.has_ranging:
+        if conn_radio is not None or cfg.use_negative_evidence or not ms0.has_ranging:
             pd = radio.p_detect(anchor_d)
         log_tiny = np.log(1e-300)
 
-        log_phi = np.log(np.maximum(prior.grid_weight_rows(u_idx, grid), 1e-300))
-        adj = ms.adjacency[u_idx][:, anchor_ids]
-        if cfg.use_hop_bounds:
-            hops = _anchor_hops(ms.adjacency, anchor_ids)[u_idx]
-        # links in anchor-major order: anchor ai owns slab rows
-        # starts[ai]:starts[ai + 1]
-        link_a, link_u = np.nonzero(adj.T)
-        starts = np.searchsorted(link_a, np.arange(len(anchor_ids) + 1))
-        if link_a.size:
-            if ms.has_ranging:
+        prior_rows = [
+            prior.grid_weight_rows(u, grid)
+            for (_, prior, _, _), u in zip(problems, u_ids)
+        ]
+        log_phi = np.log(np.maximum(np.concatenate(prior_rows), 1e-300))
+
+        def slot_major(mask):
+            """(slot, problem, row) of *mask*'s entries, slot-major, and
+            each slot's start in that order."""
+            s, b, j = np.nonzero(mask.transpose(2, 0, 1))
+            return s, b, j, np.searchsorted(s, np.arange(A.shape[1] + 1))
+
+        ls, lb, lj, link_starts = slot_major(heard)
+        link_rows, link_anchor = g_row[lb, lj], g_anchor[lb, ls]
+        link_u, link_a = U[lb, lj], A[lb, ls]
+        if link_rows.size:
+            if ms0.has_ranging:
                 pots = ranging_potential_rows(
-                    anchor_d[link_a],
-                    ms.observed_distances[u_idx[link_u], anchor_ids[link_a]][:, None],
-                    ms.ranging,
+                    anchor_d[link_anchor],
+                    observed[lb, link_u, link_a][:, None],
+                    ms0.ranging,
                     blur_sigma=cfg.cell_blur_fraction * grid.cell_diagonal,
-                    p_detect=pd[link_a] if conn_radio is not None else None,
+                    p_detect=pd[link_anchor] if conn_radio is not None else None,
                 )
             else:
-                pots = _normalize_matrix(pd[link_a], axis=1)
+                pots = _normalize_matrix(pd[link_anchor], axis=1)
             log_pots = np.log(np.maximum(pots, 1e-300))
-        if ms.has_bearings and link_a.size:
-            rel = apos - grid.centers  # as Grid2D.bearings_to_point
-            obs = ms.observed_bearings
-            bpots = anchor_bearing_rows(
-                np.arctan2(rel[..., 1], rel[..., 0])[link_a],
-                obs[u_idx[link_u], anchor_ids[link_a]][:, None],
-                obs[anchor_ids[link_a], u_idx[link_u]][:, None],
-                ms.bearing_model,
+            if bearings is not None:
+                rel = apos - grid.centers  # as Grid2D.bearings_to_point
+                bpots = anchor_bearing_rows(
+                    np.arctan2(rel[..., 1], rel[..., 0])[link_anchor],
+                    bearings[lb, link_u, link_a][:, None],
+                    bearings[lb, link_a, link_u][:, None],
+                    ms0.bearing_model,
+                )
+                log_bpots = np.log(np.maximum(bpots, 1e-300))
+        if cfg.use_hop_bounds:
+            hops = _anchor_hop_block(adjacency, A, a_ok)[b_col, U]
+            hs, hb, hj, hop_starts = slot_major(
+                silent & (hops >= 2) & np.isfinite(hops)
             )
-            log_bpots = np.log(np.maximum(bpots, 1e-300))
+            # h-hop reachability: each hop covers at most the radio
+            # range, so the node lies within h·r of the anchor.
+            radio_range = np.array([ms.radio_range for ms, _, _, _ in problems])
+            reach = hops[hb, hj, hs] * radio_range[hb]
+            hop_rows = g_row[hb, hj]
+            hop_pots = np.where(
+                anchor_d[g_anchor[hb, hs]] <= reach[:, None], 0.0, log_tiny
+            )
         if cfg.use_negative_evidence:
             neg = 1.0 - pd
-            if ((~adj).any(axis=0) & (neg.max(axis=1) <= 0)).any():
+            if (silent.any(axis=1)[a_ok] & (neg.max(axis=1) <= 0)).any():
                 # same failure mode as negative_anchor_potential
                 raise ValueError(
                     "negative evidence eliminated every cell — anchor's "
                     "radio range covers the entire grid"
                 )
             log_neg = np.log(np.maximum(neg, 1e-300))
-        for ai in range(len(anchor_ids)):
+            ns, nb, nj, neg_starts = slot_major(silent)
+            neg_rows, neg_anchor = g_row[nb, nj], g_anchor[nb, ns]
+        for s in range(A.shape[1]):
             if cfg.use_hop_bounds:
-                # h-hop reachability: each hop covers at most the radio
-                # range, so the node lies within h·r of the anchor.
-                h = hops[:, ai]
-                rows = np.flatnonzero(~adj[:, ai] & (h >= 2) & np.isfinite(h))
-                if rows.size:
-                    reach = h[rows, None] * ms.radio_range
-                    log_phi[rows] += np.where(anchor_d[ai] <= reach, 0.0, log_tiny)
-            block = slice(starts[ai], starts[ai + 1])
-            rows = link_u[block]
+                block = slice(hop_starts[s], hop_starts[s + 1])
+                log_phi[hop_rows[block]] += hop_pots[block]
+            block = slice(link_starts[s], link_starts[s + 1])
+            rows = link_rows[block]
             if rows.size:
                 log_phi[rows] += log_pots[block]
-                if ms.has_bearings:
+                if bearings is not None:
                     log_phi[rows] += log_bpots[block]
             if cfg.use_negative_evidence:
-                rows = np.flatnonzero(~adj[:, ai])
-                if rows.size:
-                    log_phi[rows] += log_neg[ai]
+                block = slice(neg_starts[s], neg_starts[s + 1])
+                log_phi[neg_rows[block]] += log_neg[neg_anchor[block]]
         peaks = log_phi.max(axis=1)
         bad = np.flatnonzero(~np.isfinite(peaks))
         if bad.size:
             raise ValueError(
-                f"node {int(u_idx[bad[0]])}: evidence and prior are mutually "
-                "exclusive on the grid (prior support excludes all feasible "
-                "cells?)"
+                f"node {int(np.concatenate(u_ids)[bad[0]])}: evidence and prior "
+                "are mutually exclusive on the grid (prior support excludes all "
+                "feasible cells?)"
             )
-        return log_phi - peaks[:, None]
+        log_phi -= peaks[:, None]
+        return [log_phi[u_off[b] : u_off[b + 1]] for b in range(n_b)]
 
     def _node_potentials_baseline(
         self,
@@ -815,17 +901,32 @@ class GridBPLocalizer(Localizer):
 
 # ---------------------------------------------------------------------- #
 def _anchor_hops(adjacency: np.ndarray, anchor_ids: np.ndarray) -> np.ndarray:
-    """``(n, n_anchors)`` hop counts (``inf`` if unreachable) by one
-    frontier BFS from all anchors at once over the undirected dense
-    adjacency: scipy's unweighted, undirected ``shortest_path(adjacency)
-    [:, anchor_ids]`` without the all-pairs solve."""
-    adj = np.asarray(adjacency, dtype=bool)
-    adj = (adj | adj.T).astype(np.float64)
-    cols = np.arange(len(anchor_ids))
-    hops = np.full((len(adj), len(cols)), np.inf)
-    hops[anchor_ids, cols] = 0.0
-    frontier = np.zeros_like(hops)
-    frontier[anchor_ids, cols] = 1.0
+    """``(n, n_anchors)`` hop counts (``inf`` if unreachable): scipy's
+    unweighted, undirected ``shortest_path(adjacency)[:, anchor_ids]``
+    without the all-pairs solve — :func:`_anchor_hop_block` over one
+    network."""
+    anchor_ids = np.asarray(anchor_ids, dtype=np.intp)
+    return _anchor_hop_block(
+        np.asarray(adjacency, dtype=bool)[None],
+        anchor_ids[None],
+        np.ones((1, len(anchor_ids)), dtype=bool),
+    )[0]
+
+
+def _anchor_hop_block(
+    adjacency: np.ndarray, anchors: np.ndarray, valid: np.ndarray
+) -> np.ndarray:
+    """``(B, n, a)`` hop counts from anchor slot ``s`` of network ``b``
+    (node ``anchors[b, s]``, used where ``valid[b, s]``) to every node of
+    the ``(B, n, n)`` boolean *adjacency* stack, ``inf`` if unreachable or
+    for an unused slot.  One frontier BFS from every anchor of every
+    network at once over the undirected adjacency; each step's counts are
+    sums of 0/1 products, so they are exact whatever the stack holds."""
+    adj = (adjacency | adjacency.transpose(0, 2, 1)).astype(np.float64)
+    nets, slots = np.nonzero(valid)
+    hops = np.full((*adj.shape[:2], valid.shape[1]), np.inf)
+    hops[nets, anchors[nets, slots], slots] = 0.0
+    frontier = (hops == 0.0).astype(np.float64)
     h = 0.0
     while True:
         reached = (adj @ frontier > 0) & np.isinf(hops)
@@ -837,13 +938,79 @@ def _anchor_hops(adjacency: np.ndarray, anchor_ids: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------- #
+#: The node-potential hook whose solvers share blocks; a subclass that
+#: overrides it (:class:`repro.audit.ReferenceGridBP`) keeps its own.
+_BLOCK_HOOK = GridBPLocalizer._node_potentials
+
+
+def _node_potential_blocks(
+    pairs: list[tuple[GridBPLocalizer, MeasurementSet]], grids: list[Grid2D]
+) -> list[tuple[PositionPrior, RadioModel, np.ndarray] | None]:
+    """Per pair, the ``(prior, radio, log_phi)`` its node-potential block
+    built, or ``None`` where :meth:`GridBPLocalizer._prepare` builds its
+    own (a block of one).
+
+    Pairs share a block when the solver class, grid, config,
+    ``has_ranging`` / ``has_bearings`` and the fingerprints of the
+    resolved radio, the ranging model and the bearing model are equal —
+    exactly what makes their potentials one computation
+    (:meth:`GridBPLocalizer._node_potential_block`).  A pair whose solver
+    overrides the hook or whose models do not fingerprint stays alone.
+    Each block is timed on its first solver's ``node_potentials`` timer.
+    A block that raises ``ValueError`` (the potentials' failure modes: a
+    zero-mass prior, evidence that excludes every cell) is dropped: its
+    pairs build alone in input order, so the error raised is the one the
+    pair-by-pair loop raises first.
+    """
+    blocks: dict[tuple, list[int]] = {}
+    models: list[tuple | None] = [None] * len(pairs)
+    for i, ((loc, ms), grid) in enumerate(zip(pairs, grids)):
+        if type(loc)._node_potentials is not _BLOCK_HOOK:
+            continue
+        prior, radio = loc._models(ms)
+        prints = tuple(
+            _fingerprint(m) for m in (radio, ms.ranging, ms.bearing_model)
+        )
+        if None in prints:
+            continue
+        key = (
+            type(loc),
+            config_key(grid, loc.config),
+            ms.has_ranging,
+            ms.has_bearings,
+            prints,
+        )
+        blocks.setdefault(key, []).append(i)
+        models[i] = (prior, radio)
+    out: list[tuple | None] = [None] * len(pairs)
+    for idxs in blocks.values():
+        if len(idxs) == 1:
+            continue
+        loc = pairs[idxs[0]][0]
+        problems = [
+            (pairs[i][1], *models[i], pairs[i][1].unknown_ids) for i in idxs
+        ]
+        try:
+            with loc.tracer.timer("node_potentials"):
+                log_phis = loc._node_potential_block(grids[idxs[0]], problems)
+        except ValueError:
+            continue  # the pairs' own builds raise it again, in input order
+        for i, log_phi in zip(idxs, log_phis):
+            out[i] = (*models[i], log_phi)
+    return out
+
+
 def localize_batch(
     pairs: list[tuple[GridBPLocalizer, MeasurementSet]],
 ) -> list[LocalizationResult]:
     """Localize many (solver, measurements) pairs, batching compatible ones.
 
-    The pairs are prepared individually (node potentials, edge operators —
-    each under its own solver's tracer, on one shared :class:`Grid2D` per
+    The pairs' node potentials are built as blocks
+    (:func:`_node_potential_blocks`: one
+    :meth:`GridBPLocalizer._node_potential_block` pass per group of pairs
+    with equal solver class, grid shape, config, modalities and model
+    fingerprints).  Each pair is then prepared on its own (edge operators
+    under its own solver's tracer, on one shared :class:`Grid2D` per
     distinct grid geometry), partitioned with
     :func:`repro.kernels.group_compatible` (same grid shape/extent, same
     ``K``, equal config — different networks/priors/seeds batch together;
@@ -855,28 +1022,34 @@ def localize_batch(
 
     Results come back in input order and are bit-identical to calling
     ``localize`` pair by pair (gated by ``tests/test_kernels.py`` and the
-    ``repro.audit`` ``batched-batch-vs-sequential`` DiffCase).  The
-    estimate pass (health mask, point estimates, covariances) runs once
-    per group over the group's stacked belief rows; each problem then
-    reads its own row slice.  A problem that takes a damped health
-    restart recomputes its own rows; fallbacks and communication
+    ``repro.audit`` ``batched-batch-vs-sequential`` DiffCase); a pair
+    that cannot be solved raises the error the pair-by-pair loop raises
+    first.  The estimate pass (health mask, point estimates, covariances)
+    runs once per group over the group's stacked belief rows; each
+    problem then reads its own row slice.  A problem that takes a damped
+    health restart recomputes its own rows; fallbacks and communication
     accounting stay per trial.  Telemetry: each solver's tracer records
-    its own preparation and estimate phases, and the group's estimate
-    pass is timed on the first solver's tracer; for groups larger than
-    one the BP loop itself is a shared pass, so per-trial ``bp`` timers
-    are not emitted — the tracer gets ``batch_size`` / ``batch_groups``
-    annotations instead.
+    its own edge-potential and estimate phases; a node-potential block
+    and a group's estimate pass are timed on their first solver's
+    tracer.  For groups larger than one the BP loop itself is a shared
+    pass, so per-trial ``bp`` timers are not emitted — the tracer gets
+    ``batch_size`` / ``batch_groups`` annotations instead.
     """
     pairs = list(pairs)
     if not pairs:
         return []
     grids: dict[tuple, Grid2D] = {}
-    preps = []
+    pair_grids = []
     for loc, ms in pairs:
         shape = (loc.config.grid_size, ms.width, ms.height)
         if shape not in grids:
             grids[shape] = Grid2D(shape[0], shape[0], ms.width, ms.height)
-        preps.append(loc._prepare(ms, loc.tracer, grids[shape]))
+        pair_grids.append(grids[shape])
+    prebuilt = _node_potential_blocks(pairs, pair_grids)
+    preps = [
+        loc._prepare(ms, loc.tracer, grid, built)
+        for (loc, ms), grid, built in zip(pairs, pair_grids, prebuilt)
+    ]
     groups = group_compatible([p.problem for p in preps])
     results: list[LocalizationResult | None] = [None] * len(pairs)
     for _key, idxs in groups:

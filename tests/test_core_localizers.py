@@ -20,7 +20,7 @@ from repro.core import (
     NBPConfig,
     NBPLocalizer,
 )
-from repro.core.bnloc import _anchor_hops
+from repro.core.bnloc import _anchor_hop_block, _anchor_hops
 from repro.core.grid import Grid2D
 from repro.core.potentials import _blurred_likelihood
 from repro.core.result import LocalizationResult
@@ -382,12 +382,39 @@ class TestAnchorHops:
         assert np.array_equal(got, _scipy_hops(adj, [0, 1, 5]))
         assert np.isinf(got[1:, 0]).all() and got[3, 1] == 2.0
 
+    def test_padded_block_of_networks(self):
+        # networks of different sizes and anchor counts in one stack: each
+        # network's rows and used slots equal its own solve, the padding
+        # stays unreachable
+        rng = np.random.default_rng(23)
+        nets = []
+        for n in (7, 30, 1, 18, 12):
+            adj = rng.uniform(size=(n, n)) < 0.15
+            size = min(n, int(rng.integers(0, 5)))
+            nets.append((adj, np.sort(rng.choice(n, size=size, replace=False))))
+        n_max = max(len(a) for a, _ in nets)
+        a_max = max(len(s) for _, s in nets)
+        stack = np.zeros((len(nets), n_max, n_max), dtype=bool)
+        anchors = np.zeros((len(nets), a_max), dtype=np.intp)
+        valid = np.zeros((len(nets), a_max), dtype=bool)
+        for b, (adj, sources) in enumerate(nets):
+            stack[b, : len(adj), : len(adj)] = adj
+            anchors[b, : len(sources)] = sources
+            valid[b, : len(sources)] = True
+        got = _anchor_hop_block(stack, anchors, valid)
+        for b, (adj, sources) in enumerate(nets):
+            n, a = len(adj), len(sources)
+            assert np.array_equal(got[b, :n, :a], _scipy_hops(adj, sources))
+            assert np.isinf(got[b, n:]).all() and np.isinf(got[b, :, a:]).all()
+
 
 @pytest.mark.perf
 class TestNodePotentialRouting:
     """``_node_potentials`` must stay a whole-array pass: one
     ``log_likelihood`` call per Gauss–Hermite node however many anchor
-    links the problem has, and no scipy csgraph solve."""
+    links the problem has, and no scipy csgraph solve.  A stream batch
+    builds its node potentials as one block: one ``(links, K)`` slab and
+    one hop BFS for all its problems."""
 
     def test_one_likelihood_call_per_quadrature_node(self, monkeypatch):
         ms = _builder_ms(11)
@@ -422,6 +449,53 @@ class TestNodePotentialRouting:
         assert calls == []
         ref(*args)  # the reference still solves all pairs once
         assert calls == [1]
+
+    def test_stream_batch_is_one_block(self, monkeypatch):
+        from repro.core import bnloc
+        from repro.priors import GridBeliefPrior
+        from repro.serve.workers import execute_batch
+        from repro.stream import FleetConfig, StreamConfig, StreamRuntime, fleet_events
+
+        fleet = FleetConfig(
+            n_networks=32, n_nodes=12, anchor_ratio=0.3, radio_range=0.4,
+            noise_sigma=0.02, n_steps=1, seed=5,
+        )
+        runtime = StreamRuntime(
+            StreamConfig(grid_size=12, warm_iterations=2, batch_max=32),
+            expected_networks=fleet.n_networks,
+        )
+        k = runtime._grid.n_cells
+        gen = np.random.default_rng(0)
+        items = []
+        for epoch in fleet_events(fleet)[: fleet.n_networks]:  # step 0
+            state = runtime._state(epoch.network_id)
+            state.prior = GridBeliefPrior(
+                runtime._grid, {n: gen.random(k) for n in range(fleet.n_nodes)}
+            )
+            items.append(runtime._item(state, epoch, warm=True))
+        n_links = sum(
+            int(ms.adjacency[np.ix_(ms.unknown_ids, ms.anchor_ids)].sum())
+            for ms in (item["measurements"] for item in items)
+        )
+        execute_batch(items)  # warm the shared pairwise-kernel cache
+        likelihoods, bfs = [], []
+        original_ll = GaussianRanging.log_likelihood
+        original_bfs = bnloc._anchor_hop_block
+
+        def counted_ll(self, observed, distances):
+            likelihoods.append(np.shape(distances))
+            return original_ll(self, observed, distances)
+
+        def counted_bfs(adjacency, anchors, valid):
+            bfs.append(len(adjacency))
+            return original_bfs(adjacency, anchors, valid)
+
+        monkeypatch.setattr(GaussianRanging, "log_likelihood", counted_ll)
+        monkeypatch.setattr(bnloc, "_anchor_hop_block", counted_bfs)
+        payloads = execute_batch(items)
+        assert all(p["ok"] for p in payloads)
+        assert likelihoods == [(n_links, k)] * 3
+        assert bfs == [len(items)]
 
 
 class TestNBPLocalizer:

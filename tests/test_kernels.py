@@ -27,7 +27,12 @@ kernels on one prepared problem.  The suite covers:
   the round goes back to per-group weights or per-group product slabs;
 * the group estimate pass: ``localize_batch`` byte-equal to pair-by-pair
   ``localize`` with a fallback node, a damped restart, MAP estimates,
-  health checks off, recorded traces and two grid shapes in one batch.
+  health checks off, recorded traces and two grid shapes in one batch;
+* the node-potential blocks: ``localize_batch`` byte-equal to pair-by-pair
+  ``localize`` on a batch mixing network sizes, anchor counts, priors,
+  modalities, configs, models and the reference solver (block count
+  checked through a spy), and a failing pair raising the error the
+  pair-by-pair loop raises first.
 
 The fast lane (module marker ``kernel``) runs in the default suite; the
 randomized sweeps are additionally marked ``slow`` — select them with
@@ -45,6 +50,7 @@ from scipy import sparse
 
 from repro.audit import ReferenceGridBP
 from repro.core import GridBPConfig, GridBPLocalizer
+from repro.core import bnloc
 from repro.core.bnloc import localize_batch
 from repro.core.grid import Grid2D
 from repro.core.potentials import shared_registry
@@ -60,11 +66,12 @@ from repro.kernels import (
 )
 from repro.kernels import batched as batched_kernel
 from repro.kernels.reference import _MSG_LOG_CUTOFF, _message_weights
-from repro.measurement import BearingModel, GaussianRanging, observe
+from repro.measurement import BearingModel, ConnectivityOnly, GaussianRanging, observe
 from repro.network import NetworkConfig, UnitDiskRadio, generate_network
 from repro.obs import NULL_TRACER, Tracer
 from repro.parallel import DistributedBPSimulator
 from repro.parallel.messaging import SensorNodeAgent
+from repro.priors import GaussianPrior, GridBeliefPrior
 from repro.priors.base import PositionPrior
 
 pytestmark = pytest.mark.kernel
@@ -72,9 +79,12 @@ pytestmark = pytest.mark.kernel
 BASE_CFG = GridBPConfig(grid_size=8, max_iterations=5, tol=1e-9)
 
 
-def _measurements(
-    seed, n=14, anchor_ratio=0.25, radio=0.42, connected=True, bearings=False
+def _observed(
+    seed, n=14, anchor_ratio=0.25, radio=0.42, connected=False, bearings=False,
+    sigma=0.03, ranging=True,
 ):
+    """(network, measurements): Gaussian ranges of σ *sigma*, or
+    connectivity only."""
     net = generate_network(
         NetworkConfig(
             n_nodes=n,
@@ -84,12 +94,19 @@ def _measurements(
         ),
         rng=seed,
     )
-    return observe(
+    ms = observe(
         net,
-        GaussianRanging(0.03),
+        GaussianRanging(sigma) if ranging else ConnectivityOnly(),
         rng=seed + 1,
         bearings=BearingModel(0.1) if bearings else None,
     )
+    return net, ms
+
+
+def _measurements(
+    seed, n=14, anchor_ratio=0.25, radio=0.42, connected=True, bearings=False
+):
+    return _observed(seed, n, anchor_ratio, radio, connected, bearings)[1]
 
 
 def _problem(ms, cfg):
@@ -995,3 +1012,161 @@ class TestGroupEstimatePass:
         batched = self._compare(cfgs)
         assert [r.telemetry["meta"]["batch_groups"] for r in batched] == [2] * 3
         assert [r.telemetry["meta"]["batch_size"] for r in batched] == [2, 1, 2]
+
+
+def _block_spy(monkeypatch):
+    """Record the problem count of every node-potential block pass."""
+    sizes = []
+    original = GridBPLocalizer._node_potential_block
+
+    def spy(self, grid, problems):
+        sizes.append(len(problems))
+        return original(self, grid, problems)
+
+    monkeypatch.setattr(GridBPLocalizer, "_node_potential_block", spy)
+    return sizes
+
+
+class TestNodePotentialBlocks:
+    """``localize_batch`` builds node potentials as one block per group of
+    pairs with equal solver class, grid, config, modalities and model
+    fingerprints; every result must stay byte-equal to ``localize`` pair
+    by pair, whatever the blocks mix."""
+
+    def _mixed_pairs(self):
+        grid = Grid2D(BASE_CFG.grid_size, BASE_CFG.grid_size, 1.0, 1.0)
+        net12, ms12 = _observed(140, 12, anchor_ratio=0.25)
+        _, ms25 = _observed(143, 25, anchor_ratio=0.2)
+        deaf = [
+            u for u in ms25.unknown_ids if not ms25.adjacency[u, ms25.anchor_ids].any()
+        ]
+        assert deaf and len(ms12.anchor_ids) != len(ms25.anchor_ids)
+        n = ms12.n_nodes
+        all_anchor = dc.replace(
+            ms12, anchor_mask=np.ones(n, dtype=bool),
+            anchor_positions_full=net12.positions,
+        )
+        no_anchor = dc.replace(ms12, anchor_mask=np.zeros(n, dtype=bool))
+        gen = np.random.default_rng(7)
+        belief = GridBeliefPrior(
+            grid, {int(u): gen.random(grid.n_cells) for u in ms25.unknown_ids[::2]}
+        )
+        deployment = GaussianPrior([0.4, 0.6], 0.3)
+
+        def loc(prior=None, **overrides):
+            return GridBPLocalizer(prior=prior, config=dc.replace(BASE_CFG, **overrides))
+
+        pairs = [
+            # one block: sizes 12 / 25, deaf unknowns, all / no anchors,
+            # belief / deployment / no prior
+            (loc(), ms12),
+            (loc(belief), ms25),
+            (loc(), all_anchor),
+            (loc(deployment), no_anchor),
+            # a second σ and a second radio range: blocks of their own
+            (loc(), _observed(142, 12, sigma=0.05)[1]),
+            (loc(belief), _observed(141, 25, sigma=0.05, anchor_ratio=0.2)[1]),
+            (loc(), _observed(144, 12, radio=0.5)[1]),
+            (loc(deployment), _observed(145, 25, radio=0.5, anchor_ratio=0.2)[1]),
+            # connectivity-only and bearing measurement sets
+            (loc(), _observed(146, 12, ranging=False)[1]),
+            (loc(belief), _observed(147, 25, ranging=False, anchor_ratio=0.2)[1]),
+            (loc(), _observed(148, 12, bearings=True)[1]),
+            (loc(deployment), _observed(149, 25, bearings=True, anchor_ratio=0.2)[1]),
+        ]
+        for flag in (
+            "use_hop_bounds", "use_negative_evidence", "use_connectivity_in_ranging"
+        ):
+            pairs += [(loc(**{flag: False}), ms12), (loc(belief, **{flag: False}), ms25)]
+        # the audit's reference solver keeps its own (baseline) potentials
+        pairs.append((ReferenceGridBP(config=BASE_CFG), ms12))
+        return pairs
+
+    def test_mixed_batch_byte_equal_to_localize(self, monkeypatch):
+        pairs = self._mixed_pairs()
+        sizes = _block_spy(monkeypatch)
+        batched = localize_batch(pairs)
+        assert sizes == [4] + [2] * 7
+        sizes.clear()
+        for (loc, ms), b in zip(pairs, batched):
+            _assert_byte_equal(b, loc.localize(ms))
+        assert sizes == [1] * (len(pairs) - 1)  # the reference builds no block
+
+    def test_block_rows_match_lone_builds(self):
+        pairs = self._mixed_pairs()[:4]
+        grid = Grid2D(BASE_CFG.grid_size, BASE_CFG.grid_size, 1.0, 1.0)
+        nodes = bnloc._node_potential_blocks(pairs, [grid] * len(pairs))
+        for (loc, ms), (prior, radio, log_phi) in zip(pairs, nodes):
+            alone = loc._node_potentials_baseline(ms, grid, prior, radio, ms.unknown_ids)
+            assert log_phi.tobytes() == alone.tobytes()
+        assert [len(n[2]) for n in nodes] == [len(ms.unknown_ids) for _, ms in pairs]
+
+
+def _corrupt_link(ms, pick):
+    """*ms* with a NaN range on its *pick*-th unknown-anchor link, and that
+    link's unknown, whose evidence then excludes every cell."""
+    links = [
+        (int(u), int(a))
+        for u in ms.unknown_ids
+        for a in ms.anchor_ids
+        if ms.adjacency[u, a]
+    ]
+    u, a = links[pick]
+    obs = ms.observed_distances.copy()
+    obs[u, a] = obs[a, u] = np.nan
+    return dc.replace(ms, observed_distances=obs), u
+
+
+class TestNodePotentialBlockErrors:
+    """A pair whose evidence and prior exclude each other fails the batch
+    with the error the pair-by-pair loop raises first; through
+    ``execute_batch`` only that item fails."""
+
+    def _pairs(self):
+        ok_a = _observed(150, 12)[1]
+        ok_b = _observed(151, 12, sigma=0.05)[1]
+        bad_b, node_b = _corrupt_link(_observed(152, 12, sigma=0.05)[1], 0)
+        bad_a, node_a = _corrupt_link(_observed(153, 14)[1], -1)
+        assert node_a != node_b
+        # two blocks ({0, 3} at σ = 0.03, {1, 2} at σ = 0.05); the
+        # sequential loop meets pair 2 before pair 3
+        return [(GridBPLocalizer(config=BASE_CFG), ms) for ms in (ok_a, ok_b, bad_b, bad_a)], node_b
+
+    def test_raises_the_first_sequential_error(self):
+        pairs, node = self._pairs()
+        with pytest.raises(ValueError) as sequential:
+            for loc, ms in pairs:
+                loc.localize(ms)
+        assert f"node {node}: evidence and prior are mutually exclusive" in str(
+            sequential.value
+        )
+        with pytest.raises(ValueError) as batched:
+            localize_batch(pairs)
+        assert str(batched.value) == str(sequential.value)
+
+    def test_execute_batch_isolates_the_item(self):
+        from repro.serve.workers import execute_batch
+
+        pairs, node = self._pairs()
+        items = [
+            {"measurements": ms, "config": loc.config, "include_beliefs": True}
+            for loc, ms in pairs
+        ]
+        payloads = execute_batch(items)
+        assert [p["ok"] for p in payloads] == [True, True, False, False]
+        assert f"node {node}:" in payloads[2]["error"]
+        for item, payload in zip(items[:2], payloads):
+            (solo,) = execute_batch([item])
+            assert _payload_bytes(payload) == _payload_bytes(solo)
+
+
+def _payload_bytes(payload):
+    """A payload with every array replaced by its dtype, shape and bytes."""
+    def enc(v):
+        if isinstance(v, dict):
+            return {k: enc(x) for k, x in v.items()}
+        if isinstance(v, np.ndarray):
+            return (v.dtype.str, v.shape, v.tobytes())
+        return v
+
+    return enc(payload)
