@@ -10,7 +10,7 @@
   multiprocess path runs on (trials, served batches, stream shards):
   spawn workers behind a pipe protocol, ``submit`` → ``Future``, crash
   and timeout detection with killed-and-replaced workers under jittered
-  backoff, idle-worker health probes.  Retry policy stays with callers.
+  backoff, idle-worker health probes and the one retry policy, ``retry_call``.
 * :mod:`repro.parallel.messaging` — a synchronous-round message-passing
   simulator of the *distributed* BP deployment: per-node mailboxes, real
   counted messages/bytes, and bit-identical beliefs to the centralized

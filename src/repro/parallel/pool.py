@@ -18,7 +18,8 @@ jittered exponential backoff (so a worker that dies on import cannot spin
 the supervisor); the submission fails with :class:`WorkerCrash` (or its
 subclass :class:`WorkerTimeout`).  An exception raised by the called
 function comes back as :class:`RemoteError` and leaves the worker alive.
-Retry policy belongs to the callers — it differs by contract.
+The one retry policy over :meth:`WarmPool.submit` is :func:`retry_call`:
+it resubmits a crashed call, up to :data:`CALL_ATTEMPTS` attempts.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from concurrent.futures import Future
 
 import numpy as np
 
-__all__ = ["RemoteError", "WarmPool", "WorkerCrash", "WorkerTimeout"]
+__all__ = ["CALL_ATTEMPTS", "RemoteError", "WarmPool", "WorkerCrash",
+           "WorkerTimeout", "retry_call"]
 
 
 class WorkerCrash(RuntimeError):
@@ -69,6 +71,9 @@ _BACKOFF_JITTER_KEY = 0xB0FF_1E77
 
 #: first replacement delay; doubles per consecutive failure (capped at 2^6)
 _REPLACE_BACKOFF_S = 0.05
+
+#: attempts per :func:`retry_call`: the first call plus two retries
+CALL_ATTEMPTS = 3
 
 
 def _backoff(
@@ -365,3 +370,39 @@ class WarmPool:
                 slot.handle = handle
                 return
         handle.kill()
+
+
+def retry_call(pool, fn, args_for, *, timeout: float | None = None) -> Future:
+    """Run ``fn(*args_for(i))`` on *pool* for attempt i = 0, 1, …
+
+    A :class:`WorkerCrash` (or timeout) starts the next attempt on the
+    pool's replacement worker, up to :data:`CALL_ATTEMPTS`; then the
+    future fails with the last crash.  Any other exception fails it at
+    once: a :class:`RemoteError`, an unpicklable call, *args_for* giving
+    up (e.g. on a spent budget), or ``submit`` on a closed pool.  The
+    future always resolves and cannot be cancelled.
+    """
+    outer: Future = Future()
+    # Running: a caller's cancel() cannot race the attempts' outcome.
+    outer.set_running_or_notify_cancel()
+
+    def attempt(i: int) -> None:
+        try:
+            call = pool.submit(fn, *args_for(i), timeout=timeout)
+        except Exception as exc:  # args_for gave up, or the pool is closed
+            outer.set_exception(exc)
+        else:
+            call.add_done_callback(lambda done: settle(i, done))
+
+    def settle(i: int, call: Future) -> None:
+        try:
+            result = call.result()
+        except Exception as exc:  # a crash, RemoteError, unpicklable, cancelled
+            if isinstance(exc, WorkerCrash) and i + 1 < CALL_ATTEMPTS:
+                return attempt(i + 1)
+            outer.set_exception(exc)
+        else:
+            outer.set_result(result)
+
+    attempt(0)
+    return outer

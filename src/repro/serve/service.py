@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.parallel.pool import WorkerCrash
+from repro.parallel.pool import CALL_ATTEMPTS, RemoteError, WorkerCrash
 from repro.serve.breaker import BreakerRegistry
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.types import (
@@ -37,7 +37,7 @@ from repro.serve.types import (
     request_batch_key,
     widened_sigma,
 )
-from repro.serve.workers import BatchExecutionError, WorkerPool
+from repro.serve.workers import DeadlineExpired, WorkerPool
 
 __all__ = ["ServeConfig", "LocalizationService"]
 
@@ -52,7 +52,6 @@ class ServeConfig:
     batch_window_s: float = 0.01    # wait this long to fill a batch
     default_deadline_s: float | None = None
     exec_timeout_s: float = 60.0    # hard cap on one worker call
-    max_batch_retries: int = 2      # crash retries before degrading
     breaker_threshold: int = 3
     breaker_cooldown_s: float = 2.0
     probe_interval_s: float = 1.0
@@ -64,8 +63,6 @@ class ServeConfig:
             raise ValueError("queue_limit must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_batch_retries < 0:
-            raise ValueError("max_batch_retries must be >= 0")
 
 
 @dataclass
@@ -320,55 +317,33 @@ class LocalizationService:
             }
             for p in live
         ]
-        # 3. execute, retrying across worker crashes
-        attempts = self.config.max_batch_retries + 1
-        for attempt in range(attempts):
-            start = self.clock()
-            remains = [p.remaining(start) for p in live]
-            finite = [r for r in remains if r is not None]
-            deadline_s = min(finite) if finite else None
-            if deadline_s is not None and deadline_s <= 0:
-                # budget ran out while retrying
-                for p in live:
-                    if not p.future.done():
-                        self.metrics.count("expired")
-                        self._resolve(
-                            p, self._fallback_response(p, "deadline-expired")
-                        )
-                return
-            try:
-                async with self._exec_sem:
-                    payloads = await self.pool.run_batch(
-                        items, deadline_s, self.config.exec_timeout_s
-                    )
-            except WorkerCrash as exc:
-                self.metrics.count("worker_crashes")
-                breaker.record_failure()
-                if attempt + 1 < attempts:
-                    continue
-                for p in live:
-                    self._resolve(
-                        p,
-                        self._fallback_response(
-                            p, "crash-retries-exhausted", error=str(exc)
-                        ),
-                    )
-                return
-            except BatchExecutionError as exc:
-                breaker.record_failure()
-                for p in live:
-                    self._resolve(
-                        p,
-                        self._fallback_response(
-                            p, "execution-error", error=str(exc)
-                        ),
-                    )
-                return
+        # 3. execute; the pool retries the batch across worker crashes
+        start = self.clock()
+        try:
+            async with self._exec_sem:
+                now = self.clock()
+                budgets = [p.remaining(now) for p in live if p.deadline_at is not None]
+                payloads = await self.pool.run_batch(
+                    items, min(budgets, default=None), self.config.exec_timeout_s
+                )
+        except DeadlineExpired as exc:  # spent after exc.attempt crashes
+            self.metrics.count("expired", len(live))
+            failures, reason, error = exc.attempt, "deadline-expired", None
+        except WorkerCrash as exc:  # every attempt crashed
+            failures, reason, error = CALL_ATTEMPTS, "crash-retries-exhausted", str(exc)
+        except RemoteError as exc:
+            failures, reason, error = 1, "execution-error", str(exc)
+        else:
+            # crashes a retry recovered from do not count against the shape
             breaker.record_success()
             solve_s = self.clock() - start
             for p, payload in zip(live, payloads):
                 self._resolve(p, self._payload_response(p, payload, solve_s))
             return
+        for _ in range(failures):
+            breaker.record_failure()
+        for p in live:
+            self._resolve(p, self._fallback_response(p, reason, error=error))
 
     # ------------------------------------------------------------------ #
     # response construction

@@ -4,14 +4,13 @@ The service runs batches on one :class:`~repro.parallel.pool.WarmPool` of
 long-lived spawn workers (each imports numpy/scipy once and then serves
 many batches, so the shared :func:`repro.kernels.shared_registry`
 potential caches stay warm per process).  :class:`WorkerPool` is the
-event loop's face of it: ``run_batch`` awaits a pool call of
-:func:`execute_batch`, so a wedged or murdered worker never stalls the
-loop.  A worker that times out, crashes, or closes its pipe surfaces as
-:class:`~repro.parallel.pool.WorkerCrash` — the pool has already killed it
-and spawned a warm replacement (with jittered backoff so a crash loop
-cannot spin); the dispatcher retries the batch.  ``n_workers=0`` selects
-in-process execution (one thread, no pipes) for deterministic fast
-tests.
+event loop's face of it: ``run_batch`` awaits a
+:func:`~repro.parallel.pool.retry_call` of :func:`execute_batch`, so a
+wedged or murdered worker never stalls the loop.  A worker that times
+out, crashes, or closes its pipe is replaced by the pool (with jittered
+backoff so a crash loop cannot spin) and the batch runs again on the
+replacement.  ``n_workers=0`` selects in-process execution (one thread,
+no pipes) for deterministic fast tests.
 
 :func:`execute_batch` is the *only* code that runs inside a worker; it
 must stay importable at module level (spawn pickles it by reference) and
@@ -23,20 +22,25 @@ its batch-mates.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import numpy as np
 
-from repro.parallel.pool import RemoteError, WarmPool, WorkerCrash
+from repro.parallel.pool import RemoteError, WarmPool, WorkerCrash, retry_call
 
 __all__ = [
     "execute_batch",
-    "BatchExecutionError",
+    "DeadlineExpired",
     "WorkerPool",
 ]
 
 
-class BatchExecutionError(RuntimeError):
-    """The batch itself failed inside a healthy worker (not retryable)."""
+class DeadlineExpired(Exception):
+    """The batch's budget ran out before attempt ``attempt`` (0, 1, …)."""
+
+    def __init__(self, attempt: int) -> None:
+        super().__init__(attempt)
+        self.attempt = attempt
 
 
 # ---------------------------------------------------------------------- #
@@ -206,25 +210,32 @@ class WorkerPool:
         deadline_s: float | None,
         timeout: float,
     ) -> list[dict]:
-        """Execute one batch on some worker; raises WorkerCrash /
-        BatchExecutionError, never silently loses the batch."""
+        """Execute one batch; each attempt gets what is left of the
+        *deadline_s* budget.  Raises :class:`DeadlineExpired`,
+        :class:`~repro.parallel.pool.WorkerCrash` (every attempt crashed)
+        or :class:`~repro.parallel.pool.RemoteError` (the batch raised);
+        never silently loses the batch."""
+        end = None if deadline_s is None else time.monotonic() + deadline_s
+
+        def args_for(attempt: int) -> tuple:
+            left = None if end is None else end - time.monotonic()
+            if left is not None and left <= 0:
+                raise DeadlineExpired(attempt)
+            return items, left
+
         if self.inline:
-            loop = asyncio.get_running_loop()
+            args = args_for(0)
             try:
-                return await loop.run_in_executor(
-                    None, execute_batch, items, deadline_s
+                return await asyncio.get_running_loop().run_in_executor(
+                    None, execute_batch, *args
                 )
             except Exception as exc:
-                raise BatchExecutionError(
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
+                raise RemoteError.capture(exc) from exc
         if self._pool is None:
             raise WorkerCrash("worker pool is stopped")
-        fut = self._pool.submit(execute_batch, items, deadline_s, timeout=timeout)
-        try:
-            return await asyncio.wrap_future(fut)
-        except RemoteError as exc:
-            raise BatchExecutionError(str(exc)) from exc
+        return await asyncio.wrap_future(
+            retry_call(self._pool, execute_batch, args_for, timeout=timeout)
+        )
 
     def snapshot(self) -> dict:
         if self._pool is None:

@@ -8,10 +8,10 @@ Two interchangeable backends behind the same protocol
 * :class:`PoolExecutor` — shards items round-robin into one
   :func:`~repro.serve.execute_batch` call per worker of a
   :class:`~repro.parallel.pool.WarmPool`.  A shard whose worker crashes,
-  hangs, or is SIGKILL'd is resubmitted (the pool has already replaced
-  the worker, under its jittered backoff), and after
-  :data:`SHARD_RETRIES` resubmissions runs in-process as the last
-  resort — so a batch is *never* lost to worker mortality.
+  hangs, or is SIGKILL'd is resubmitted by
+  :func:`~repro.parallel.pool.retry_call`; one whose attempts all crash,
+  or that raises in its worker, runs in-process as the last resort — so
+  a batch is *never* lost to worker mortality.
 
 Both return the same payloads for the same items (``localize_batch`` is
 bit-identical across batch compositions), so ``n_workers`` is a pure
@@ -22,16 +22,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.parallel.pool import RemoteError, WarmPool, WorkerCrash
+from repro.parallel.pool import RemoteError, WarmPool, WorkerCrash, retry_call
 from repro.serve.workers import execute_batch
 
 if TYPE_CHECKING:
     from repro.stream.runtime import StreamConfig
 
 __all__ = ["InlineExecutor", "PoolExecutor"]
-
-#: pool resubmissions of a crashed shard before it runs in-process
-SHARD_RETRIES = 2
 
 
 class InlineExecutor:
@@ -62,32 +59,25 @@ class PoolExecutor:
 
     def solve(self, items: list[dict]) -> list[dict]:
         """Execute *items* across the pool, preserving item order."""
-        calls = []
-        for slot in range(min(self.n_workers, len(items))):
-            idxs = range(slot, len(items), self.n_workers)
-            shard = [items[i] for i in idxs]
-            calls.append((idxs, shard, self._submit(shard)))
+        n = self.n_workers
+        shards = [items[slot::n] for slot in range(min(n, len(items)))]
+        calls = [
+            retry_call(
+                self.pool, execute_batch, lambda _attempt, s=shard: (s, None),
+                timeout=self.timeout_s,
+            )
+            for shard in shards
+        ]
         out: list[dict | None] = [None] * len(items)
-        for idxs, shard, fut in calls:
-            for i, payload in zip(idxs, self._shard_result(shard, fut)):
-                out[i] = payload
-        return out  # type: ignore[return-value]
-
-    def _submit(self, shard: list[dict]):
-        return self.pool.submit(execute_batch, shard, None, timeout=self.timeout_s)
-
-    def _shard_result(self, shard: list[dict], fut) -> list[dict]:
-        for attempt in range(SHARD_RETRIES + 1):
+        for slot, (shard, call) in enumerate(zip(shards, calls)):
             try:
-                return fut.result()
-            except WorkerCrash:
-                if attempt < SHARD_RETRIES:
-                    fut = self._submit(shard)
-            except RemoteError:
-                break
-        # Last resort: run the shard in-process.  Slower, but the batch
-        # survives any worker mortality — the zero-lost contract.
-        return execute_batch(shard, None)
+                out[slot::n] = call.result()
+            except (WorkerCrash, RemoteError):
+                # Last resort: run the shard in-process.  Slower, but the
+                # batch survives any worker mortality — the zero-lost
+                # contract.
+                out[slot::n] = execute_batch(shard, None)
+        return out  # type: ignore[return-value]
 
     def close(self) -> None:
         self.pool.close()

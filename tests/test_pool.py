@@ -2,8 +2,10 @@
 
 The mechanics every multiprocess caller relies on are tested here once:
 ordering, remote errors, crash and timeout replacement, the replacement
-backoff, idle-worker probes and teardown.  Each caller's own retry policy
-is tested with the caller (serve, stream).
+backoff, idle-worker probes and teardown, and the one retry policy
+(:func:`~repro.parallel.pool.retry_call`, against a stub pool).  What
+each caller does when the attempts run out is checked against real
+faults by ``tests/test_fault_matrix.py``.
 """
 
 import multiprocessing
@@ -11,18 +13,20 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import CancelledError, as_completed
+from concurrent.futures import CancelledError, Future, as_completed
 
 import pytest
 
 from repro.parallel.pool import (
     _REPLACE_BACKOFF_S,
+    CALL_ATTEMPTS,
     RemoteError,
     WarmPool,
     WorkerCrash,
     WorkerTimeout,
     _backoff,
     _replace_delay,
+    retry_call,
 )
 
 
@@ -90,6 +94,105 @@ class TestReplacementBackoff:
     def test_needs_a_worker(self):
         with pytest.raises(ValueError, match="n_workers"):
             WarmPool(0)
+
+
+class _StubPool:
+    """``submit`` returns the next scripted outcome as a done future;
+    ``"closed"`` raises like a closed :class:`WarmPool` and ``"pending"``
+    hands out a future the test resolves (kept as ``pending``)."""
+
+    def __init__(self, *outcomes) -> None:
+        self.outcomes = list(outcomes)
+        self.submits: list[tuple] = []
+
+    def submit(self, fn, *args, timeout=None) -> Future:
+        self.submits.append(args)
+        outcome = self.outcomes.pop(0)
+        if outcome == "closed":
+            raise RuntimeError("pool is closed")
+        fut: Future = Future()
+        if outcome == "pending":
+            self.pending = fut
+        elif outcome == "cancelled":
+            fut.cancel()
+        elif isinstance(outcome, BaseException):
+            fut.set_exception(outcome)
+        else:
+            fut.set_result(outcome)
+        return fut
+
+
+class TestRetryCall:
+    """The one retry policy, without processes."""
+
+    @staticmethod
+    def _call(pool, seen=None):
+        def args_for(attempt):
+            if seen is not None:
+                seen.append(attempt)
+            return (f"args-{attempt}",)
+
+        return retry_call(pool, _pid, args_for, timeout=1.0)
+
+    def test_recovers_after_crashes_with_fresh_args_each_attempt(self):
+        pool = _StubPool(WorkerCrash("a"), WorkerTimeout("b"), "done")
+        seen = []
+        assert self._call(pool, seen).result(timeout=0) == "done"
+        assert seen == [0, 1, 2]
+        assert pool.submits == [("args-0",), ("args-1",), ("args-2",)]
+
+    def test_every_attempt_crashed_fails_with_the_last_crash(self):
+        crashes = [WorkerCrash(str(i)) for i in range(CALL_ATTEMPTS)]
+        pool = _StubPool(*crashes, "never")
+        seen = []
+        fut = self._call(pool, seen)
+        assert fut.exception(timeout=0) is crashes[-1]
+        assert len(pool.submits) == CALL_ATTEMPTS
+        assert seen == list(range(CALL_ATTEMPTS))
+
+    @pytest.mark.parametrize(
+        "failure",
+        [
+            RemoteError("ValueError", "boom"),
+            TypeError("cannot pickle"),
+            "cancelled",
+        ],
+        ids=["remote", "unpicklable", "cancelled"],
+    )
+    def test_other_failures_are_not_retried(self, failure):
+        pool = _StubPool(failure, "never")
+        err = self._call(pool).exception(timeout=0)
+        if failure == "cancelled":  # queued when the pool closed
+            assert isinstance(err, CancelledError)
+        else:
+            assert err is failure
+        assert len(pool.submits) == 1
+
+    def test_args_for_raising_fails_the_future(self):
+        pool = _StubPool(WorkerCrash("a"), "never")
+        spent = LookupError("budget spent")
+
+        def args_for(attempt):
+            if attempt:
+                raise spent
+            return ()
+
+        fut = retry_call(pool, _pid, args_for)
+        assert fut.exception(timeout=0) is spent
+        assert len(pool.submits) == 1
+
+    def test_pool_closed_between_attempts_still_resolves(self):
+        pool = _StubPool(WorkerCrash("a"), "closed")
+        err = self._call(pool).exception(timeout=0)
+        assert isinstance(err, RuntimeError) and "closed" in str(err)
+        assert len(pool.submits) == 2
+
+    def test_caller_cannot_cancel(self):
+        pool = _StubPool("pending")
+        fut = self._call(pool)
+        assert not fut.cancel()
+        pool.pending.set_result("done")
+        assert fut.result(timeout=0) == "done"
 
 
 @pytest.mark.slow
