@@ -44,7 +44,6 @@ from repro.stream import (
     PoolExecutor,
     StreamConfig,
     StreamDisruption,
-    StreamMetrics,
     StreamRuntime,
     fleet_events,
     run_stream,
@@ -207,8 +206,7 @@ def _throughput_lane():
 def _chaos_lane(ledger_path):
     events = fleet_events(CHAOS_FLEET)
     hostile, stats = CHAOS_PLAN.apply(events)
-    metrics = StreamMetrics()
-    pool = PoolExecutor(CHAOS_STREAM, metrics=metrics)
+    pool = PoolExecutor(CHAOS_STREAM)
     ck = Checkpoint(ledger_path).open(
         stream_meta(CHAOS_FLEET, CHAOS_STREAM, CHAOS_PLAN)
     )
@@ -229,7 +227,6 @@ def _chaos_lane(ledger_path):
             CHAOS_STREAM,
             executor=pool,
             checkpoint=ck,
-            metrics=metrics,
             expected_networks=CHAOS_FLEET.n_networks,
         )
         result = runtime.run(

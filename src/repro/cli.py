@@ -796,10 +796,11 @@ def _print_stream_summary(result, title: str) -> None:
         "failed",
         "guard_trips",
         "cold_resolves",
-        "worker_replacements",
     ):
         if counters.get(name):
             print(f"  {name}: {counters[name]}")
+    if result.executor.get("replacements"):
+        print(f"  worker_replacements: {result.executor['replacements']}")
     ups = result.metrics.get("updates_per_sec")
     if ups:
         print(f"  updates/sec: {ups:.1f}")

@@ -15,6 +15,12 @@ and nested wall-clock timers::
 The default is the no-op :data:`NULL_TRACER`, which keeps the hot paths
 untouched and the results bit-identical to untraced runs.  ``python -m
 repro trace`` prints the same information from the command line.
+
+The same :class:`Tracer` is the metrics surface of the service and the
+stream runtime: ``tracer.observe("latency_ms", v)`` keeps a sliding
+window of the last :data:`OBSERVE_WINDOW` samples per name, and the
+snapshot's timing section exports each as n/p50/p99/mean
+(:func:`reservoir_summary`).
 """
 
 from repro.obs.report import (
@@ -25,6 +31,7 @@ from repro.obs.report import (
 )
 from repro.obs.tracer import (
     NULL_TRACER,
+    OBSERVE_WINDOW,
     TRACE_SCHEMA_VERSION,
     NullTracer,
     Tracer,
@@ -35,6 +42,7 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "TRACE_SCHEMA_VERSION",
+    "OBSERVE_WINDOW",
     "format_trace_table",
     "trace_summary",
     "merge_traces",

@@ -23,9 +23,10 @@ __all__ = [
 def reservoir_summary(values) -> dict:
     """JSON-safe percentile block for a bounded sample reservoir.
 
-    The common shape every metrics surface exports (serve latencies,
-    stream staleness): sample count, p50/p99, and mean — ``None`` when
-    the reservoir is empty so the block stays JSON-clean.
+    The shape every :meth:`~repro.obs.Tracer.observe` distribution
+    exports (serve latencies and queue waits, stream staleness), and the
+    load generator's latency block: sample count, p50/p99, and mean —
+    ``None`` when the reservoir is empty so the block stays JSON-clean.
     """
     import numpy as np
 

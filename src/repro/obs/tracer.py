@@ -5,7 +5,10 @@ per-iteration message residuals, how many beliefs still move, how many
 messages (and bytes) the distributed execution would have spent.  The
 :class:`Tracer` collects exactly that, plus named counters, peak-value
 gauges, and a stack of nested wall-clock timers, and exports everything as
-one JSON-safe dict (see :meth:`Tracer.snapshot`).
+one JSON-safe dict (see :meth:`Tracer.snapshot`).  Services and
+streams use the same class for their request and epoch metrics:
+:meth:`Tracer.observe` keeps a bounded window of samples per name
+(latencies, queue waits, staleness), exported as n/p50/p99/mean.
 
 Design rules
 ------------
@@ -20,17 +23,22 @@ Design rules
 * **Deterministic export.**  Everything except wall-clock timings is a
   pure function of the inputs and the seed; :meth:`Tracer.snapshot` with
   ``include_timings=False`` drops the only non-reproducible part, which is
-  what the golden-trace regression suite snapshots.
+  what the golden-trace regression suite snapshots.  Observed samples
+  are wall-clock values too, so they sit in that section.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import deque
 from typing import Callable
+
+from repro.obs.report import reservoir_summary
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
+    "OBSERVE_WINDOW",
     "NullTracer",
     "Tracer",
     "NULL_TRACER",
@@ -38,6 +46,10 @@ __all__ = [
 
 #: bumped whenever the exported dict layout changes incompatibly
 TRACE_SCHEMA_VERSION = 1
+
+#: samples kept per :meth:`Tracer.observe` name: a sliding window of the
+#: most recent values, so the percentiles track current load
+OBSERVE_WINDOW = 4096
 
 #: scalar types allowed in iteration records and annotations (JSON-safe)
 _SCALAR_TYPES = (bool, int, float, str, type(None))
@@ -80,6 +92,9 @@ class NullTracer:
 
     def annotate(self, name: str, value) -> None:
         """Attach scalar metadata (no-op)."""
+
+    def observe(self, name: str, value: int | float) -> None:
+        """Add *value* to the sample window of *name* (no-op)."""
 
     def timer(self, name: str):
         """Context manager timing a (possibly nested) phase (no-op)."""
@@ -158,12 +173,15 @@ class Tracer(NullTracer):
     timers:
         ``{path: {"seconds": float, "calls": int}}`` keyed by the nested
         ``/``-joined phase path.
+    samples:
+        ``{name: deque}`` — the last :data:`OBSERVE_WINDOW` values given
+        to :meth:`observe` under each name.
     """
 
     enabled = True
 
     __slots__ = ("counters", "gauges", "meta", "iterations", "timers",
-                 "_clock", "_timer_stack")
+                 "samples", "_clock", "_timer_stack")
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.counters: dict[str, int | float] = {}
@@ -171,6 +189,7 @@ class Tracer(NullTracer):
         self.meta: dict[str, object] = {}
         self.iterations: list[dict] = []
         self.timers: dict[str, dict] = {}
+        self.samples: dict[str, deque] = {}
         self._clock = clock
         self._timer_stack: list[str] = []
 
@@ -189,6 +208,12 @@ class Tracer(NullTracer):
                 f"got {type(value).__name__}"
             )
         self.meta[name] = value
+
+    def observe(self, name: str, value: int | float) -> None:
+        window = self.samples.get(name)
+        if window is None:
+            window = self.samples[name] = deque(maxlen=OBSERVE_WINDOW)
+        window.append(float(value))
 
     def timer(self, name: str) -> _Timer:
         return _Timer(self, name)
@@ -210,7 +235,9 @@ class Tracer(NullTracer):
 
         With ``include_timings=False`` the (non-deterministic) wall-clock
         section is omitted; the remainder is a pure function of inputs and
-        seed, suitable for golden-file comparison.
+        seed, suitable for golden-file comparison.  That section holds
+        ``timers`` and, once anything was observed, ``distributions``:
+        ``{name: reservoir_summary(samples)}``.
         """
         out: dict = {
             "schema_version": TRACE_SCHEMA_VERSION,
@@ -221,6 +248,10 @@ class Tracer(NullTracer):
         }
         if include_timings:
             out["timers"] = {k: dict(v) for k, v in self.timers.items()}
+            if self.samples:
+                out["distributions"] = {
+                    k: reservoir_summary(v) for k, v in self.samples.items()
+                }
         return out
 
     def to_json(self, include_timings: bool = True, indent: int | None = None) -> str:

@@ -223,15 +223,16 @@ class WarmPool:
 
     Workers spawn eagerly in the constructor.  Use as a context manager
     (or call :meth:`close`): exit kills every worker, also when unwinding
-    from ``KeyboardInterrupt`` or a trapped SIGTERM.  *metrics*, if
-    given, gets ``count("worker_replacements")`` per replacement.
+    from ``KeyboardInterrupt`` or a trapped SIGTERM.  ``replacements``
+    counts the workers replaced so far (also in :meth:`snapshot`); the
+    pool writes into no caller's metrics, so its threads share no state
+    with an event loop.
     """
 
-    def __init__(self, n_workers: int, metrics=None) -> None:
+    def __init__(self, n_workers: int) -> None:
         if n_workers < 1:
             raise ValueError("WarmPool needs n_workers >= 1")
         self.n_workers = n_workers
-        self.metrics = metrics
         self.replacements = 0
         self._failures = 0  # consecutive, across slots; reset by a good call
         self._ctx = mp.get_context("spawn")
@@ -359,8 +360,6 @@ class WarmPool:
             self.replacements += 1
             self._failures += 1
             delay = _replace_delay(self._failures, self.replacements)
-            if self.metrics is not None:
-                self.metrics.count("worker_replacements")
         if self._closing.wait(delay):
             return
         # Spawn outside the lock: submit() takes it, often on an event loop.

@@ -7,11 +7,16 @@ bounded admission with load shedding, per-shape circuit breakers, worker
 health probes with crash replacement, and graceful degradation — every
 admitted request gets an answer, possibly a flagged fallback, never
 silence.
+
+Metrics live on one :class:`repro.obs.Tracer`
+(``LocalizationService.metrics``), written only on the event loop:
+counters, gauges and the ``latency_ms`` / ``queue_wait_ms`` sample
+windows that :meth:`LocalizationService.metrics_snapshot` (the
+``metrics`` op) reports.
 """
 
 from repro.serve.breaker import BreakerRegistry, CircuitBreaker
 from repro.serve.loadgen import LoadReport, LoadSpec, run_load
-from repro.serve.metrics import ServiceMetrics
 from repro.serve.server import LocalizationServer, ServeClient
 from repro.serve.service import LocalizationService, ServeConfig
 from repro.serve.types import LocalizeRequest, LocalizeResponse
@@ -28,7 +33,6 @@ __all__ = [
     "LocalizeResponse",
     "ServeClient",
     "ServeConfig",
-    "ServiceMetrics",
     "WorkerPool",
     "execute_batch",
     "run_load",

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.obs import reservoir_summary
 from repro.serve.server import ServeClient
 
 __all__ = ["LoadSpec", "LoadReport", "build_request_payloads", "run_load"]
@@ -71,7 +72,7 @@ class LoadReport:
         return self.statuses.get("ok", 0) + self.statuses.get("degraded", 0)
 
     def to_dict(self) -> dict:
-        lat = np.asarray(self.latencies_s) if self.latencies_s else None
+        lat = reservoir_summary([s * 1e3 for s in self.latencies_s])
         return {
             "n_requests": self.n_requests,
             "wall_s": round(self.wall_s, 4),
@@ -84,11 +85,10 @@ class LoadReport:
             "lost": self.lost,
             "shed_retries": self.shed_retries,
             "latency_ms": {
-                "p50": round(float(np.percentile(lat, 50)) * 1e3, 3),
-                "p99": round(float(np.percentile(lat, 99)) * 1e3, 3),
-                "mean": round(float(lat.mean()) * 1e3, 3),
+                k: round(v, 3) if isinstance(v, float) else v
+                for k, v in lat.items()
             }
-            if lat is not None
+            if self.latencies_s
             else None,
             "mean_error_ok": self.mean_error_ok,
             "mean_error_degraded": self.mean_error_degraded,

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.obs import Tracer, reservoir_summary
 from repro.parallel.pool import CALL_ATTEMPTS, RemoteError, WorkerCrash
 from repro.serve.breaker import BreakerRegistry
-from repro.serve.metrics import ServiceMetrics
 from repro.serve.types import (
     LocalizeRequest,
     LocalizeResponse,
@@ -95,16 +95,16 @@ class LocalizationService:
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         self.clock = clock
-        self.metrics = ServiceMetrics()
+        # Written only on the event loop: pool threads never touch it.
+        self.metrics = Tracer()
+        self.metrics.annotate("component", "serve")
         self.breakers = BreakerRegistry(
             threshold=self.config.breaker_threshold,
             cooldown_s=self.config.breaker_cooldown_s,
             clock=clock,
         )
         self.pool = WorkerPool(
-            self.config.n_workers,
-            metrics=self.metrics,
-            probe_timeout_s=self.config.probe_timeout_s,
+            self.config.n_workers, probe_timeout_s=self.config.probe_timeout_s
         )
         self._buckets: dict[tuple, list[_Pending]] = {}
         self._flush_handles: dict[tuple, object] = {}
@@ -156,6 +156,8 @@ class LocalizationService:
                 await self.pool.probe()
             except Exception:  # supervision must survive anything
                 self.metrics.count("probe_errors")
+            else:
+                self.metrics.count("probes")
 
     # ------------------------------------------------------------------ #
     # admission
@@ -303,7 +305,9 @@ class LocalizationService:
             return
         for p in live:
             p.batch_size = len(live)
-        self.metrics.observe_batch(len(live))
+        self.metrics.count("batches")
+        self.metrics.count("batched_requests", len(live))
+        self.metrics.gauge_max("max_batch_size", len(live))
         items = [
             {
                 "measurements": p.ms,
@@ -358,7 +362,8 @@ class LocalizationService:
         self.metrics.count(response.status)
         if response.degraded:
             self.metrics.count("degraded_total")
-        self.metrics.observe_request(response.total_s, response.queue_s)
+        self.metrics.observe("latency_ms", response.total_s * 1e3)
+        self.metrics.observe("queue_wait_ms", response.queue_s * 1e3)
         pending.future.set_result(response)
 
     def _shed_response(
@@ -469,8 +474,23 @@ class LocalizationService:
         return self.pool.snapshot()["alive"] > 0
 
     def metrics_snapshot(self) -> dict:
-        snap = self.metrics.snapshot(
-            queue_depth=self._depth, workers=self.pool.snapshot()
-        )
-        snap["breakers"] = self.breakers.snapshot()
-        return snap
+        """JSON-safe state for the ``metrics`` op and the BENCH files."""
+        counters = dict(self.metrics.counters)
+        batches = counters.get("batches", 0)
+        out = {"counters": counters, "queue_depth": self._depth}
+        for name in ("latency_ms", "queue_wait_ms"):
+            block = reservoir_summary(self.metrics.samples.get(name, ()))
+            out[name] = {
+                k: round(v, 3) if isinstance(v, float) else v
+                for k, v in block.items()
+            }
+        out["batch"] = {
+            "count": batches,
+            "mean_occupancy": (
+                counters["batched_requests"] / batches if batches else None
+            ),
+            "max_size": self.metrics.gauges.get("max_batch_size"),
+        }
+        out["workers"] = self.pool.snapshot()
+        out["breakers"] = self.breakers.snapshot()
+        return out

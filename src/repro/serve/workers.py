@@ -157,16 +157,10 @@ class WorkerPool:
     deployments.
     """
 
-    def __init__(
-        self,
-        n_workers: int,
-        metrics=None,
-        probe_timeout_s: float = 2.0,
-    ) -> None:
+    def __init__(self, n_workers: int, probe_timeout_s: float = 2.0) -> None:
         if n_workers < 0:
             raise ValueError("n_workers must be >= 0")
         self.n_workers = n_workers
-        self.metrics = metrics
         self.probe_timeout_s = probe_timeout_s
         self._pool: WarmPool | None = None  # set while started
 
@@ -184,7 +178,7 @@ class WorkerPool:
         if self._pool is None and not self.inline:
             # Spawning takes a while; keep it off the event loop.
             self._pool = await asyncio.get_running_loop().run_in_executor(
-                None, WarmPool, self.n_workers, self.metrics
+                None, WarmPool, self.n_workers
             )
 
     async def stop(self) -> None:
@@ -196,12 +190,9 @@ class WorkerPool:
         """Ping every *idle* worker; replace the dead. Returns #replaced."""
         if self._pool is None:
             return 0
-        replaced = await asyncio.get_running_loop().run_in_executor(
+        return await asyncio.get_running_loop().run_in_executor(
             None, self._pool.probe, self.probe_timeout_s
         )
-        if self.metrics is not None:
-            self.metrics.count("probes")
-        return replaced
 
     # ---------------------------------------------------------------- #
     async def run_batch(

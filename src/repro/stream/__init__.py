@@ -7,7 +7,9 @@ yesterday's posterior, motion-diffused, is today's pre-knowledge — with
 per-network watermarks, a warm-start divergence guard, staleness-based
 shedding, per-network failure isolation, and ckpt-ledger resumability.
 See :mod:`repro.stream.runtime` for the full contract; ``repro stream``
-is the CLI entry point and E21 the benchmark.
+is the CLI entry point and E21 the benchmark.  :class:`StreamMetrics` is
+the run's :class:`repro.obs.Tracer` (counters, ``staleness_ms`` samples,
+the run window); ``StreamResult.metrics`` is its ``summary()``.
 """
 
 from repro.stream.events import DisruptionStats, Epoch, StreamDisruption

@@ -1,36 +1,37 @@
 """Stream-runtime metrics: ingest hygiene, solve outcomes, staleness.
 
-Counter names (all on the underlying :class:`repro.obs.Tracer`):
+:class:`StreamMetrics` is a :class:`repro.obs.Tracer` with a run window.
+Counter names:
 
 ``ingested / duplicates / stale_discarded / out_of_order`` — ingest
 hygiene; ``solved / replayed / coasted / shed / failed`` — per-epoch
 outcomes; ``guard_trips / cold_resolves`` — the warm-start divergence
-guard; ``worker_replacements`` — pool supervision.
+guard.  Worker replacements are the executor's to report
+(``StreamResult.executor["replacements"]``).
 
 Staleness (seconds between an epoch's arrival and its belief update
-landing) feeds a bounded sliding reservoir; :meth:`snapshot` exports
-p50/p99 via :func:`repro.obs.reservoir_summary` plus sustained
-updates/sec over the run — the two headline numbers of E21.
+landing) is observed as ``staleness_ms``; :meth:`StreamMetrics.summary`
+exports its n/p50/p99/mean plus sustained updates/sec over the run —
+the two headline numbers of E21.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 
-from repro.obs import Tracer
-from repro.obs.report import reservoir_summary
+from repro.obs import Tracer, reservoir_summary
 
 __all__ = ["StreamMetrics"]
 
 
-class StreamMetrics:
-    """Counters plus a staleness reservoir for one stream run."""
+class StreamMetrics(Tracer):
+    """A tracer that also knows when its stream run started and ended.
 
-    def __init__(self, window: int = 4096, clock=time.perf_counter) -> None:
-        self.tracer = Tracer()
-        self._staleness = deque(maxlen=window)
-        self._clock = clock
+    *clock* times the run window and the staleness samples (and any
+    timers)."""
+
+    def __init__(self, clock=time.perf_counter) -> None:
+        super().__init__(clock=clock)
         self._started: float | None = None
         self._finished: float | None = None
 
@@ -45,12 +46,8 @@ class StreamMetrics:
     def finish(self) -> None:
         self._finished = self._clock()
 
-    def count(self, name: str, n: int = 1) -> None:
-        if n:
-            self.tracer.count(name, n)
-
     def observe_staleness(self, seconds: float) -> None:
-        self._staleness.append(float(seconds) * 1e3)
+        self.observe("staleness_ms", seconds * 1e3)
 
     # ------------------------------------------------------------------ #
     @property
@@ -60,13 +57,14 @@ class StreamMetrics:
         end = self._finished if self._finished is not None else self._clock()
         return max(end - self._started, 1e-9)
 
-    def snapshot(self) -> dict:
-        counters = dict(self.tracer.counters)
+    def summary(self) -> dict:
+        """The run's headline block (``StreamResult.metrics``)."""
+        counters = dict(self.counters)
         updates = counters.get("solved", 0) + counters.get("coasted", 0)
         elapsed = self.elapsed_s
         return {
             "counters": counters,
-            "staleness_ms": reservoir_summary(self._staleness),
+            "staleness_ms": reservoir_summary(self.samples.get("staleness_ms", ())),
             "elapsed_s": elapsed,
             "updates_per_sec": (updates / elapsed) if elapsed else None,
         }

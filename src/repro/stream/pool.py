@@ -50,12 +50,12 @@ class PoolExecutor:
     """Fan-out over a warm pool of ``stream.n_workers`` workers; each
     call is bounded by ``stream.worker_timeout_s``."""
 
-    def __init__(self, stream: StreamConfig, metrics=None) -> None:
+    def __init__(self, stream: StreamConfig) -> None:
         if stream.n_workers < 1:
             raise ValueError("PoolExecutor needs n_workers >= 1")
         self.n_workers = stream.n_workers
         self.timeout_s = stream.worker_timeout_s
-        self.pool = WarmPool(self.n_workers, metrics=metrics)
+        self.pool = WarmPool(self.n_workers)
 
     def solve(self, items: list[dict]) -> list[dict]:
         """Execute *items* across the pool, preserving item order."""

@@ -707,7 +707,7 @@ class StreamRuntime:
             )
         return StreamResult(
             networks=networks,
-            metrics=self.metrics.snapshot(),
+            metrics=self.metrics.summary(),
             executor=self.executor.snapshot(),
         )
 
@@ -757,7 +757,7 @@ def run_stream(
             checkpoint, lambda: stream_meta(fleet, stream, disruption)
         )
     executor = (
-        PoolExecutor(stream, metrics=metrics)
+        PoolExecutor(stream)
         if stream.n_workers > 0
         else InlineExecutor()
     )

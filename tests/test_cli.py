@@ -206,6 +206,26 @@ class TestCommands:
                 ]
             )
 
+    @pytest.mark.stream
+    def test_stream_small(self, capsys):
+        rc = main(
+            [
+                "stream",
+                "--networks", "3",
+                "--nodes", "12",
+                "--steps", "2",
+                "--grid", "8",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "networks tracked: 3" in out
+        assert "lost networks: 0" in out
+        assert "solved: 9" in out
+        assert "staleness ms: p50" in out
+        # an inline run has no workers to replace
+        assert "worker_replacements" not in out
+
     def test_run_with_map(self, capsys):
         rc = main(
             [

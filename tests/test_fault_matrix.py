@@ -7,10 +7,11 @@ first attempt only or on every attempt.  Each cell asserts its caller's
 invariant:
 
 * serve answers every request of the batch with the cell's status and
-  reason, the pool replaced exactly the crashed workers, and the shape's
+  reason, the pool replaced exactly the crashed workers, the shape's
   breaker holds the declared state (crashes a retry recovered from do not
   count; a batch whose every attempt crashed trips it at the default
-  threshold);
+  threshold), and every write to the service's tracer ran on the event
+  loop's thread (the tracer has no lock; pool threads must not touch it);
 * stream loses no network, and every batch's payloads are byte-equal to
   :class:`~repro.stream.InlineExecutor`'s.
 
@@ -27,6 +28,7 @@ import dataclasses
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from pathlib import Path
 
@@ -35,6 +37,7 @@ import pytest
 
 from repro.core import GridBPConfig
 from repro.experiments.config import ScenarioConfig
+from repro.obs import Tracer
 from repro.parallel.pool import CALL_ATTEMPTS
 from repro.serve import LocalizationService, LocalizeRequest, ServeConfig
 from repro.serve.breaker import CLOSED, OPEN
@@ -140,11 +143,37 @@ SERVE_BREAKER = {
 }
 
 
-def _serve(config: ServeConfig, batch, follow_up, where: Path):
+class _ThreadRecordingTracer(Tracer):
+    """The service tracer, noting the thread of every write."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.threads: set[int] = set()
+
+    def count(self, name, n=1):
+        self.threads.add(threading.get_ident())
+        super().count(name, n)
+
+    def gauge_max(self, name, value):
+        self.threads.add(threading.get_ident())
+        super().gauge_max(name, value)
+
+    def annotate(self, name, value):
+        self.threads.add(threading.get_ident())
+        super().annotate(name, value)
+
+    def observe(self, name, value):
+        self.threads.add(threading.get_ident())
+        super().observe(name, value)
+
+
+def _serve(config: ServeConfig, batch, follow_up, where: Path, monkeypatch):
     """Run *batch* as one served batch, then *follow_up*.  Returns the
     batch's responses, the worker calls it made, the breaker's
     (state, failures, trips) after it, the pool's replacements once its
-    worker is back, and the follow-up's response."""
+    worker is back, the follow-up's response, and the threads that wrote
+    to the service tracer less the event loop's."""
+    monkeypatch.setattr("repro.serve.service.Tracer", _ThreadRecordingTracer)
 
     async def main():
         svc = LocalizationService(config)
@@ -161,9 +190,10 @@ def _serve(config: ServeConfig, batch, follow_up, where: Path):
                 await asyncio.sleep(0.05)
             replacements = svc.pool.replacements
             after = await svc.localize(follow_up)
-            return resps, calls, breaker, replacements, after
         finally:
             await svc.stop()
+        off_loop = svc.metrics.threads - {threading.get_ident()}
+        return resps, calls, breaker, replacements, after, off_loop
 
     return asyncio.run(main())
 
@@ -227,8 +257,9 @@ class TestFaultMatrix:
             n_workers=1, max_batch=4, batch_window_s=0.05,
             exec_timeout_s=_timeout(fault),
         )
-        resps, calls, breaker, replacements, after = _serve(
-            config, _requests(range(3)), _requests([9])[0], tmp_path
+        resps, calls, breaker, replacements, after, off_loop = _serve(
+            config, _requests(range(3)), _requests([9])[0], tmp_path,
+            monkeypatch,
         )
         status, reason = SERVE_ANSWERS[ends]
         # zero lost: every request answered, all of them the same way
@@ -241,6 +272,8 @@ class TestFaultMatrix:
             assert (after.status, after.reason) == ("degraded", "breaker-open")
         else:
             assert (after.status, after.reason) == ("ok", None)
+        # crashes replace workers on pool threads; none of them wrote metrics
+        assert off_loop == set()
 
     @pytest.mark.stream
     @matrix
@@ -288,8 +321,9 @@ def test_serve_budget_spent_between_attempts(tmp_path, monkeypatch):
     _plan(tmp_path, monkeypatch, "sigkill", 1, stall=2.0)
     monkeypatch.setattr("repro.serve.workers.execute_batch", _faulty_execute_batch)
     config = ServeConfig(n_workers=1, max_batch=4, batch_window_s=0.05)
-    resps, calls, breaker, replacements, after = _serve(
-        config, _requests(range(3), deadline_s=1.0), _requests([9])[0], tmp_path
+    resps, calls, breaker, replacements, after, off_loop = _serve(
+        config, _requests(range(3), deadline_s=1.0), _requests([9])[0],
+        tmp_path, monkeypatch,
     )
     assert [(r.status, r.reason) for r in resps] == [
         ("degraded", "deadline-expired")
@@ -298,3 +332,4 @@ def test_serve_budget_spent_between_attempts(tmp_path, monkeypatch):
     assert breaker == (CLOSED, 1, 0)
     assert replacements == 1
     assert (after.status, after.reason) == ("ok", None)
+    assert off_loop == set()

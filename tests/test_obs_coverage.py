@@ -24,6 +24,7 @@ from repro.obs import report as report_module
 from repro.obs import tracer as tracer_module
 from repro.obs import (
     NULL_TRACER,
+    OBSERVE_WINDOW,
     TRACE_SCHEMA_VERSION,
     NullTracer,
     Tracer,
@@ -84,6 +85,7 @@ def _exercise() -> None:
     null.gauge_max("g", 1)
     null.annotate("a", 1)
     null.iteration(residual=0.5)
+    null.observe("o", 1.0)
     with null.timer("t"):
         pass
     assert null.snapshot() is None
@@ -109,6 +111,9 @@ def _exercise() -> None:
             t.iteration(residual=0.5, messages=10, messages_cum=10)
             t.iteration(residual=0.25, messages=10, messages_cum=20)
     t.iteration(iteration=99, residual=0.1)
+    for v in range(OBSERVE_WINDOW + 1):
+        t.observe("latency_ms", v)
+    assert len(t.samples["latency_ms"]) == OBSERVE_WINDOW
     try:
         t.iteration(residual=[0.1])
     except TypeError:
@@ -118,7 +123,9 @@ def _exercise() -> None:
     # -- snapshot / to_json, both timing variants
     snap = t.snapshot()
     assert json.loads(json.dumps(snap)) == snap
+    assert snap["distributions"]["latency_ms"]["n"] == OBSERVE_WINDOW
     assert "timers" not in t.snapshot(include_timings=False)
+    assert "distributions" not in t.snapshot(include_timings=False)
     json.loads(t.to_json())
     json.loads(t.to_json(include_timings=False, indent=2))
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs import (
     NULL_TRACER,
+    OBSERVE_WINDOW,
     TRACE_SCHEMA_VERSION,
     NullTracer,
     Tracer,
@@ -36,9 +37,11 @@ class TestNullTracer:
         t.gauge_max("x", 3)
         t.annotate("x", 1)
         t.iteration(residual=0.5)
+        t.observe("latency_ms", 3.0)
         with t.timer("phase"):
             pass
         assert t.snapshot() is None
+        assert not hasattr(t, "samples")
 
     def test_module_singleton(self):
         assert isinstance(NULL_TRACER, NullTracer)
@@ -150,6 +153,36 @@ class TestSnapshot:
         t = self._populated()
         assert t.to_json() == t.to_json()
         assert json.loads(t.to_json(indent=2)) == t.snapshot()
+
+
+class TestObserve:
+    def test_window_keeps_the_latest_samples(self):
+        t = Tracer()
+        for v in range(OBSERVE_WINDOW + 10):
+            t.observe("latency_ms", v)
+        window = t.samples["latency_ms"]
+        assert len(window) == OBSERVE_WINDOW
+        assert window[0] == 10.0 and window[-1] == OBSERVE_WINDOW + 9
+
+    def test_snapshot_exports_distributions_with_timings(self):
+        t = Tracer()
+        for v in (1, 2, 3, 4):
+            t.observe("queue_wait_ms", v)
+        snap = t.snapshot()
+        assert snap["distributions"] == {
+            "queue_wait_ms": {
+                "n": 4, "p50": 2.5, "p99": pytest.approx(3.97), "mean": 2.5,
+            }
+        }
+        assert json.loads(json.dumps(snap)) == snap
+        assert "distributions" not in t.snapshot(include_timings=False)
+
+    def test_no_observation_keeps_the_trace_layout(self):
+        t = Tracer()
+        t.count("messages")
+        assert sorted(t.snapshot()) == [
+            "counters", "gauges", "iterations", "meta", "schema_version", "timers",
+        ]
 
 
 class TestReport:

@@ -486,6 +486,55 @@ class TestServiceFastLane:
         assert (resp.uncertainty[~unknown] == 0.0).all()
         assert resp.mean_error is not None  # scenario form knows the truth
 
+    def test_metrics_snapshot_under_injected_clock(self, monkeypatch):
+        """Two requests admitted at t = 0 and 0.05 s, dispatched at 0.1 s,
+        solved in 0.25 s: latencies 350/300 ms, queue waits 100/50 ms."""
+        clock = _ManualClock()
+
+        def solve_quarter_second(items, deadline_s=None):
+            clock.t += 0.25
+            return execute_batch(items, deadline_s)
+
+        monkeypatch.setattr(
+            "repro.serve.workers.execute_batch", solve_quarter_second
+        )
+
+        async def main():
+            svc = LocalizationService(
+                ServeConfig(n_workers=0, max_batch=4, batch_window_s=0.005),
+                clock=clock,
+            )
+            await svc.start()
+            try:
+                first = svc.submit(
+                    LocalizeRequest(scenario=SCEN, seed=1, config=CFG)
+                )
+                clock.t = 0.05
+                second = svc.submit(
+                    LocalizeRequest(scenario=SCEN, seed=2, config=CFG)
+                )
+                clock.t = 0.1
+                resps = await asyncio.gather(first, second)
+                return resps, svc.metrics_snapshot()
+            finally:
+                await svc.stop()
+
+        resps, snap = run(main())
+        assert [r.status for r in resps] == ["ok", "ok"]
+        assert snap["latency_ms"] == {
+            "n": 2, "p50": 325.0, "p99": 349.5, "mean": 325.0
+        }
+        assert snap["queue_wait_ms"] == {
+            "n": 2, "p50": 75.0, "p99": 99.5, "mean": 75.0
+        }
+        assert snap["batch"] == {"count": 1, "mean_occupancy": 2.0, "max_size": 2}
+        # the counters perfbench's serve-closed workload reads
+        assert snap["counters"]["batches"] == 1
+        assert snap["counters"]["batched_requests"] == 2
+        assert snap["counters"]["submitted"] == snap["counters"]["ok"] == 2
+        assert snap["queue_depth"] == 0
+        assert snap["workers"]["inline"] is True
+
 
 # ---------------------------------------------------------------------- #
 # JSON-lines TCP front end

@@ -53,6 +53,7 @@ from repro.stream import (
     PoolExecutor,
     StreamConfig,
     StreamDisruption,
+    StreamMetrics,
     StreamRuntime,
     fleet_events,
     run_stream,
@@ -181,6 +182,44 @@ class TestHostileStream:
         counters = runtime.metrics.snapshot()["counters"]
         assert counters["duplicates"] == 3
         assert counters["solved"] == TOTAL_CELLS
+
+
+class TestStreamMetrics:
+    def test_summary_under_fake_clock(self):
+        """Every solved epoch gives one staleness sample, and the rate
+        counts solved plus coasted updates over the run window."""
+        reads = []
+
+        def clock():  # each read is 1 ms after the previous one
+            reads.append(len(reads) * 1e-3)
+            return reads[-1]
+
+        events = [
+            e for e in fleet_events(FLEET)
+            if not (e.network_id == 0 and e.step == 1)
+        ]
+        result = StreamRuntime(
+            STREAM, metrics=StreamMetrics(clock=clock),
+            expected_networks=FLEET.n_networks,
+        ).run(
+            events,
+            final_step=FLEET.n_steps,
+            network_ids=range(FLEET.n_networks),
+            n_nodes=FLEET.n_nodes,
+        )
+        m = result.metrics
+        assert sorted(m) == [
+            "counters", "elapsed_s", "staleness_ms", "updates_per_sec"
+        ]
+        counters = m["counters"]
+        assert counters["coasted"] == 1
+        assert counters["solved"] == TOTAL_CELLS - 1
+        assert m["staleness_ms"]["n"] == counters["solved"]
+        assert m["staleness_ms"]["p50"] >= 1.0  # at least one clock step
+        assert m["elapsed_s"] == pytest.approx(reads[-1] - reads[0])
+        assert m["updates_per_sec"] == (
+            (counters["solved"] + counters["coasted"]) / m["elapsed_s"]
+        )
 
 
 class TestGapCoasting:
