@@ -76,10 +76,12 @@ class SequentialGridTracker:
     """Grid Bayesian tracker: posterior → motion diffusion → next prior.
 
     :meth:`track` consumes a whole trajectory; :meth:`step` is the
-    per-epoch warm-start entry point the streaming runtime
-    (:mod:`repro.stream`) drives — one measurement epoch in, the
+    per-epoch warm-start entry point — one measurement epoch in, the
     localization result plus the motion-diffused prior for the *next*
-    epoch out.  Both paths share one long-lived
+    epoch out.  The streaming runtime (:mod:`repro.stream`) runs the
+    same loop for a fleet but does not call :meth:`step`: it solves
+    batches of epochs through :func:`repro.serve.execute_batch` and
+    builds the next priors itself.  Both paths here share one long-lived
     :class:`~repro.core.bnloc.GridBPLocalizer` (so the shared potential
     cache stays warm across steps) and one cached diffusion kernel, and
     are bit-identical to rebuilding everything per step.

@@ -82,8 +82,13 @@ def format_trace_table(trace: Mapping, *, precision: int = 6) -> str:
     return format_table(headers, rows, precision=precision, title=title)
 
 
+def _stat(value) -> str:
+    return "-" if value is None else f"{value:.6g}"
+
+
 def trace_summary(trace: Mapping) -> str:
-    """Multi-line summary: meta, counters, peak gauges, and timers."""
+    """Multi-line summary: meta, counters, peak gauges, timers, and the
+    n/p50/p99/mean of each observed distribution."""
     _require_trace(trace)
     lines: list[str] = []
     meta = trace.get("meta", {})
@@ -105,6 +110,15 @@ def trace_summary(trace: Mapping) -> str:
             t = timers[path]
             lines.append(
                 f"  {path}: {t['seconds'] * 1e3:.2f} ms over {t['calls']} call(s)"
+            )
+    distributions = trace.get("distributions", {})
+    if distributions:
+        lines.append("distributions:")
+        for name in sorted(distributions):
+            d = distributions[name]
+            lines.append(
+                f"  {name}: n={d['n']} p50={_stat(d['p50'])} "
+                f"p99={_stat(d['p99'])} mean={_stat(d['mean'])}"
             )
     if not lines:
         return "(empty trace)"

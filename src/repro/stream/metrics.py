@@ -5,8 +5,12 @@ Counter names:
 
 ``ingested / duplicates / stale_discarded / out_of_order`` — ingest
 hygiene; ``solved / replayed / coasted / shed / failed`` — per-epoch
-outcomes; ``guard_trips / cold_resolves`` — the warm-start divergence
-guard.  Worker replacements are the executor's to report
+outcomes, each epoch counted once: a live epoch by its kind, an epoch
+replayed from a checkpoint ledger as ``replayed`` only, so the five sum
+to the run's number of (network, step) cells; ``degraded_steps`` — live
+solves that were flagged (a cold re-solve after a guard trip);
+``guard_trips / cold_resolves`` — the warm-start divergence guard.
+Worker replacements are the executor's to report
 (``StreamResult.executor["replacements"]``).
 
 Staleness (seconds between an epoch's arrival and its belief update

@@ -144,7 +144,6 @@ class NetworkState:
         self.n_nodes: int | None = None
         self.anchor_mask: np.ndarray | None = None
         self.last_anchor_full: np.ndarray | None = None
-        self.consecutive_failures = 0
         #: step -> {"kind", "degraded", "reason", "estimates", "localized"}
         self.steps: dict[int, dict] = {}
 
@@ -314,38 +313,19 @@ class StreamRuntime:
 
     def _coast(self, state: NetworkState, kind: str) -> None:
         step = state.next_step
-        key = self._key(state.network_id, step)
-        record = self.checkpoint.get(key) if self.checkpoint is not None else None
-        if record is not None:
-            self.metrics.count("replayed")
-            decoded = decode_value(record)
-        else:
-            estimates, localized = self._coast_estimates(state)
-            decoded = {
-                "kind": kind,
-                "degraded": True,
-                "reason": kind,
-                "estimates": estimates,
-                "localized": localized,
-            }
-            if self.checkpoint is not None:
-                self.checkpoint.record(key, encode_value(decoded))
-        state.steps[step] = decoded
-        state.arrival_t.pop(step, None)
-        state.next_step = step + 1
-        state.last_progress_event = self._events_ingested
-        if decoded["kind"] == "solved":
-            # Replay of a run that solved this step live (the admission
-            # decisions are deterministic, so this only happens when the
-            # ledger is ahead of us) — restore the warm-start state.
-            beliefs = decoded.get("beliefs") or {}
-            if beliefs:
-                state.prior = self._diffuse(beliefs)
-            state.last_estimates = np.asarray(decoded["estimates"])
-            state.last_solved_step = step
-        else:
-            self._coast_prior(state)
-        self.metrics.count(decoded["kind"])
+        # A resumed run's ledger may hold this step as any kind, a solve
+        # included; it lands as recorded.
+        if self._replayed(state, step):
+            return
+        estimates, localized = self._coast_estimates(state)
+        decoded = {
+            "kind": kind,
+            "degraded": True,
+            "reason": kind,
+            "estimates": estimates,
+            "localized": localized,
+        }
+        self._settle(state, step, decoded)
 
     def _coast_estimates(self, state: NetworkState) -> tuple[np.ndarray, np.ndarray]:
         n = state.n_nodes if state.n_nodes is not None else self._default_n_nodes
@@ -436,37 +416,20 @@ class StreamRuntime:
         degraded: bool,
         reason: str | None,
     ) -> None:
-        step = epoch.step
-        ms = epoch.measurements
-        estimates = np.asarray(payload["estimates"], dtype=np.float64)
-        localized = np.asarray(payload["localized_mask"], dtype=bool)
         beliefs = {int(k): np.asarray(v) for k, v in (payload.get("beliefs") or {}).items()}
         decoded = {
             "kind": "solved",
             "degraded": bool(degraded),
             "reason": reason,
-            "estimates": estimates,
-            "localized": localized,
+            "estimates": np.asarray(payload["estimates"], dtype=np.float64),
+            "localized": np.asarray(payload["localized_mask"], dtype=bool),
             "beliefs": beliefs,
         }
-        if self.checkpoint is not None:
-            self.checkpoint.record(
-                self._key(state.network_id, step), encode_value(decoded)
-            )
-        self._apply_solved(state, epoch, decoded, prior)
-        arrived = state.arrival_t.pop(step, None)
-        if arrived is not None:
-            self.metrics.observe_staleness(self.metrics.now() - arrived)
-        self.metrics.count("solved")
-        if degraded:
-            self.metrics.count("degraded_steps")
-        state.consecutive_failures = 0
-        self._note_epoch_shape(state, ms)
+        self._settle(state, epoch.step, decoded, ms=epoch.measurements, prior=prior)
 
     def _commit_failed(
         self, state: NetworkState, epoch: Epoch, payload: dict
     ) -> None:
-        step = epoch.step
         ms = epoch.measurements
         n = ms.n_nodes
         estimates = np.full((n, 2), np.nan)
@@ -485,72 +448,74 @@ class StreamRuntime:
             "estimates": estimates,
             "localized": localized,
         }
-        if self.checkpoint is not None:
+        self._settle(state, epoch.step, decoded, ms=ms)
+
+    def _replayed(self, state: NetworkState, step: int, ms=None) -> bool:
+        """Settle *step* from the ledger when a finished record of it is
+        there (a resumed run); ``False`` means it must run live."""
+        if self.checkpoint is None:
+            return False
+        record = self.checkpoint.get(self._key(state.network_id, step))
+        if record is None:
+            return False
+        self._settle(state, step, decode_value(record), ms=ms, replayed=True)
+        return True
+
+    def _settle(
+        self,
+        state: NetworkState,
+        step: int,
+        decoded: dict,
+        ms=None,
+        prior: GridBeliefPrior | None = None,
+        replayed: bool = False,
+    ) -> None:
+        """Land one epoch's outcome: the only place a step is finished.
+
+        A live outcome goes to the ledger and is counted by its kind (a
+        degraded solve also as ``degraded_steps``); a replayed one is
+        counted as ``replayed`` only, so every cell is counted once.  A
+        solved step with beliefs sets the next prior (*prior* when the
+        batch already built it as a block, else diffused here); any other
+        step coasts the prior.  *ms*, when given, is the epoch's
+        measurements, whose shape later coasts use.
+        """
+        if replayed:
+            self.metrics.count("replayed")
+        elif self.checkpoint is not None:
             self.checkpoint.record(
                 self._key(state.network_id, step), encode_value(decoded)
             )
         state.steps[step] = decoded
-        state.arrival_t.pop(step, None)
         state.next_step = step + 1
         state.last_progress_event = self._events_ingested
-        self._coast_prior(state)
-        state.consecutive_failures += 1
-        self.metrics.count("failed")
-        self._note_epoch_shape(state, ms)
-
-    def _apply_solved(
-        self,
-        state: NetworkState,
-        epoch: Epoch,
-        decoded: dict,
-        prior: GridBeliefPrior | None = None,
-    ) -> None:
-        """Commit a solved step; *prior* is its next prior when already
-        built (a live batch's block build), else built here from the
-        step's beliefs (ledger replay)."""
-        step = epoch.step
-        state.steps[step] = decoded
-        state.next_step = step + 1
-        state.last_progress_event = self._events_ingested
-        beliefs = decoded.get("beliefs") or {}
-        if beliefs:
+        arrived = state.arrival_t.pop(step, None)
+        kind = decoded["kind"]
+        beliefs = decoded.get("beliefs")
+        if kind == "solved" and beliefs:
             state.prior = prior if prior is not None else self._diffuse(beliefs)
-        else:  # pragma: no cover - solved epochs always carry beliefs
-            self._coast_prior(state)
-        state.last_estimates = np.asarray(decoded["estimates"])
-        state.last_solved_step = step
-
-    def _note_epoch_shape(self, state: NetworkState, ms) -> None:
-        state.n_nodes = ms.n_nodes
-        state.anchor_mask = np.asarray(ms.anchor_mask, dtype=bool)
-        state.last_anchor_full = np.asarray(ms.anchor_positions_full)
-
-    def _replay(self, state: NetworkState, epoch: Epoch, record: dict) -> None:
-        decoded = decode_value(record)
-        self.metrics.count("replayed")
-        if decoded["kind"] == "solved":
-            self._apply_solved(state, epoch, decoded)
-            state.consecutive_failures = 0
         else:
-            state.steps[epoch.step] = decoded
-            state.next_step = epoch.step + 1
-            state.last_progress_event = self._events_ingested
             self._coast_prior(state)
-        state.arrival_t.pop(epoch.step, None)
-        self._note_epoch_shape(state, epoch.measurements)
+        if kind == "solved":
+            state.last_estimates = np.asarray(decoded["estimates"])
+            state.last_solved_step = step
+        if not replayed:
+            if kind == "solved" and arrived is not None:
+                self.metrics.observe_staleness(self.metrics.now() - arrived)
+            self.metrics.count(kind)
+            if kind == "solved" and decoded["degraded"]:
+                self.metrics.count("degraded_steps")
+        if ms is not None:
+            state.n_nodes = ms.n_nodes
+            state.anchor_mask = np.asarray(ms.anchor_mask, dtype=bool)
+            state.last_anchor_full = np.asarray(ms.anchor_positions_full)
 
     def _solve_batch(self, batch: list[tuple[NetworkState, Epoch]]) -> None:
-        live: list[tuple[NetworkState, Epoch]] = []
-        for state, epoch in batch:
-            record = (
-                self.checkpoint.get(self._key(state.network_id, epoch.step))
-                if self.checkpoint is not None
-                else None
-            )
-            if record is not None:
-                self._replay(state, epoch, record)
-            else:
-                live.append((state, epoch))
+        live = [
+            (state, epoch)
+            for state, epoch in batch
+            if not self._replayed(state, epoch.step, epoch.measurements)
+        ]
         if not live:
             return
         items = [
@@ -738,7 +703,6 @@ def run_stream(
     stream: StreamConfig | None = None,
     disruption: StreamDisruption | None = None,
     checkpoint=None,
-    metrics: StreamMetrics | None = None,
 ) -> StreamResult:
     """Generate the fleet's event feed, disrupt it, and run the runtime.
 
@@ -765,7 +729,6 @@ def run_stream(
         stream,
         executor=executor,
         checkpoint=ck,
-        metrics=metrics,
         expected_networks=fleet.n_networks,
     )
     try:

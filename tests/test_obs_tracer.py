@@ -12,6 +12,7 @@ from repro.obs import (
     Tracer,
     format_trace_table,
     merge_traces,
+    reservoir_summary,
     trace_summary,
 )
 
@@ -222,6 +223,23 @@ class TestReport:
 
     def test_summary_empty(self):
         assert trace_summary(Tracer().snapshot()) == "(empty trace)"
+
+    def test_summary_prints_distributions(self):
+        t = Tracer()
+        for v in (1, 2, 3, 4):
+            t.observe("queue_wait_ms", v)
+        t.observe("staleness_ms", 0.125)
+        s = trace_summary(t.snapshot())
+        assert s.splitlines()[-3:] == [
+            "distributions:",
+            "  queue_wait_ms: n=4 p50=2.5 p99=3.97 mean=2.5",
+            "  staleness_ms: n=1 p50=0.125 p99=0.125 mean=0.125",
+        ]
+        assert "distributions:" not in trace_summary(self._trace())
+        empty = {"distributions": {"latency_ms": reservoir_summary([])}}
+        assert trace_summary(empty) == (
+            "distributions:\n  latency_ms: n=0 p50=- p99=- mean=-"
+        )
 
 
 class TestMergeTraces:

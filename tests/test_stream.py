@@ -97,6 +97,17 @@ def _assert_same_results(a, b):
         assert ta.extras["reasons"] == tb.extras["reasons"]
 
 
+def _assert_settled_once(result, fleet=FLEET):
+    """Every (network, step) cell lands exactly once: as a live outcome
+    counted by its kind, or as ``replayed`` only."""
+    counters = result.metrics["counters"]
+    settled = sum(
+        counters.get(k, 0)
+        for k in ("solved", "coasted", "shed", "failed", "replayed")
+    )
+    assert settled == fleet.n_networks * (fleet.n_steps + 1), counters
+
+
 # ---------------------------------------------------------------------- #
 # the seeded adversary
 # ---------------------------------------------------------------------- #
@@ -613,6 +624,7 @@ class TestCoastEstimates:
         assert result.lost_networks == []
         for kind in ("coasted", "shed", "failed"):
             assert runtime.checked.get(kind, 0) > 0, runtime.checked
+        _assert_settled_once(result, fleet)
 
 
 @pytest.mark.perf
@@ -702,8 +714,8 @@ class _PriorCheckedRuntime(StreamRuntime):
         super().__init__(*args, **kwargs)
         self.checked = 0
 
-    def _apply_solved(self, state, epoch, decoded, prior=None):
-        super()._apply_solved(state, epoch, decoded, prior)
+    def _settle(self, state, step, decoded, ms=None, prior=None, replayed=False):
+        super()._settle(state, step, decoded, ms, prior, replayed)
         if prior is not None:
             alone = self._diffuse(decoded["beliefs"])
             assert prior.block.tobytes() == alone.block.tobytes()
@@ -781,10 +793,13 @@ class TestBlockPriorBuild:
 # checkpoint / resume
 # ---------------------------------------------------------------------- #
 class TestCheckpointResume:
-    PLAN = StreamDisruption(late_rate=0.2, duplicate_rate=0.1, seed=7)
+    # Drops make the run coast, so the ledger holds coasted records that
+    # the resume replays through gap coasting as well as solved ones.
+    PLAN = StreamDisruption(late_rate=0.2, duplicate_rate=0.1, drop_rate=0.2, seed=7)
 
     def test_abort_and_resume_bit_identical(self, tmp_path):
         reference = run_stream(FLEET, STREAM, disruption=self.PLAN)
+        _assert_settled_once(reference)
         ledger = tmp_path / "stream.jsonl"
         ck = Checkpoint(ledger, abort_after=5)
         with pytest.raises(CheckpointAbort):
@@ -798,6 +813,8 @@ class TestCheckpointResume:
         )
         _assert_same_results(resumed, reference)
         assert ledger_progress(ledger).complete
+        assert resumed.metrics["counters"]["replayed"] == 5
+        _assert_settled_once(resumed)
 
     def test_checkpointed_run_matches_uncheckpointed(self, tmp_path):
         plain = run_stream(FLEET, STREAM)
@@ -805,6 +822,8 @@ class TestCheckpointResume:
             FLEET, STREAM, checkpoint=str(tmp_path / "s.jsonl")
         )
         _assert_same_results(plain, ledgered)
+        _assert_settled_once(plain)
+        assert ledgered.metrics["counters"] == plain.metrics["counters"]
 
     def test_complete_ledger_replays_everything(self, tmp_path):
         ledger = tmp_path / "s.jsonl"
@@ -814,6 +833,7 @@ class TestCheckpointResume:
         assert counters["replayed"] == TOTAL_CELLS
         assert counters.get("solved", 0) == 0
         _assert_same_results(first, replayed)
+        _assert_settled_once(replayed)
 
     def test_mismatched_run_is_rejected(self, tmp_path):
         ledger = tmp_path / "s.jsonl"
