@@ -268,8 +268,9 @@ def _compare_exact(ref, exact, tol: float) -> tuple[bool, dict]:
     beliefs = np.stack(list(result.extras["beliefs"].values()))
     max_abs = float(np.abs(beliefs - marginals).max())
     # KL(exact ‖ BP), with BP beliefs floored at the smallest normal
-    # double: a belief that underflowed to 0 where the exact mass is
-    # itself subnormal would otherwise make the KL infinite.
+    # double: a belief entry cut to 0 (at or below ~1e-250 of its row's
+    # max) where the exact mass is tiny but positive would otherwise make
+    # the KL infinite.
     floored = np.maximum(beliefs, np.finfo(float).tiny)
     max_kl = float(rel_entr(marginals, floored).sum(axis=1).max())
     detail = {

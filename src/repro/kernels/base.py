@@ -36,6 +36,8 @@ handing an incompatible list straight to
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -123,8 +125,16 @@ def config_key(grid: "Grid2D", cfg: "GridBPConfig", n_cells: int | None = None) 
         int(grid.n_cells if n_cells is None else n_cells),
         # every GridBPConfig field is a scalar, so this shallow tuple
         # equals dataclasses.astuple(cfg) without its per-field deepcopy
-        tuple(getattr(cfg, f.name) for f in dataclasses.fields(cfg)),
+        _field_values(type(cfg))(cfg),
     )
+
+
+@functools.cache
+def _field_values(cls) -> operator.attrgetter:
+    """Getter of a config class's field values, in field order, read from
+    ``dataclasses.fields`` once per class.  (With more than one field an
+    ``attrgetter`` returns a tuple; ``GridBPConfig`` has many.)"""
+    return operator.attrgetter(*(f.name for f in dataclasses.fields(cls)))
 
 
 def compatibility_key(problem: BPProblem) -> tuple:

@@ -35,7 +35,9 @@ Execution layout:
   ~1e-250 are exactly 0, so neither ``exp`` nor the sparse product ever
   touches a subnormal float (with the pre-knowledge priors most cells sit
   hundreds to thousands of nats below a node's mode, and subnormal
-  arithmetic, not the flop count, dominated the round);
+  arithmetic, not the flop count, dominated the round); beliefs get the
+  same cut through :func:`~repro.kernels.reference._belief_weights`, so
+  no belief entry the estimate or a stream prior reads is subnormal;
 * the sparse product calls scipy's own ``csr_matvecs`` kernel directly
   on the preallocated slabs (zero-filled output, C-contiguous
   multivector) — the exact computation ``op.dot`` performs after its
@@ -70,8 +72,9 @@ rests on these facts:
   over the permuted stacked block equals the per-trial global max;
 * every message site — both paths here, the plain loop and the
   distributed agent — turns log weights into weights through the one
-  elementwise cutoff function ``_message_weights``, so each weight is
-  the same float at every site.
+  elementwise cutoff function ``_message_weights`` (beliefs through
+  ``_belief_weights``, the same cut), so each weight is the same float
+  at every site.
 
 Scope: the ``serial`` (Gauss–Seidel) schedule and max-product messaging
 are inherently per-trial sequential, so they run on the plain loop
@@ -96,7 +99,7 @@ from repro.kernels.base import (
     compatibility_key,
 )
 from repro.kernels.cancel import deadline_stop
-from repro.kernels.reference import _MSG_FLOOR, _message_weights
+from repro.kernels.reference import _MSG_FLOOR, _belief_weights, _message_weights
 from repro.obs import NULL_TRACER, NullTracer
 
 __all__ = ["BatchedBackend"]
@@ -289,7 +292,7 @@ def _run_batch_sync(
         if not n_nodes:
             return totals_b
         totals_b -= totals_b.max(axis=1, keepdims=True)
-        np.exp(totals_b, out=totals_b)
+        _belief_weights(totals_b, out=totals_b)
         totals_b /= totals_b.sum(axis=1, keepdims=True)
         return totals_b
 

@@ -8,13 +8,18 @@ kernel (:mod:`repro.kernels.batched`) is gated against on the synchronous
 schedule.
 
 Every message site turns its max-shifted log weights into product weights
-through :func:`_message_weights`: the plain loop here (sum- and
-max-product), both paths of the batched kernel and the distributed agent
-of :mod:`repro.parallel.messaging`.  The function zeroes every weight at
-or below ``exp(_MSG_LOG_CUTOFF)`` (about 1e-250), so message arithmetic
-never enters the subnormal range, where x86 floats run 100×+ slower.  A
-dropped weight carries ~238 orders of magnitude less mass than
-``_MSG_FLOOR``, and because every site shares the one function the
+through :func:`_message_weights`, and every belief site turns a node's
+max-shifted log belief into its unnormalized belief through
+:func:`_belief_weights`: the plain loop here (sum- and max-product), both
+paths of the batched kernel and the distributed agent of
+:mod:`repro.parallel.messaging`.  Both apply one cut, :func:`_cut_exp`,
+which zeroes every weight at or below ``exp(_MSG_LOG_CUTOFF)`` (about
+1e-250), so neither message arithmetic nor any reader of a belief (the
+estimate's moments, the stream prior's diffusion) enters the subnormal
+range, where x86 floats run 100×+ slower.  A dropped message weight
+carries ~238 orders of magnitude less mass than ``_MSG_FLOOR``; a dropped
+belief entry is far below the ulp of every sum it would join, so
+estimates do not move.  Because every site shares the one cut, the
 bit-identity gates between sites hold by construction.
 
 :class:`ReferenceBackend` wraps it behind the
@@ -35,17 +40,19 @@ __all__ = [
     "ReferenceBackend",
     "_MSG_FLOOR",
     "_MSG_LOG_CUTOFF",
+    "_belief_weights",
     "_max_product_matvec",
     "_message_weights",
 ]
 
 _MSG_FLOOR = 1e-12  # keeps log-space products finite after truncation
-# Message weights at or below exp(_MSG_LOG_CUTOFF) ≈ 1e-250 are exactly 0.
+# Message and belief weights at or below exp(_MSG_LOG_CUTOFF) ≈ 1e-250 are
+# exactly 0.
 _MSG_LOG_CUTOFF = float(np.log(1e-250))
 _MSG_WEIGHT_CUTOFF = float(np.exp(_MSG_LOG_CUTOFF))
 
 
-def _message_weights(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _cut_exp(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``exp(h)`` of max-shifted log weights *h*, cut to exactly 0 at and
     below ``exp(_MSG_LOG_CUTOFF)``.
 
@@ -61,6 +68,20 @@ def _message_weights(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     np.exp(out, out=out)
     np.multiply(out, out > _MSG_WEIGHT_CUTOFF, out=out)
     return out
+
+
+def _message_weights(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Product weights of a message's max-shifted log weights *h*
+    (:func:`_cut_exp`); every message site calls it."""
+    return _cut_exp(h, out)
+
+
+def _belief_weights(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized belief of a node's max-shifted log belief *h*
+    (:func:`_cut_exp`); every belief site calls it.  Kept apart from
+    :func:`_message_weights` so each function's calls count one kind of
+    row."""
+    return _cut_exp(h, out)
 
 
 def _max_product_matvec(op, hvec: np.ndarray) -> np.ndarray:
@@ -128,7 +149,7 @@ def run_bp_baseline(
             for s in in_slots[ui]:
                 acc += np.log(msgs[s])
             acc -= acc.max()
-            b = np.exp(acc)
+            b = _belief_weights(acc, out=acc)
             out[ui] = b / b.sum()
         return out
 

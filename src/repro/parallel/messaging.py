@@ -42,7 +42,7 @@ from repro.core.potentials import (
 )
 from repro.core.result import LocalizationResult
 from repro.faults import FaultPlan, MessageFaultInjector, degrade_measurements
-from repro.kernels.reference import _MSG_FLOOR, _message_weights
+from repro.kernels.reference import _MSG_FLOOR, _belief_weights, _message_weights
 from repro.measurement.measurements import MeasurementSet
 from repro.network.radio import RadioModel, UnitDiskRadio
 from repro.obs import NULL_TRACER, NullTracer
@@ -141,7 +141,7 @@ class SensorNodeAgent:
             # accumulator would yield an all-NaN belief
             return np.full(len(acc), 1.0 / len(acc))
         acc -= peak
-        b = np.exp(acc)
+        b = _belief_weights(acc, out=acc)
         return b / b.sum()
 
 

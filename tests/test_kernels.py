@@ -18,10 +18,12 @@ kernels on one prepared problem.  The suite covers:
 * the compatibility partition: mixed grid shapes/configs must split into
   separate groups (and ``BatchedBackend.run_batch`` must *refuse* a mixed
   batch), never silently co-batch;
-* the shared message-weight cutoff (``_message_weights``): its contract,
-  bit identity of every message site on a problem whose weights fall off
-  the cliff into the subnormal band, and a routing guard that fails when
-  a message site bypasses it;
+* the shared message-weight cutoff (``_message_weights``) and the same
+  cut on beliefs (``_belief_weights``): their contract, bit identity of
+  every message and belief site on a problem whose weights fall off the
+  cliff into the subnormal band (beliefs with exact zeros and no
+  subnormal entry), and routing guards that fail when a message or
+  belief site bypasses its function;
 * the round's chunk plan: bit identity at chunk budgets from one group
   per chunk to one chunk per round, and a routing guard that fails when
   the round goes back to per-group weights or per-group product slabs;
@@ -65,7 +67,11 @@ from repro.kernels import (
     kernel_for,
 )
 from repro.kernels import batched as batched_kernel
-from repro.kernels.reference import _MSG_LOG_CUTOFF, _message_weights
+from repro.kernels.reference import (
+    _MSG_LOG_CUTOFF,
+    _belief_weights,
+    _message_weights,
+)
 from repro.measurement import BearingModel, ConnectivityOnly, GaussianRanging, observe
 from repro.network import NetworkConfig, UnitDiskRadio, generate_network
 from repro.obs import NULL_TRACER, Tracer
@@ -301,6 +307,26 @@ class TestCompatibilityPartition:
         assert key == deep and hash(key) == hash(deep)
         assert key != config_key(grid, dc.replace(cfg, tol=cfg.tol * 2))
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            GridBPConfig(),
+            GridBPConfig(
+                grid_size=13, max_iterations=7, damping=0.25, schedule="serial",
+                estimator="map", max_product=True, audit="warn",
+            ),
+        ],
+        ids=["default", "non-default"],
+    )
+    def test_config_key_equals_field_loop_key(self, cfg):
+        # The field values come from a getter cached per config class; the
+        # key must equal the per-call dataclasses.fields loop it replaced.
+        grid = Grid2D(cfg.grid_size)
+        key = config_key(grid, cfg)
+        old = key[:-1] + (tuple(getattr(cfg, f.name) for f in dc.fields(cfg)),)
+        assert key == old and hash(key) == hash(old)
+        assert type(key[-1]) is tuple and len(key[-1]) == len(dc.fields(cfg))
+
     def test_unknown_backend_rejected(self):
         # No option selects a kernel: the config has no such field, and
         # the lookup knows exactly two names.
@@ -440,7 +466,11 @@ def _is_subnormal(x):
 
 
 class TestMessageWeights:
-    """Contract of ``_message_weights``."""
+    """Contract of the cut every message site uses (``_message_weights``);
+    :class:`TestBeliefWeights` runs the same checks on the belief sites'
+    ``_belief_weights``."""
+
+    weights = staticmethod(_message_weights)
 
     def test_bit_equal_to_exp_above_cutoff(self):
         rng = np.random.default_rng(0)
@@ -451,7 +481,7 @@ class TestMessageWeights:
             ]
         )
         assert (h > _MSG_LOG_CUTOFF).all()
-        assert np.array_equal(_message_weights(h), np.exp(h))
+        assert np.array_equal(self.weights(h), np.exp(h))
 
     def test_zero_at_and_below_cutoff(self):
         h = np.array(
@@ -466,19 +496,19 @@ class TestMessageWeights:
                 -np.inf,
             ]
         )
-        w = _message_weights(h)
+        w = self.weights(h)
         assert np.array_equal(w, np.zeros_like(h))
         assert not np.signbit(w).any()
 
     def test_nan_propagates(self):
-        w = _message_weights(np.array([0.0, np.nan, -1.0, -700.0]))
+        w = self.weights(np.array([0.0, np.nan, -1.0, -700.0]))
         assert np.isnan(w[1])
         assert w[0] == 1.0 and w[2] == np.exp(-1.0) and w[3] == 0.0
 
     def test_out_may_alias_input(self):
         h = -np.random.default_rng(1).uniform(0.0, 800.0, size=(6, 50))
-        want = _message_weights(h)
-        got = _message_weights(h, out=h)
+        want = self.weights(h)
+        got = self.weights(h, out=h)
         assert got is h
         assert np.array_equal(got, want)
 
@@ -490,10 +520,16 @@ class TestMessageWeights:
             h[:, :60] = -rng.uniform(575.0, 745.0, size=(20, 60))
             h[:, 0] = 0.0
             assert _is_subnormal(np.exp(h)).any()  # the band is exercised
-            w = _message_weights(h)
+            w = self.weights(h)
             assert not _is_subnormal(w).any()
             kept = w > 0
             assert (w[kept] >= np.exp(_MSG_LOG_CUTOFF)).all()
+
+
+class TestBeliefWeights(TestMessageWeights):
+    """The message cut's contract, held by ``_belief_weights``."""
+
+    weights = staticmethod(_belief_weights)
 
 
 class _CliffPrior(PositionPrior):
@@ -583,6 +619,47 @@ class TestMessageWeightCliff:
         assert cut.n_iterations == plain.n_iterations
         if cut_dist is not None:
             assert np.array_equal(cut_dist.estimates, _distributed().estimates)
+
+
+def _patch_belief_weights(monkeypatch, fn):
+    for name in _WEIGHT_SITES:
+        monkeypatch.setattr(importlib.import_module(name), "_belief_weights", fn)
+
+
+def _site_beliefs():
+    """Beliefs of a cliff problem from the batched kernel, the plain loop
+    and the distributed agents, each stacked ``(n_unknown, K)``.  (Seed
+    102: its final beliefs, unlike seed 101's, reach the subnormal band.)
+    """
+    ms = _cliff_ms(102)
+    results = (
+        GridBPLocalizer(prior=_CLIFF, config=_CLIFF_CFG).localize(ms),
+        ReferenceGridBP(prior=_CLIFF, config=_CLIFF_CFG).localize(ms),
+        DistributedBPSimulator(prior=_CLIFF, config=_CLIFF_CFG).run(ms)[0],
+    )
+    return [
+        np.stack([r.extras["beliefs"][u] for u in sorted(r.extras["beliefs"])])
+        for r in results
+    ]
+
+
+class TestBeliefCliff:
+    """Every belief site on the cliff problem, whose beliefs a plain
+    ``exp`` would leave full of subnormal entries."""
+
+    def test_sites_byte_equal_with_exact_zeros(self):
+        batched, plain, distributed = _site_beliefs()
+        assert batched.tobytes() == plain.tobytes() == distributed.tobytes()
+        assert (batched == 0).any(axis=1).all()  # every node has cut cells
+        assert not _is_subnormal(batched).any()
+        assert not np.signbit(batched).any()
+
+    def test_plain_exp_would_emit_subnormals(self, monkeypatch):
+        # Without the cut every site's beliefs carry subnormal entries,
+        # so the checks above are not vacuous.
+        _patch_belief_weights(monkeypatch, _plain_exp)
+        for beliefs in _site_beliefs():
+            assert _is_subnormal(beliefs).any()
 
 
 def _degenerate_problem():
@@ -704,6 +781,51 @@ class TestMessageWeightRouting:
             _measurements(113)
         )
         assert sum(calls) == sum(s.messages for s in stats) > 0
+
+
+@pytest.mark.perf
+class TestBeliefWeightRouting:
+    """Every belief site turns a log belief into a belief through the one
+    cut; a new site that bypasses it fails here."""
+
+    CFG = dc.replace(BASE_CFG, record_trace=True)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log: list[int] = []
+
+        def counted(h, out=None):
+            log.append(h.shape[0] if h.ndim == 2 else 1)
+            return _belief_weights(h, out=out)
+
+        _patch_belief_weights(monkeypatch, counted)
+        return log
+
+    @staticmethod
+    def _n_unknown(cfg, ms):
+        return _problem(ms, cfg).log_phi.shape[0]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"schedule": "serial"}, {"max_product": True}],
+        ids=["sync", "serial", "max-product"],
+    )
+    def test_kernel_snapshots(self, calls, overrides):
+        # A recorded trace takes one snapshot before round 1, one per
+        # round and the final beliefs: one row per unknown each time.
+        cfg = dc.replace(self.CFG, **overrides)
+        ms = _measurements(114)
+        n_u = self._n_unknown(cfg, ms)
+        calls.clear()
+        result = GridBPLocalizer(config=cfg).localize(ms)
+        assert sum(calls) == n_u * (result.n_iterations + 2) > 0
+
+    def test_distributed_run(self, calls):
+        ms = _measurements(115)
+        n_u = self._n_unknown(BASE_CFG, ms)
+        calls.clear()
+        DistributedBPSimulator(config=BASE_CFG).run(ms)
+        assert sum(calls) == n_u > 0
 
 
 # ------------------------------------------------------------------ #

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import GridBPConfig, GridBPLocalizer
+from repro.core.grid import Grid2D
 from repro.core.result import LocalizationResult
 from repro.measurement import GaussianRanging, observe
 from repro.metrics import calibration_ratio, coverage_at_sigma, predicted_rms
+from repro.metrics.calibration import _belief_spreads
 from repro.network import NetworkConfig, UnitDiskRadio, generate_network
 
 
@@ -145,3 +147,38 @@ class TestCoverageAtSigma:
         net, res = scenario
         with pytest.raises(ValueError):
             coverage_at_sigma(res, net.positions, 0.0)
+
+
+class TestZeroCovariance:
+    """A belief wholly in one cell, its other entries exact zeros (the
+    belief cut zeroes every entry at or below ~1e-250 of its row's max),
+    has an exactly-zero covariance; the spread is then the quantization
+    floor alone, and the ratios stay finite."""
+
+    @staticmethod
+    def _one_hot_result(with_covariances):
+        grid = Grid2D(8)
+        cell = 19
+        b = np.zeros(grid.n_cells)
+        b[cell] = 1.0
+        truth = np.array([[0.0, 0.0], grid.centers[cell] + [0.01, -0.02]])
+        estimates = np.array([[0.0, 0.0], grid.expectation(b)])
+        extras = {"grid": grid, "beliefs": {1: b}}
+        if with_covariances:
+            covs = np.full((2, 2, 2), np.nan)
+            covs[1] = grid.moments(b[None, :])[1][0]
+            assert np.array_equal(covs[1], np.zeros((2, 2)))
+            extras["covariances"] = covs
+        res = LocalizationResult(
+            estimates, np.array([True, True]), "x", extras=extras
+        )
+        return res, grid, truth
+
+    @pytest.mark.parametrize("with_covariances", [True, False])
+    def test_spread_is_the_quantization_floor(self, with_covariances):
+        res, grid, truth = self._one_hot_result(with_covariances)
+        quant_var = (grid.cell_width**2 + grid.cell_height**2) / 12.0
+        assert _belief_spreads(res) == {1: float(np.sqrt(quant_var))}
+        assert np.isfinite(calibration_ratio(res, truth))
+        for k in (1.0, 2.0, 3.0):
+            assert np.isfinite(coverage_at_sigma(res, truth, k))

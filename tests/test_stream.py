@@ -3,9 +3,10 @@
 Fast in-process lane (default suite, ``-m stream``): hostile-stream
 ingest hygiene, gap coasting, staleness shedding, the warm-start
 divergence guard, per-network failure isolation, in-process
-abort-and-resume bit-identity, the tracker warm-start step API, the
-``TrackingResult`` wire codec, the batch's block build of its next
-priors, and ``GridBeliefPrior`` motion-diffusion edge cases.
+abort-and-resume bit-identity, subnormal-free beliefs behind a K = 144
+stream's priors (with pinned estimates), the tracker warm-start step
+API, the ``TrackingResult`` wire codec, the batch's block build of its
+next priors, and ``GridBeliefPrior`` motion-diffusion edge cases.
 
 Slow crash-recovery lane (``-m "stream and slow"``): a real subprocess
 SIGKILL'd mid-stream whose ledger resumes bit-identically, and a
@@ -14,6 +15,7 @@ mirroring the ``ckpt``/``serve`` lanes.
 """
 
 import dataclasses
+import hashlib
 import os
 import signal
 import subprocess
@@ -844,6 +846,66 @@ class TestCheckpointResume:
         )
         with pytest.raises(CheckpointMismatch):
             run_stream(other, STREAM, checkpoint=str(ledger))
+
+
+class TestBeliefCutStream:
+    """A K = 144 stream on the batched inline executor.  Its beliefs come
+    out of the kernels' belief cut: entries at or below ~1e-250 of a row's
+    max are exact zeros, so neither the estimate nor the next prior's
+    diffusion reads a subnormal float — and the estimates do not move."""
+
+    FLEET = dataclasses.replace(FLEET, n_steps=4)
+    STREAM = dataclasses.replace(STREAM, grid_size=12)
+    #: sha256 of every network's estimates, in network order (unchanged
+    #: by the cut: a plain ``exp`` gives the same bytes)
+    ESTIMATES_SHA256 = (
+        "0cb6555f03f6e174cca7b2cf7f6cb4b37f12efe6578652ce0f442f0dc917e139"
+    )
+
+    @staticmethod
+    def _digest(result):
+        return hashlib.sha256(
+            b"".join(
+                result.networks[nid].estimates.tobytes()
+                for nid in sorted(result.networks)
+            )
+        ).hexdigest()
+
+    def test_final_priors_built_from_subnormal_free_beliefs(self):
+        fleet = self.FLEET
+        runtime = StreamRuntime(
+            self.STREAM, executor=InlineExecutor(),
+            expected_networks=fleet.n_networks,
+        )
+        runtime.run(
+            fleet_events(fleet), final_step=fleet.n_steps,
+            network_ids=range(fleet.n_networks), n_nodes=fleet.n_nodes,
+        )
+        assert len(runtime._states) == fleet.n_networks
+        tiny = np.finfo(float).tiny
+        for state in runtime._states.values():
+            # the beliefs the final prior was diffused from
+            final = state.steps[fleet.n_steps]
+            assert final["kind"] == "solved"
+            beliefs = np.stack(list(final["beliefs"].values()))
+            assert beliefs.shape[1] == 144
+            assert not ((beliefs > 0) & (beliefs < tiny)).any()
+            assert (beliefs == 0).any()
+            block = state.prior.block
+            assert not ((block > 0) & (block < tiny)).any()
+
+    def test_estimates_pinned_and_resume_bit_identical(self, tmp_path):
+        reference = run_stream(self.FLEET, self.STREAM)
+        assert self._digest(reference) == self.ESTIMATES_SHA256
+        ledger = tmp_path / "stream.jsonl"
+        ck = Checkpoint(ledger, abort_after=6)
+        with pytest.raises(CheckpointAbort):
+            run_stream(self.FLEET, self.STREAM, checkpoint=ck)
+        ck.close()
+        resumed = run_stream(self.FLEET, self.STREAM, checkpoint=str(ledger))
+        _assert_same_results(resumed, reference)
+        assert resumed.metrics["counters"]["replayed"] == 6
+        _assert_settled_once(resumed, self.FLEET)
 
 
 # ---------------------------------------------------------------------- #
