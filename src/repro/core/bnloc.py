@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.grid import Grid2D
 from repro.core.health import (
@@ -344,116 +345,151 @@ class GridBPLocalizer(Localizer):
         measurements: MeasurementSet,
         tracer: NullTracer,
         grid: Grid2D | None = None,
-        prebuilt: tuple[PositionPrior, RadioModel, np.ndarray] | None = None,
     ) -> "_Prepared":
-        """Everything before the BP loop: grid, prior/radio resolution,
-        node potentials, edge operators.  Returns the prepared problem
-        plus the context :meth:`_finish` needs afterwards.  *grid*, when
-        given, must match the config's grid size and the field extent
-        (:func:`localize_batch` shares one per distinct geometry).
-        *prebuilt*, when given, is the ``(prior, radio, log_phi)`` a
-        :func:`localize_batch` node-potential block already built."""
+        """Everything before the BP loop for one problem: grid, prior/radio
+        resolution, node potentials (the per-problem hook
+        :meth:`_node_potentials`) and edge operators
+        (:meth:`_edge_operator_block` over a block of one).  Returns the
+        prepared problem plus the context :meth:`_finish` needs
+        afterwards.  *grid*, when given, must match the config's grid size
+        and the field extent (:func:`localize_batch` shares one per
+        distinct geometry).  :func:`localize_batch` prepares groups of
+        pairs as blocks through the same two passes
+        (:func:`_prepare_blocks`)."""
         ms = measurements
         cfg = self.config
         if grid is None:
             grid = Grid2D(cfg.grid_size, cfg.grid_size, ms.width, ms.height)
-        unknowns = ms.unknown_ids
-        index = {int(u): ui for ui, u in enumerate(unknowns)}
-
-        if prebuilt is None:
-            prior, radio = self._models(ms)
-            with tracer.timer("node_potentials"):
-                log_phi = self._node_potentials(ms, grid, prior, radio, unknowns)
-        else:
-            prior, radio, log_phi = prebuilt
-
-        # Edges between unknowns, with their pairwise potentials.  Each
-        # edge carries an oriented operator pair (fwd, bwd): the i→j
-        # message is ``fwd @ h_i`` and j→i is ``bwd @ h_j``.  Pure ranging
-        # potentials are symmetric (fwd is bwd); AoA potentials are not.
-        edges: list[tuple[int, int]] = []
-        ops: list[tuple] = []
-        anchor_msgs = 0
+        prior, radio = self._models(ms)
+        with tracer.timer("node_potentials"):
+            log_phi = self._node_potentials(ms, grid, prior, radio, ms.unknown_ids)
         with tracer.timer("edge_potentials"):
-            if ms.has_ranging:
-                blur = cfg.cell_blur_fraction * grid.cell_diagonal
-                conn_radio = radio if cfg.use_connectivity_in_ranging else None
-                if cfg.shared_cache:
-                    # Cross-trial reuse: identical (grid, ranging, radio,
-                    # blur) keys get the warm kernels built by earlier runs
-                    # in this process.
-                    cache = shared_registry().ranging_cache(
-                        grid, ms.ranging, conn_radio, blur
-                    )
-                else:
-                    cache = RangingPotentialCache(
-                        grid, ms.ranging, conn_radio, blur_sigma=blur
-                    )
-            conn_psi = None
-            for i, j in ms.edges():
-                i, j = int(i), int(j)
-                if ms.anchor_mask[i] and ms.anchor_mask[j]:
-                    continue
-                if ms.anchor_mask[i] or ms.anchor_mask[j]:
-                    anchor_msgs += 1  # anchor broadcast consumed by the unknown
-                    continue
-                if ms.has_ranging:
-                    psi = cache.get(ms.observed_distances[i, j])
-                else:
-                    if conn_psi is None:
-                        from scipy import sparse as _sparse
+            (edge_ops,) = self._edge_operator_block(grid, [(ms, radio)])
+        return self._assemble(ms, grid, prior, radio, log_phi, edge_ops, tracer)
 
-                        if cfg.shared_cache:
-                            shared_registry().pairwise_distances(grid)
-                        # CSR like the ranging kernels (and exactly like
-                        # DistributedBPSimulator builds it): the dense
-                        # operator went through BLAS gemv, whose rounding
-                        # differs from the sparse kernel, so the two
-                        # solvers' range-free beliefs diverged in the last
-                        # bit (caught by the repro.audit differential
-                        # harness, scenario smoke-rangefree).
-                        conn_psi = _sparse.csr_matrix(
-                            connectivity_potential(
-                                grid.pairwise_center_distances(), radio
-                            )
-                        )
-                    psi = conn_psi
-                if ms.has_bearings:
-                    from scipy import sparse as _sparse
-
-                    bpsi = pairwise_bearing_potential(
-                        grid,
-                        ms.observed_bearings[i, j],
-                        ms.observed_bearings[j, i],
-                        ms.bearing_model,
-                    )
-                    combined = (
-                        psi.multiply(bpsi)
-                        if _sparse.issparse(psi)
-                        else _sparse.csr_matrix(psi * bpsi)
-                    )
-                    combined = _sparse.csr_matrix(combined)
-                    ops.append((_sparse.csr_matrix(combined.T), combined))
-                else:
-                    ops.append((psi, psi))
-                edges.append((index[i], index[j]))
-        if tracer.enabled:
-            from scipy import sparse as _sparse
-
-            for fwd, _ in ops:
-                nnz = fwd.nnz if _sparse.issparse(fwd) else fwd.size
-                tracer.gauge_max("peak_factor_nnz", int(nnz))
+    def _assemble(
+        self,
+        ms: MeasurementSet,
+        grid: Grid2D,
+        prior: PositionPrior,
+        radio: RadioModel,
+        log_phi: np.ndarray,
+        edge_ops: tuple[list, list, int],
+        tracer: NullTracer,
+    ) -> "_Prepared":
+        """The :class:`_Prepared` of one problem from its node potentials
+        and its ``(edges, ops, anchor_msgs)``; records the problem's
+        largest operator on *tracer*'s ``peak_factor_nnz`` gauge."""
+        edges, ops, anchor_msgs = edge_ops
+        if tracer.enabled and ops:
+            tracer.gauge_max("peak_factor_nnz", max(int(fwd.nnz) for fwd, _ in ops))
         return _Prepared(
             ms=ms,
             grid=grid,
             prior=prior,
             radio=radio,
-            unknowns=unknowns,
+            unknowns=ms.unknown_ids,
             anchor_msgs=anchor_msgs,
             problem=BPProblem(
-                log_phi=log_phi, edges=edges, ops=ops, grid=grid, cfg=cfg
+                log_phi=log_phi, edges=edges, ops=ops, grid=grid, cfg=self.config
             ),
         )
+
+    def _edge_operator_block(
+        self,
+        grid: Grid2D,
+        problems: list[tuple[MeasurementSet, RadioModel]],
+    ) -> list[tuple[list[tuple[int, int]], list[tuple], int]]:
+        """Edge operators of every ``(ms, radio)`` problem of a block: per
+        problem, its unknown-unknown ``edges`` (as unknown rows), their
+        oriented operator pairs ``ops`` and ``anchor_msgs``, the number of
+        anchor-unknown links (one anchor broadcast consumed each).
+
+        Each edge carries an operator pair ``(fwd, bwd)``: the i→j message
+        is ``fwd @ h_i`` and j→i is ``bwd @ h_j``.  Pure ranging and
+        connectivity potentials are symmetric (fwd is bwd); AoA
+        potentials are not.  The problems share *grid*, this solver's
+        config and fingerprint-equal models (:func:`localize_batch`
+        groups them so), so one ranging cache (one registry lookup) or one
+        connectivity operator serves the block.  Edges come from one
+        ``nonzero`` of the stacked upper-triangular adjacency, which keeps
+        each problem's :meth:`MeasurementSet.edges` order; mask arrays
+        split anchor links from unknown-unknown edges, and every observed
+        distance is quantized in one pass
+        (:meth:`RangingPotentialCache.get_many`), so a problem's ops are
+        the very CSR objects, in the very order, of its block of one.
+        Bearing edges combine their AoA factor edge by edge.
+        """
+        cfg = self.config
+        ms0, radio = problems[0]
+        n_b = len(problems)
+        n_max = max(ms.n_nodes for ms, _ in problems)
+        adjacency = np.zeros((n_b, n_max, n_max), dtype=bool)
+        anchor = np.zeros((n_b, n_max), dtype=bool)
+        observed = np.zeros((n_b, n_max, n_max)) if ms0.has_ranging else None
+        bearings = np.zeros((n_b, n_max, n_max)) if ms0.has_bearings else None
+        for b, (ms, _) in enumerate(problems):
+            n = ms.n_nodes
+            adjacency[b, :n, :n] = ms.adjacency
+            anchor[b, :n] = ms.anchor_mask
+            if observed is not None:
+                observed[b, :n, :n] = ms.observed_distances
+            if bearings is not None:
+                bearings[b, :n, :n] = ms.observed_bearings
+        eb, ei, ej = np.nonzero(np.triu(adjacency, 1))
+        ai, aj = anchor[eb, ei], anchor[eb, ej]
+        anchor_msgs = np.bincount(eb[ai != aj], minlength=n_b).tolist()
+        uu = ~(ai | aj)
+        eb, ei, ej = eb[uu], ei[uu], ej[uu]
+        # unknown row of every node: unknowns counted in node order
+        row = np.cumsum(~anchor, axis=1) - 1
+        pairs = list(zip(row[eb, ei].tolist(), row[eb, ej].tolist()))
+        if ms0.has_ranging:
+            blur = cfg.cell_blur_fraction * grid.cell_diagonal
+            conn_radio = radio if cfg.use_connectivity_in_ranging else None
+            if cfg.shared_cache:
+                # Cross-trial reuse: identical (grid, ranging, radio, blur)
+                # keys get the warm kernels built by earlier runs in this
+                # process.
+                cache = shared_registry().ranging_cache(
+                    grid, ms0.ranging, conn_radio, blur
+                )
+            else:
+                cache = RangingPotentialCache(
+                    grid, ms0.ranging, conn_radio, blur_sigma=blur
+                )
+            psis = cache.get_many(observed[eb, ei, ej])
+        elif pairs:
+            if cfg.shared_cache:
+                shared_registry().pairwise_distances(grid)
+            # CSR like the ranging kernels (and exactly like
+            # DistributedBPSimulator builds it): the dense operator went
+            # through BLAS gemv, whose rounding differs from the sparse
+            # kernel, so the two solvers' range-free beliefs diverged in
+            # the last bit (caught by the repro.audit differential
+            # harness, scenario smoke-rangefree).
+            psis = [
+                sparse.csr_matrix(
+                    connectivity_potential(grid.pairwise_center_distances(), radio)
+                )
+            ] * len(pairs)
+        else:
+            psis = []
+        if bearings is None:
+            ops = [(psi, psi) for psi in psis]
+        else:
+            ops = []
+            for psi, b, i, j in zip(psis, eb, ei, ej):
+                bpsi = pairwise_bearing_potential(
+                    grid, bearings[b, i, j], bearings[b, j, i], ms0.bearing_model
+                )
+                combined = sparse.csr_matrix(psi.multiply(bpsi))
+                ops.append((sparse.csr_matrix(combined.T), combined))
+        starts = np.searchsorted(eb, np.arange(n_b + 1)).tolist()
+        return [
+            (pairs[lo:hi], ops[lo:hi], n_links)
+            for lo, hi, n_links in zip(starts, starts[1:], anchor_msgs)
+        ]
 
     def _maybe_restart(
         self,
@@ -943,24 +979,27 @@ def _anchor_hop_block(
 _BLOCK_HOOK = GridBPLocalizer._node_potentials
 
 
-def _node_potential_blocks(
+def _prepare_blocks(
     pairs: list[tuple[GridBPLocalizer, MeasurementSet]], grids: list[Grid2D]
-) -> list[tuple[PositionPrior, RadioModel, np.ndarray] | None]:
-    """Per pair, the ``(prior, radio, log_phi)`` its node-potential block
-    built, or ``None`` where :meth:`GridBPLocalizer._prepare` builds its
-    own (a block of one).
+) -> list[_Prepared | None]:
+    """Per pair, its :class:`_Prepared` as one block of its group built
+    it, or ``None`` where :meth:`GridBPLocalizer._prepare` prepares it
+    alone (a block of one).
 
     Pairs share a block when the solver class, grid, config,
     ``has_ranging`` / ``has_bearings`` and the fingerprints of the
     resolved radio, the ranging model and the bearing model are equal —
-    exactly what makes their potentials one computation
-    (:meth:`GridBPLocalizer._node_potential_block`).  A pair whose solver
-    overrides the hook or whose models do not fingerprint stays alone.
-    Each block is timed on its first solver's ``node_potentials`` timer.
-    A block that raises ``ValueError`` (the potentials' failure modes: a
-    zero-mass prior, evidence that excludes every cell) is dropped: its
-    pairs build alone in input order, so the error raised is the one the
-    pair-by-pair loop raises first.
+    exactly what makes their potentials one computation.  A block runs
+    two passes: :meth:`GridBPLocalizer._node_potential_block` and
+    :meth:`GridBPLocalizer._edge_operator_block` (one ranging-cache
+    lookup for the whole block), timed on its first solver's
+    ``node_potentials`` and ``edge_potentials`` timers.  A pair whose
+    solver overrides the node-potential hook or whose models do not
+    fingerprint stays alone.  A block that raises ``ValueError`` (the
+    potentials' failure modes: a zero-mass prior, evidence that excludes
+    every cell, a non-finite or negative unknown-unknown distance) is
+    dropped: its pairs prepare alone in input order, so the error raised
+    is the one the pair-by-pair loop raises first.
     """
     blocks: dict[tuple, list[int]] = {}
     models: list[tuple | None] = [None] * len(pairs)
@@ -982,21 +1021,31 @@ def _node_potential_blocks(
         )
         blocks.setdefault(key, []).append(i)
         models[i] = (prior, radio)
-    out: list[tuple | None] = [None] * len(pairs)
+    out: list[_Prepared | None] = [None] * len(pairs)
     for idxs in blocks.values():
         if len(idxs) == 1:
             continue
         loc = pairs[idxs[0]][0]
+        grid = grids[idxs[0]]
         problems = [
             (pairs[i][1], *models[i], pairs[i][1].unknown_ids) for i in idxs
         ]
         try:
             with loc.tracer.timer("node_potentials"):
-                log_phis = loc._node_potential_block(grids[idxs[0]], problems)
+                log_phis = loc._node_potential_block(grid, problems)
+            with loc.tracer.timer("edge_potentials"):
+                edge_ops = loc._edge_operator_block(
+                    grid, [(ms, radio) for ms, _, radio, _ in problems]
+                )
         except ValueError:
             continue  # the pairs' own builds raise it again, in input order
-        for i, log_phi in zip(idxs, log_phis):
-            out[i] = (*models[i], log_phi)
+        for i, (ms, prior, radio, _), log_phi, ops in zip(
+            idxs, problems, log_phis, edge_ops
+        ):
+            solver = pairs[i][0]
+            out[i] = solver._assemble(
+                ms, grid, prior, radio, log_phi, ops, solver.tracer
+            )
     return out
 
 
@@ -1005,14 +1054,12 @@ def localize_batch(
 ) -> list[LocalizationResult]:
     """Localize many (solver, measurements) pairs, batching compatible ones.
 
-    The pairs' node potentials are built as blocks
-    (:func:`_node_potential_blocks`: one
-    :meth:`GridBPLocalizer._node_potential_block` pass per group of pairs
+    The pairs are prepared as blocks (:func:`_prepare_blocks`: one
+    node-potential pass and one edge-operator pass per group of pairs
     with equal solver class, grid shape, config, modalities and model
-    fingerprints).  Each pair is then prepared on its own (edge operators
-    under its own solver's tracer, on one shared :class:`Grid2D` per
-    distinct grid geometry), partitioned with
-    :func:`repro.kernels.group_compatible` (same grid shape/extent, same
+    fingerprints, on one shared :class:`Grid2D` per distinct grid
+    geometry; a pair outside any group is a block of one), partitioned
+    with :func:`repro.kernels.group_compatible` (same grid shape/extent, same
     ``K``, equal config — different networks/priors/seeds batch together;
     mixed shapes split into separate groups, never silently co-batched),
     and each group runs through the kernel its config's schedule picks
@@ -1029,11 +1076,12 @@ def localize_batch(
     problem then reads its own row slice.  A problem that takes a damped
     health restart recomputes its own rows; fallbacks and communication
     accounting stay per trial.  Telemetry: each solver's tracer records
-    its own edge-potential and estimate phases; a node-potential block
-    and a group's estimate pass are timed on their first solver's
-    tracer.  For groups larger than one the BP loop itself is a shared
-    pass, so per-trial ``bp`` timers are not emitted — the tracer gets
-    ``batch_size`` / ``batch_groups`` annotations instead.
+    its own estimate phase and ``peak_factor_nnz`` gauge; a preparation
+    block (its node- and edge-potential passes) and a group's estimate
+    pass are timed on their first solver's tracer.  For groups larger
+    than one the BP loop itself is a shared pass, so per-trial ``bp``
+    timers are not emitted — the tracer gets ``batch_size`` /
+    ``batch_groups`` annotations instead.
     """
     pairs = list(pairs)
     if not pairs:
@@ -1045,10 +1093,11 @@ def localize_batch(
         if shape not in grids:
             grids[shape] = Grid2D(shape[0], shape[0], ms.width, ms.height)
         pair_grids.append(grids[shape])
-    prebuilt = _node_potential_blocks(pairs, pair_grids)
     preps = [
-        loc._prepare(ms, loc.tracer, grid, built)
-        for (loc, ms), grid, built in zip(pairs, pair_grids, prebuilt)
+        built if built is not None else loc._prepare(ms, loc.tracer, grid)
+        for (loc, ms), grid, built in zip(
+            pairs, pair_grids, _prepare_blocks(pairs, pair_grids)
+        )
     ]
     groups = group_compatible([p.problem for p in preps])
     results: list[LocalizationResult | None] = [None] * len(pairs)

@@ -444,8 +444,20 @@ class RangingPotentialCache:
         #: (distinct cell-centre distances, (K, K) class index), on first miss
         self._classes: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _key(self, observed_distance: float) -> int:
-        return int(round(float(observed_distance) / self.quantum))
+    def _keys(self, observed_distances) -> np.ndarray:
+        """Quantization key of every observed distance, in input order:
+        ``round(d / quantum)`` (round half to even, as Python's ``round``),
+        held as integral floats so no distance can overflow an integer
+        type.  Raises ``ValueError`` naming the first distance that is not
+        finite and non-negative."""
+        d = np.asarray(observed_distances, dtype=np.float64)
+        bad = ~(np.isfinite(d) & (d >= 0))
+        if bad.any():
+            raise ValueError(
+                "observed distance must be finite and >= 0, "
+                f"got {d[np.argmax(bad)]}"
+            )
+        return np.rint(d / self.quantum)
 
     def get(self, observed_distance: float) -> sparse.csr_matrix:
         """Sparse ``(K, K)`` potential for an observed distance.
@@ -453,11 +465,18 @@ class RangingPotentialCache:
         The kernel is symmetric (it depends only on inter-cell distance),
         so callers can use it for either message direction.
         """
-        if not np.isfinite(observed_distance) or observed_distance < 0:
-            raise ValueError(
-                f"observed distance must be finite and >= 0, got {observed_distance}"
-            )
-        key = self._key(observed_distance)
+        return self.get_many([observed_distance])[0]
+
+    def get_many(self, observed_distances) -> list[sparse.csr_matrix]:
+        """:meth:`get` of every observed distance, in input order: one
+        quantization pass, one lookup (or build) per distinct key, and the
+        same CSR object for every distance of a key."""
+        keys, inverse = np.unique(self._keys(observed_distances), return_inverse=True)
+        mats = [self._lookup(int(key)) for key in keys]
+        return [mats[k] for k in inverse.tolist()]
+
+    def _lookup(self, key: int) -> sparse.csr_matrix:
+        """The kernel of quantization key *key*, built on first use."""
         mat = self._cache.get(key)
         if mat is None:
             if self._classes is None:

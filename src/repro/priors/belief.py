@@ -109,8 +109,11 @@ class _Parts:
 
     def __init__(self, parts: Sequence[Mapping]) -> None:
         self.parts = list(parts)
-        #: node → row within its own part, one dict per part
-        self.indexes = [_node_index(b) for b in self.parts]
+        #: node → row within its own part, one dict per part (another
+        #: prior's rows keep that prior's index)
+        self.indexes = [
+            b.index if isinstance(b, _Rows) else _node_index(b) for b in self.parts
+        ]
 
     def __iter__(self):
         """The node id of every row, in block order."""
@@ -139,6 +142,12 @@ def _stack(
         return beliefs.index, beliefs.block, beliefs.index
     if isinstance(beliefs, _Parts):
         index, nodes = {}, beliefs
+        if all(
+            isinstance(b, _Rows) and b.block.shape[1] == n_cells
+            for b in beliefs.parts
+        ):
+            # other priors' rows: already blocks
+            return index, np.concatenate([b.block for b in beliefs.parts]), nodes
         vectors = [v for b in beliefs.parts for v in b.values()]
     else:
         index = nodes = _node_index(beliefs)

@@ -191,7 +191,7 @@ class StreamRuntime:
             self.config.height,
         )
         # Same geometry, but nothing ever caches a (K, K) matrix on it:
-        # the grid every wire prior carries (see _wire_prior).
+        # the grid every wire prior carries (see _items).
         self._wire_grid = Grid2D(
             self.config.grid_size,
             self.config.grid_size,
@@ -248,21 +248,6 @@ class StreamRuntime:
         (its block goes straight back through the diffusion)."""
         if state.prior is not None:
             state.prior = self._diffuse(state.prior.weights)
-
-    def _wire_prior(self, prior: GridBeliefPrior | None):
-        """Pipe-light copy of a prior, sent with each warm item.
-
-        Its grid is the runtime's ``_wire_grid``, built once: same
-        geometry as ``_grid`` but never asked for its ``(K, K)`` pairwise
-        matrix, so no such matrix rides the pickle to a pool worker.  The
-        rows are the prior's block (reused, not restacked) re-normalized
-        in one division, diffusion and floor already applied.
-        """
-        if prior is None:
-            return None
-        return GridBeliefPrior(
-            self._wire_grid, prior.weights, diffusion_sigma=0.0, floor=0.0
-        )
 
     def _key(self, network_id: int, step: int) -> str:
         return f"{network_id}:{step}"
@@ -367,45 +352,98 @@ class StreamRuntime:
     # ------------------------------------------------------------------ #
     # solving
     # ------------------------------------------------------------------ #
-    def _item(self, state: NetworkState, epoch: Epoch, warm: bool) -> dict:
-        return {
-            "measurements": epoch.measurements,
-            "prior": self._wire_prior(state.prior) if warm else None,
-            "config": self._warm_cfg if warm and state.prior is not None
-            else self._cold_cfg,
-            "include_beliefs": True,
-        }
+    def _items(
+        self, pairs: list[tuple[NetworkState, Epoch]], warm: bool = True
+    ) -> list[dict]:
+        """The solve items of *pairs*: warm (the network's prior, warm
+        iterations) where *warm* and the network has a prior, else cold
+        (no prior, cold iterations).
 
-    def _assess(self, state: NetworkState, epoch: Epoch, payload: dict) -> str:
-        """'ok' | 'guard' (poisoned-prior symptom) | 'failed'."""
-        if not payload.get("ok"):
-            return "failed"
-        if state.prior is None:
-            return "ok"  # cold solve: nothing to guard against
-        if np.asarray(payload["fallback_mask"]).any():
-            return "guard"
-        beliefs = payload.get("beliefs") or {}
-        if beliefs:
-            stacked = np.stack([np.asarray(b) for b in beliefs.values()])
-            if not healthy_belief_rows(stacked).all():
-                return "guard"
-        if state.last_estimates is not None and state.last_solved_step is not None:
-            ms = epoch.measurements
-            unknown = ~ms.anchor_mask
-            est = np.asarray(payload["estimates"])
-            prev = state.last_estimates
-            both = (
-                unknown
-                & np.isfinite(est).all(axis=1)
-                & np.isfinite(prev).all(axis=1)
+        The warm items' priors are pipe-light copies built as one block
+        (:meth:`GridBeliefPrior.stacked` with no diffusion and no floor,
+        byte-equal to a per-item build by its contract).  Their grid is
+        the runtime's ``_wire_grid``, built once: same geometry as
+        ``_grid`` but never asked for its ``(K, K)`` pairwise matrix, so
+        no such matrix rides the pickle to a pool worker, and each item's
+        prior pickles only its own row slice of the block.
+        """
+        priors = [state.prior if warm else None for state, _ in pairs]
+        wires = iter(
+            GridBeliefPrior.stacked(
+                self._wire_grid,
+                [p.weights for p in priors if p is not None],
+                diffusion_sigma=0.0,
+                floor=0.0,
             )
-            if both.any():
-                jumps = np.linalg.norm(est[both] - prev[both], axis=1)
-                gap = max(epoch.step - state.last_solved_step, 1)
-                limit = self.config.jump_guard_radii * ms.radio_range * gap
-                if _median(jumps) > limit:
-                    return "guard"
-        return "ok"
+        )
+        return [
+            {
+                "measurements": epoch.measurements,
+                "prior": next(wires) if prior is not None else None,
+                "config": self._warm_cfg if prior is not None else self._cold_cfg,
+                "include_beliefs": True,
+            }
+            for (_, epoch), prior in zip(pairs, priors)
+        ]
+
+    def _verdicts(
+        self, pairs: list[tuple[NetworkState, Epoch]], payloads: list[dict]
+    ) -> list[str]:
+        """Per payload: 'ok' | 'guard' (poisoned-prior symptom) | 'failed'.
+
+        Each verdict reads only its own network's state.  A cold solve
+        (no prior) is never guarded; a warm one trips the guard on a
+        fallback-flagged node, on a broken belief row or on an
+        implausible median jump.  The belief-health check runs once over
+        the stacked rows of every warm, ok payload
+        (:func:`healthy_belief_rows` is row-wise) and is split back per
+        item.
+        """
+        guarded = [
+            bool(payload.get("ok")) and state.prior is not None
+            for (state, _), payload in zip(pairs, payloads)
+        ]
+        rows = [
+            list((payload.get("beliefs") or {}).values()) if g else []
+            for payload, g in zip(payloads, guarded)
+        ]
+        flat = [np.asarray(b) for r in rows for b in r]
+        healthy = healthy_belief_rows(np.stack(flat)) if flat else np.ones(0, bool)
+        bounds = np.cumsum([0] + [len(r) for r in rows]).tolist()
+        verdicts = []
+        for (state, epoch), payload, g, lo, hi in zip(
+            pairs, payloads, guarded, bounds, bounds[1:]
+        ):
+            if not payload.get("ok"):
+                verdicts.append("failed")
+            elif not g:
+                verdicts.append("ok")  # cold solve: nothing to guard against
+            elif (
+                np.asarray(payload["fallback_mask"]).any()
+                or not healthy[lo:hi].all()
+                or self._jumped(state, epoch, payload)
+            ):
+                verdicts.append("guard")
+            else:
+                verdicts.append("ok")
+        return verdicts
+
+    def _jumped(self, state: NetworkState, epoch: Epoch, payload: dict) -> bool:
+        """Whether the median unknown moved implausibly far since the
+        network's last solved step."""
+        if state.last_estimates is None or state.last_solved_step is None:
+            return False
+        ms = epoch.measurements
+        unknown = ~ms.anchor_mask
+        est = np.asarray(payload["estimates"])
+        prev = state.last_estimates
+        both = unknown & np.isfinite(est).all(axis=1) & np.isfinite(prev).all(axis=1)
+        if not both.any():
+            return False
+        jumps = np.linalg.norm(est[both] - prev[both], axis=1)
+        gap = max(epoch.step - state.last_solved_step, 1)
+        limit = self.config.jump_guard_radii * ms.radio_range * gap
+        return _median(jumps) > limit
 
     def _commit(
         self,
@@ -511,6 +549,16 @@ class StreamRuntime:
             state.last_anchor_full = np.asarray(ms.anchor_positions_full)
 
     def _solve_batch(self, batch: list[tuple[NetworkState, Epoch]]) -> None:
+        """Solve one batch of ready epochs and settle every one of them.
+
+        Ledger-replayed epochs settle first.  The live rest goes to the
+        executor in one call, its items built as a batch
+        (:meth:`_items`: the warm priors' wire copies as one block).  The
+        verdicts are taken as a batch too (:meth:`_verdicts`: one
+        belief-health check over all warm payloads), then every accepted
+        solve's next prior is built in one block (:meth:`_next_priors`).
+        Guard trips get one cold re-solve call, settled the same way.
+        """
         live = [
             (state, epoch)
             for state, epoch in batch
@@ -518,17 +566,10 @@ class StreamRuntime:
         ]
         if not live:
             return
-        items = [
-            self._item(state, epoch, warm=state.prior is not None)
-            for state, epoch in live
-        ]
-        payloads = self.executor.solve(items)
-        # Every verdict first (each reads only its own network's state),
-        # so the next priors of all accepted solves build as one block.
-        verdicts = [
-            self._assess(state, epoch, payload)
-            for (state, epoch), payload in zip(live, payloads)
-        ]
+        payloads = self.executor.solve(self._items(live))
+        # Every verdict first, so the next priors of all accepted solves
+        # build as one block.
+        verdicts = self._verdicts(live, payloads)
         priors = iter(
             self._next_priors(
                 [p for p, v in zip(payloads, verdicts) if v == "ok"]
@@ -549,8 +590,7 @@ class StreamRuntime:
             return
         # Poisoned-prior fallback: cold re-solve at full iterations.
         self.metrics.count("cold_resolves", len(retry))
-        cold_items = [self._item(state, epoch, warm=False) for state, epoch in retry]
-        cold_payloads = self.executor.solve(cold_items)
+        cold_payloads = self.executor.solve(self._items(retry, warm=False))
         priors = iter(self._next_priors([p for p in cold_payloads if p.get("ok")]))
         for (state, epoch), payload in zip(retry, cold_payloads):
             if not payload.get("ok"):

@@ -452,6 +452,43 @@ class TestRangingPotentialCache:
         with pytest.raises(ValueError):
             cache.get(float("nan"))
 
+    def test_vectorized_keys_round_like_python(self):
+        # one quantization pass, equal to int(round(d / quantum)) per
+        # distance: exact half-quantum values round half to even on both
+        # sides (0.5 -> 0, 1.5 -> 2, 2.5 -> 2)
+        q = 2.0**-7
+        cache = RangingPotentialCache(self.GRID, self.RANGING, quantum=q)
+        gen = np.random.default_rng(3)
+        d = np.concatenate(
+            [(np.arange(40) + 0.5) * q, np.arange(40) * q, gen.random(200) * 1.5]
+        )
+        keys = cache._keys(d)
+        assert [int(k) for k in keys] == [int(round(x / q)) for x in d.tolist()]
+        assert [int(k) for k in keys[:3]] == [0, 2, 2]
+        default = RangingPotentialCache(self.GRID, self.RANGING)
+        halves = (np.arange(40) + 0.5) * default.quantum
+        assert [int(k) for k in default._keys(halves)] == [
+            int(round(x / default.quantum)) for x in halves.tolist()
+        ]
+
+    def test_get_many_shares_the_objects_of_get(self):
+        cache = RangingPotentialCache(self.GRID, self.RANGING)
+        d = [0.2, 0.35, 0.2001, 0.2, 0.5]
+        many = cache.get_many(d)
+        assert len(many) == len(d)
+        assert all(m is cache.get(x) for m, x in zip(many, d))
+        assert many[0] is many[2] is many[3]
+        assert cache.n_cached == 3
+        assert cache.get_many([]) == []
+
+    def test_get_many_names_the_first_bad_distance(self):
+        cache = RangingPotentialCache(self.GRID, self.RANGING)
+        with pytest.raises(ValueError, match="got nan"):
+            cache.get_many([0.1, float("nan"), -0.5])
+        with pytest.raises(ValueError, match="got -0.5"):
+            cache.get_many([0.1, -0.5, float("inf")])
+        assert cache.n_cached == 0
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             RangingPotentialCache(self.GRID, self.RANGING, truncate=1.0)
@@ -464,7 +501,7 @@ def _dense_kernel(cache, observed_distance):
     ``(K, K)`` potential evaluated on every cell pair."""
     dense = pairwise_ranging_potential(
         cache.grid.pairwise_center_distances(),
-        cache._key(observed_distance) * cache.quantum,
+        cache._keys([observed_distance])[0] * cache.quantum,
         cache.ranging,
         cache.radio,
         blur_sigma=cache.blur_sigma,
@@ -537,7 +574,7 @@ class TestDistanceClassKernels:
         pd = radio.p_detect(D)
         for blur in (0.0, 0.02):
             cache = RangingPotentialCache(grid, ranging, radio, blur_sigma=blur)
-            d = cache._key(3.0) * cache.quantum
+            d = cache._keys([3.0])[0] * cache.quantum
             assert (_blurred_likelihood(D, d, ranging, blur) * pd).max() <= 0
             got = cache.get(3.0)
             _assert_same_csr(got, _dense_kernel(cache, 3.0))

@@ -466,13 +466,14 @@ class TestNodePotentialRouting:
         )
         k = runtime._grid.n_cells
         gen = np.random.default_rng(0)
-        items = []
+        pairs = []
         for epoch in fleet_events(fleet)[: fleet.n_networks]:  # step 0
             state = runtime._state(epoch.network_id)
             state.prior = GridBeliefPrior(
                 runtime._grid, {n: gen.random(k) for n in range(fleet.n_nodes)}
             )
-            items.append(runtime._item(state, epoch, warm=True))
+            pairs.append((state, epoch))
+        items = runtime._items(pairs)
         n_links = sum(
             int(ms.adjacency[np.ix_(ms.unknown_ids, ms.anchor_ids)].sum())
             for ms in (item["measurements"] for item in items)

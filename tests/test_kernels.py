@@ -34,7 +34,15 @@ kernels on one prepared problem.  The suite covers:
   ``localize`` on a batch mixing network sizes, anchor counts, priors,
   modalities, configs, models and the reference solver (block count
   checked through a spy), and a failing pair raising the error the
-  pair-by-pair loop raises first.
+  pair-by-pair loop raises first;
+* the edge-operator blocks: ``localize_batch`` byte-equal to pair-by-pair
+  ``localize`` on ranging, private-cache, connectivity-only and bearing
+  batches mixing network sizes and a problem with no unknown-unknown
+  edge; each problem's operators the ones of its block of one (the same
+  CSR objects under the shared cache); a NaN or negative range raising
+  the pair-by-pair loop's first error; and a routing guard that fails
+  when a group looks the registry up more than once or a quantized key
+  more than once.
 
 The fast lane (module marker ``kernel``) runs in the default suite; the
 randomized sweeps are additionally marked ``slow`` — select them with
@@ -1217,11 +1225,16 @@ class TestNodePotentialBlocks:
     def test_block_rows_match_lone_builds(self):
         pairs = self._mixed_pairs()[:4]
         grid = Grid2D(BASE_CFG.grid_size, BASE_CFG.grid_size, 1.0, 1.0)
-        nodes = bnloc._node_potential_blocks(pairs, [grid] * len(pairs))
-        for (loc, ms), (prior, radio, log_phi) in zip(pairs, nodes):
-            alone = loc._node_potentials_baseline(ms, grid, prior, radio, ms.unknown_ids)
+        preps = bnloc._prepare_blocks(pairs, [grid] * len(pairs))
+        for (loc, ms), prep in zip(pairs, preps):
+            log_phi = prep.problem.log_phi
+            alone = loc._node_potentials_baseline(
+                ms, grid, prep.prior, prep.radio, ms.unknown_ids
+            )
             assert log_phi.tobytes() == alone.tobytes()
-        assert [len(n[2]) for n in nodes] == [len(ms.unknown_ids) for _, ms in pairs]
+        assert [len(p.problem.log_phi) for p in preps] == [
+            len(ms.unknown_ids) for _, ms in pairs
+        ]
 
 
 def _corrupt_link(ms, pick):
@@ -1292,3 +1305,206 @@ def _payload_bytes(payload):
         return v
 
     return enc(payload)
+
+
+def _edge_free(seed, n=12):
+    """A measurement set with one unknown, so no unknown-unknown edge."""
+    net, ms = _observed(seed, n)
+    anchors = np.ones(n, dtype=bool)
+    anchors[ms.unknown_ids[0]] = False
+    out = dc.replace(ms, anchor_mask=anchors, anchor_positions_full=net.positions)
+    assert not len(_prepared_alone(GridBPLocalizer(config=BASE_CFG), out).problem.edges)
+    return out
+
+
+def _prepared_alone(loc, ms):
+    grid = Grid2D(loc.config.grid_size, loc.config.grid_size, ms.width, ms.height)
+    return loc._prepare(ms, NULL_TRACER, grid)
+
+
+def _same_csr(a, b):
+    return all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr))
+    ) and a.shape == b.shape
+
+
+class TestEdgeOperatorBlocks:
+    """``localize_batch`` builds the edge operators of a group as one
+    block (:meth:`GridBPLocalizer._edge_operator_block`); ``localize`` runs
+    the same pass over a block of one.  Every result stays byte-equal to
+    pair-by-pair ``localize``, and every problem's operators are the CSR
+    objects (shared cache) or arrays (private cache, connectivity,
+    bearings) of its block of one, in the same order."""
+
+    def _batches(self):
+        loc = lambda **kw: GridBPLocalizer(config=dc.replace(BASE_CFG, **kw))
+        ranging = [
+            _observed(160, 12)[1], _observed(161, 25, anchor_ratio=0.2)[1],
+            _edge_free(162), _observed(163, 14)[1],
+        ]
+        return {
+            "ranging": [(loc(), ms) for ms in ranging],
+            "private": [(loc(shared_cache=False), ms) for ms in ranging],
+            "connectivity": [
+                (loc(), _observed(s, n, ranging=False)[1])
+                for s, n in ((164, 12), (165, 25), (166, 14))
+            ],
+            "bearings": [
+                (loc(), _observed(s, n, bearings=True)[1])
+                for s, n in ((167, 12), (168, 25), (169, 14))
+            ],
+        }
+
+    @pytest.mark.parametrize(
+        "case", ["ranging", "private", "connectivity", "bearings"]
+    )
+    def test_batch_byte_equal_to_localize(self, case, monkeypatch):
+        pairs = self._batches()[case]
+        sizes = []
+        original = GridBPLocalizer._edge_operator_block
+
+        def spy(self, grid, problems):
+            sizes.append(len(problems))
+            return original(self, grid, problems)
+
+        monkeypatch.setattr(GridBPLocalizer, "_edge_operator_block", spy)
+        batched = localize_batch(pairs)
+        assert sizes == [len(pairs)]
+        for (loc, ms), b in zip(pairs, batched):
+            a = loc.localize(ms)
+            _assert_byte_equal(b, a)
+            assert (b.messages_sent, b.bytes_sent) == (a.messages_sent, a.bytes_sent)
+        assert sizes == [len(pairs)] + [1] * len(pairs)
+
+    @pytest.mark.parametrize(
+        "case", ["ranging", "private", "connectivity", "bearings"]
+    )
+    def test_ops_are_those_of_a_block_of_one(self, case):
+        pairs = self._batches()[case]
+        grid = Grid2D(BASE_CFG.grid_size, BASE_CFG.grid_size, 1.0, 1.0)
+        preps = bnloc._prepare_blocks(pairs, [grid] * len(pairs))
+        for (loc, ms), prep in zip(pairs, preps):
+            alone = loc._prepare(ms, NULL_TRACER, grid)
+            assert prep.problem.edges == alone.problem.edges
+            assert prep.anchor_msgs == alone.anchor_msgs
+            assert len(prep.problem.ops) == len(alone.problem.ops)
+            for got, want in zip(prep.problem.ops, alone.problem.ops):
+                if case == "ranging":
+                    assert got[0] is want[0] and got[1] is want[1]
+                else:
+                    assert _same_csr(got[0], want[0]) and _same_csr(got[1], want[1])
+        assert any(not p.problem.edges for p in preps) == (case in ("ranging", "private"))
+
+    def test_trace_keeps_each_solvers_peak_factor_gauge(self):
+        pairs = [
+            (GridBPLocalizer(config=BASE_CFG, tracer=Tracer()), ms)
+            for _, ms in self._batches()["ranging"]
+        ]
+        batched = localize_batch(pairs)
+        for (loc, ms), b in zip(pairs, batched):
+            prep = _prepared_alone(GridBPLocalizer(config=BASE_CFG), ms)
+            gauges = b.telemetry["gauges"]
+            if prep.problem.ops:
+                assert gauges["peak_factor_nnz"] == max(
+                    fwd.nnz for fwd, _ in prep.problem.ops
+                )
+            else:
+                assert "peak_factor_nnz" not in gauges
+
+
+def _corrupt_edge(ms, value):
+    """*ms* with *value* as the range of its first unknown-unknown edge."""
+    unknown = ~ms.anchor_mask
+    i, j = next((int(i), int(j)) for i, j in ms.edges() if unknown[i] and unknown[j])
+    obs = ms.observed_distances.copy()
+    obs[i, j] = obs[j, i] = value
+    return dc.replace(ms, observed_distances=obs)
+
+
+class TestEdgeOperatorBlockErrors:
+    """A pair with a NaN or negative unknown-unknown range fails the batch
+    with the error the pair-by-pair loop raises first; through
+    ``execute_batch`` only that item fails."""
+
+    def _pairs(self):
+        ok_a = _observed(170, 12)[1]
+        ok_b = _observed(171, 12, sigma=0.05)[1]
+        bad_b = _corrupt_edge(_observed(172, 12, sigma=0.05)[1], np.nan)
+        bad_a = _corrupt_edge(_observed(173, 14)[1], -0.25)
+        # two groups ({0, 3} at σ = 0.03, {1, 2} at σ = 0.05); the
+        # sequential loop meets pair 2 before pair 3
+        return [(GridBPLocalizer(config=BASE_CFG), ms) for ms in (ok_a, ok_b, bad_b, bad_a)]
+
+    def test_raises_the_first_sequential_error(self):
+        pairs = self._pairs()
+        with pytest.raises(ValueError) as sequential:
+            for loc, ms in pairs:
+                loc.localize(ms)
+        assert "observed distance must be finite and >= 0, got nan" in str(
+            sequential.value
+        )
+        with pytest.raises(ValueError) as batched:
+            localize_batch(pairs)
+        assert str(batched.value) == str(sequential.value)
+        with pytest.raises(ValueError, match="got -0.25"):
+            localize_batch(pairs[3:])
+
+    def test_execute_batch_isolates_the_item(self):
+        from repro.serve.workers import execute_batch
+
+        pairs = self._pairs()
+        items = [
+            {"measurements": ms, "config": loc.config, "include_beliefs": True}
+            for loc, ms in pairs
+        ]
+        payloads = execute_batch(items)
+        assert [p["ok"] for p in payloads] == [True, True, False, False]
+        assert "got nan" in payloads[2]["error"]
+        assert "got -0.25" in payloads[3]["error"]
+        for item, payload in zip(items[:2], payloads):
+            (solo,) = execute_batch([item])
+            assert _payload_bytes(payload) == _payload_bytes(solo)
+
+
+@pytest.mark.perf
+class TestEdgeOperatorRouting:
+    """A group's edge operators are one block: the shared registry is
+    consulted once per group and the ranging cache looks up (or builds)
+    each distinct quantized key once, however many edges share it."""
+
+    def test_one_lookup_per_distinct_key_per_group(self, monkeypatch):
+        from repro.core.potentials import PotentialCacheRegistry, RangingPotentialCache
+
+        ms_list = [_observed(180 + s, 14)[1] for s in range(6)]
+        pairs = [(GridBPLocalizer(config=BASE_CFG), ms) for ms in ms_list]
+        grid = Grid2D(BASE_CFG.grid_size, BASE_CFG.grid_size, 1.0, 1.0)
+        quantum = RangingPotentialCache(grid, ms_list[0].ranging).quantum
+        keys = {
+            int(round(float(ms.observed_distances[i, j]) / quantum))
+            for ms in ms_list
+            for i, j in ms.edges()
+            if not (ms.anchor_mask[i] or ms.anchor_mask[j])
+        }
+        n_edges = sum(
+            len(_prepared_alone(loc, ms).problem.edges) for loc, ms in pairs
+        )
+        assert len(keys) < n_edges  # edges do share keys
+        localize_batch(pairs)  # warm the shared cache
+        registry, lookups = [], []
+        original_registry = PotentialCacheRegistry.ranging_cache
+        original_lookup = RangingPotentialCache._lookup
+
+        def counted_registry(self, *args, **kwargs):
+            registry.append(1)
+            return original_registry(self, *args, **kwargs)
+
+        def counted_lookup(self, key):
+            lookups.append(key)
+            return original_lookup(self, key)
+
+        monkeypatch.setattr(PotentialCacheRegistry, "ranging_cache", counted_registry)
+        monkeypatch.setattr(RangingPotentialCache, "_lookup", counted_lookup)
+        localize_batch(pairs)
+        assert registry == [1]
+        assert sorted(lookups) == sorted(keys)

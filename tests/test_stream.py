@@ -17,6 +17,7 @@ mirroring the ``ckpt``/``serve`` lanes.
 import dataclasses
 import hashlib
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -302,6 +303,12 @@ class TestStalenessShedding:
 # ---------------------------------------------------------------------- #
 # warm-start divergence guard
 # ---------------------------------------------------------------------- #
+def _verdict(runtime, state, epoch, payload):
+    """The batch guard's verdict on a batch of one."""
+    (verdict,) = runtime._verdicts([(state, epoch)], [payload])
+    return verdict
+
+
 class TestDivergenceGuard:
     def _runtime_and_epoch(self):
         runtime = StreamRuntime(STREAM, expected_networks=FLEET.n_networks)
@@ -327,12 +334,12 @@ class TestDivergenceGuard:
 
     def test_plausible_warm_solve_passes(self):
         runtime, state, epoch = self._runtime_and_epoch()
-        assert runtime._assess(state, epoch, self._ok_payload(epoch)) == "ok"
+        assert _verdict(runtime, state, epoch, self._ok_payload(epoch)) == "ok"
 
     def test_solver_error_is_failed(self):
         runtime, state, epoch = self._runtime_and_epoch()
         assert (
-            runtime._assess(state, epoch, {"ok": False, "error": "boom"})
+            _verdict(runtime, state, epoch, {"ok": False, "error": "boom"})
             == "failed"
         )
 
@@ -340,26 +347,48 @@ class TestDivergenceGuard:
         runtime, state, epoch = self._runtime_and_epoch()
         payload = self._ok_payload(epoch)
         payload["fallback_mask"][0] = True
-        assert runtime._assess(state, epoch, payload) == "guard"
+        assert _verdict(runtime, state, epoch, payload) == "guard"
 
     def test_broken_beliefs_trip_guard(self):
         runtime, state, epoch = self._runtime_and_epoch()
         payload = self._ok_payload(epoch)
         payload["beliefs"] = {0: np.full(runtime._grid.n_cells, np.nan)}
-        assert runtime._assess(state, epoch, payload) == "guard"
+        assert _verdict(runtime, state, epoch, payload) == "guard"
 
     def test_implausible_jump_trips_guard(self):
         runtime, state, epoch = self._runtime_and_epoch()
         payload = self._ok_payload(epoch)
         payload["estimates"] = payload["estimates"] + 5.0  # teleport
-        assert runtime._assess(state, epoch, payload) == "guard"
+        assert _verdict(runtime, state, epoch, payload) == "guard"
 
     def test_cold_solve_is_never_guarded(self):
         runtime, state, epoch = self._runtime_and_epoch()
         state.prior = None  # cold start: nothing to poison
         payload = self._ok_payload(epoch)
         payload["estimates"] = payload["estimates"] + 5.0
-        assert runtime._assess(state, epoch, payload) == "ok"
+        assert _verdict(runtime, state, epoch, payload) == "ok"
+
+    def test_broken_belief_row_trips_only_its_network(self):
+        # one health check over the whole batch's stacked rows, split
+        # back per network: only the payload with the NaN row trips
+        runtime = StreamRuntime(STREAM, expected_networks=FLEET.n_networks)
+        k = runtime._grid.n_cells
+        uniform = np.full(k, 1.0 / k)
+        pairs, payloads = [], []
+        for epoch in fleet_events(FLEET)[:3]:
+            state = runtime._state(epoch.network_id)
+            n = epoch.measurements.n_nodes
+            state.prior = GridBeliefPrior(
+                runtime._grid, {i: uniform for i in range(n)}
+            )
+            payload = self._ok_payload(epoch)
+            payload["beliefs"] = {i: uniform.copy() for i in range(n)}
+            pairs.append((state, epoch))
+            payloads.append(payload)
+        assert len({state.network_id for state, _ in pairs}) == 3
+        assert runtime._verdicts(pairs, payloads) == ["ok"] * 3
+        payloads[1]["beliefs"][2][5] = np.nan
+        assert runtime._verdicts(pairs, payloads) == ["ok", "guard", "ok"]
 
     def test_poisoned_prior_falls_back_to_cold_resolve(self):
         # Seed network 0 with a confident wrong prior: the warm solve's
@@ -657,14 +686,14 @@ class TestBeliefPriorRouting:
             return original(self, node, grid)
 
         monkeypatch.setattr(GridBeliefPrior, "grid_weights", counted)
-        (payload,) = InlineExecutor().solve([runtime._item(state, epoch, warm=True)])
+        (payload,) = InlineExecutor().solve(runtime._items([(state, epoch)]))
         assert payload["ok"]
         assert calls == []
 
     def test_wire_prior_builds_no_grid_per_item(self, monkeypatch):
         import repro.stream.runtime as stream_runtime
 
-        runtime, state, _ = self._warm()
+        runtime, state, epoch = self._warm()
         built = []
 
         class CountedGrid(Grid2D):
@@ -673,10 +702,38 @@ class TestBeliefPriorRouting:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(stream_runtime, "Grid2D", CountedGrid)
-        wires = [runtime._wire_prior(state.prior) for _ in range(4)]
+        wires = [item["prior"] for item in runtime._items([(state, epoch)] * 4)]
         assert built == []
         assert all(w.grid is wires[0].grid for w in wires)
         assert wires[0].grid is not runtime._grid
+
+    def test_stacked_wire_priors_stay_pipe_light(self):
+        # a 32-item batch's wire priors are one block build, yet each is
+        # byte-equal to its own per-item build and pickles only its rows
+        runtime = StreamRuntime(STREAM, expected_networks=32)
+        epoch = fleet_events(FLEET)[0]
+        n, k = epoch.measurements.n_nodes, runtime._grid.n_cells
+        gen = np.random.default_rng(1)
+        pairs = []
+        for nid in range(32):
+            state = runtime._state(nid)
+            state.prior = GridBeliefPrior(
+                runtime._grid,
+                {node: gen.random(k) for node in range(n)},
+                diffusion_sigma=STREAM.motion_sigma,
+            )
+            pairs.append((state, epoch))
+        items = runtime._items(pairs)
+        assert len(items) == 32
+        for (state, _), item in zip(pairs, items):
+            alone = GridBeliefPrior(
+                runtime._wire_grid, state.prior.weights,
+                diffusion_sigma=0.0, floor=0.0,
+            )
+            wire = item["prior"]
+            assert wire.block.tobytes() == alone.block.tobytes()
+            assert wire.index == alone.index
+            assert len(pickle.dumps(wire)) <= len(pickle.dumps(alone))
 
     def test_one_diffusing_build_per_solved_batch(self, monkeypatch):
         import repro.stream.runtime as stream_runtime
@@ -1201,11 +1258,9 @@ class TestPoolExecutor:
         # the runtime's own grid has its (K, K) matrix cached ...
         runtime._grid.pairwise_center_distances()
         assert runtime._grid._pairwise is not None
-        items = [
-            runtime._item(runtime._states[e.network_id], e, warm=True)
-            for e in events
-            if e.step == 1
-        ]
+        items = runtime._items(
+            [(runtime._states[e.network_id], e) for e in events if e.step == 1]
+        )
         # ... but no wire prior carries one to the workers
         for item in items:
             assert item["prior"] is not None
