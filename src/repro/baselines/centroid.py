@@ -9,8 +9,6 @@ centroid" variant; nodes with no reachable anchor stay unlocalized.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from repro.core.result import LocalizationResult, Localizer
 from repro.measurement.measurements import MeasurementSet
@@ -20,6 +18,9 @@ __all__ = ["CentroidLocalizer", "WeightedCentroidLocalizer"]
 
 
 def _hops_to_anchors(ms: MeasurementSet) -> np.ndarray:
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     graph = csr_matrix(ms.adjacency.astype(np.int8))
     hops = shortest_path(graph, method="D", unweighted=True, directed=False)
     return hops[:, ms.anchor_mask]

@@ -16,8 +16,6 @@ voids — the E9 experiment.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from repro.baselines.multilateration import lateration
 from repro.core.result import LocalizationResult, Localizer
@@ -52,6 +50,9 @@ class DVHopLocalizer(Localizer):
     ) -> LocalizationResult:
         ms = measurements
         estimates, mask = self._result_skeleton(ms)
+
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import shortest_path
 
         graph = csr_matrix(ms.adjacency.astype(np.int8))
         hops = shortest_path(graph, method="D", unweighted=True, directed=False)

@@ -15,8 +15,6 @@ distances, so concave topologies (E9) distort the relative map globally.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from repro.core.result import LocalizationResult, Localizer
 from repro.measurement.measurements import MeasurementSet
@@ -93,6 +91,9 @@ class MDSMAPLocalizer(Localizer):
     ) -> LocalizationResult:
         ms = measurements
         estimates, mask = self._result_skeleton(ms)
+
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components, shortest_path
 
         weights = np.where(
             ms.adjacency,

@@ -18,7 +18,6 @@ pre-knowledge comparison a non-BP reference point.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.baselines.centroid import WeightedCentroidLocalizer
 from repro.core.result import LocalizationResult, Localizer
@@ -148,6 +147,8 @@ class MLELocalizer(Localizer):
                 total += float(prior_w * (diff**2).sum())
                 grad[prior_mask] += 2 * prior_w * diff
             return total, grad.ravel()
+
+        from scipy.optimize import minimize
 
         fit = minimize(
             objective,

@@ -15,7 +15,6 @@ cooperation.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.core.result import LocalizationResult, Localizer
 from repro.measurement.measurements import MeasurementSet
@@ -90,6 +89,8 @@ def lateration(
     est = sol
 
     if refine:
+        from scipy.optimize import least_squares
+
         def residuals(p):
             return (np.linalg.norm(refs - p, axis=1) - d) * np.sqrt(w)
 

@@ -13,7 +13,6 @@ unlike cold-started MLE which falls into fold-over minima.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.core.result import LocalizationResult
 from repro.measurement.measurements import MeasurementSet
@@ -64,6 +63,8 @@ def refine_estimates(
     estimates = result.estimates.copy()
     mask = result.localized_mask.copy()
     start = estimates.copy()
+
+    from scipy.optimize import least_squares
 
     obs = ms.observed_distances
     sigma = ms.ranging.sigma_at(np.where(np.isfinite(obs), obs, 1.0))

@@ -10,6 +10,7 @@ from repro.kernels.base import (
     get_backend,
     group_compatible,
     kernel_for,
+    shape_key,
 )
 from repro.kernels.cancel import (
     Deadline,
@@ -25,6 +26,7 @@ __all__ = [
     "IncompatibleBatchError",
     "compatibility_key",
     "config_key",
+    "shape_key",
     "group_compatible",
     "get_backend",
     "kernel_for",

@@ -56,6 +56,7 @@ __all__ = [
     "IncompatibleBatchError",
     "compatibility_key",
     "config_key",
+    "shape_key",
     "group_compatible",
     "get_backend",
     "kernel_for",
@@ -117,12 +118,22 @@ def config_key(grid: "Grid2D", cfg: "GridBPConfig", n_cells: int | None = None) 
     sharing this key prepare into problems sharing
     :func:`compatibility_key` (the tuples are constructed identically).
     """
+    n_cells = grid.n_cells if n_cells is None else n_cells
+    return shape_key(grid.nx, grid.ny, grid.width, grid.height, n_cells, cfg)
+
+
+def shape_key(
+    nx: int, ny: int, width: float, height: float, n_cells: int, cfg: "GridBPConfig"
+) -> tuple:
+    """The key tuple of :func:`config_key` from the grid's shape and
+    extent, so a caller holding only those (a serve request) needs no
+    :class:`~repro.core.grid.Grid2D`."""
     return (
-        grid.nx,
-        grid.ny,
-        float(grid.width),
-        float(grid.height),
-        int(grid.n_cells if n_cells is None else n_cells),
+        int(nx),
+        int(ny),
+        float(width),
+        float(height),
+        int(n_cells),
         # every GridBPConfig field is a scalar, so this shallow tuple
         # equals dataclasses.astuple(cfg) without its per-field deepcopy
         _field_values(type(cfg))(cfg),

@@ -16,7 +16,6 @@ standard deviation in radians (``κ ≈ 1/σ²`` for small σ).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import i0e
 
 from repro.utils.rng import RNGLike, as_generator
 from repro.utils.validation import check_positive
@@ -70,6 +69,8 @@ class BearingModel:
         delta = np.asarray(observed, dtype=np.float64) - np.asarray(
             candidate_bearings, dtype=np.float64
         )
+        from scipy.special import i0e
+
         # log I0(κ) computed stably via the exponentially-scaled i0e
         log_i0 = np.log(i0e(self.kappa)) + self.kappa
         return self.kappa * np.cos(delta) - np.log(2 * np.pi) - log_i0

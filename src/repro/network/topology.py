@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from repro.utils.validation import check_positions
 
@@ -117,6 +115,9 @@ class WSNetwork:
         convention once the network is built.
         """
         if self._hops is None:
+            from scipy.sparse import csr_matrix
+            from scipy.sparse.csgraph import shortest_path
+
             graph = csr_matrix(self.adjacency.astype(np.int8))
             self._hops = shortest_path(
                 graph, method="D", unweighted=True, directed=False
@@ -129,6 +130,9 @@ class WSNetwork:
 
     def is_connected(self) -> bool:
         """True if the connectivity graph is a single component."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
         n_comp, _ = connected_components(
             csr_matrix(self.adjacency.astype(np.int8)), directed=False
         )
@@ -136,6 +140,9 @@ class WSNetwork:
 
     def largest_component_mask(self) -> np.ndarray:
         """Mask of nodes in the largest connected component."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
         n_comp, labels = connected_components(
             csr_matrix(self.adjacency.astype(np.int8)), directed=False
         )

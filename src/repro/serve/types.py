@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.bnloc import GridBPConfig
+from repro.kernels import shape_key
+from repro.utils.validation import check_positive
 
 __all__ = [
     "LocalizeRequest",
@@ -89,14 +91,13 @@ def request_batch_key(req: LocalizeRequest) -> tuple:
     :func:`repro.kernels.compatibility_key` — same grid shape/extent,
     same state count, equal config — so the service may run them as one
     stacked batch.  Computed without preparing anything: the key needs
-    only the config and the field geometry.
+    only the config and the field geometry, not a grid.
     """
-    from repro.core.grid import Grid2D
-    from repro.kernels import config_key
-
+    g = req.config.grid_size
     w, h = req.field_size
-    grid = Grid2D(req.config.grid_size, req.config.grid_size, w, h)
-    return config_key(grid, req.config)
+    return shape_key(
+        g, g, check_positive(w, "width"), check_positive(h, "height"), g * g, req.config
+    )
 
 
 def widened_sigma(width: float, height: float) -> float:

@@ -119,14 +119,17 @@ class StreamConfig:
         return max(64, 3 * n_networks)
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a short 1-D array, bit-equal to it (the mean of
-    the two middle values for an even length), without its overhead."""
-    s = np.sort(values)
-    m = len(s) // 2
-    if len(s) % 2:
-        return float(s[m])
-    return float((s[m - 1] + s[m]) / 2)
+def _row_medians(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per row of ``(B, n)`` *values*: ``np.median`` of its *counts* valid
+    entries, bit-equal to it (the mean of the two middle values for an
+    even count).  Invalid entries must be ``+inf`` so they sort last; a
+    row with no valid entry gives ``+inf``."""
+    s = np.sort(values, axis=1)
+    rows = np.arange(len(s))
+    m = counts // 2
+    upper = s[rows, np.minimum(m, s.shape[1] - 1)]
+    lower = s[rows, np.maximum(m - 1, 0)]
+    return np.where(counts % 2 == 1, upper, (lower + upper) / 2)
 
 
 class NetworkState:
@@ -397,7 +400,7 @@ class StreamRuntime:
         implausible median jump.  The belief-health check runs once over
         the stacked rows of every warm, ok payload
         (:func:`healthy_belief_rows` is row-wise) and is split back per
-        item.
+        item; the jump check (:meth:`_jumped`) runs once over the batch.
         """
         guarded = [
             bool(payload.get("ok")) and state.prior is not None
@@ -410,9 +413,10 @@ class StreamRuntime:
         flat = [np.asarray(b) for r in rows for b in r]
         healthy = healthy_belief_rows(np.stack(flat)) if flat else np.ones(0, bool)
         bounds = np.cumsum([0] + [len(r) for r in rows]).tolist()
+        jumped = self._jumped(pairs, payloads, guarded)
         verdicts = []
-        for (state, epoch), payload, g, lo, hi in zip(
-            pairs, payloads, guarded, bounds, bounds[1:]
+        for payload, g, lo, hi, jump in zip(
+            payloads, guarded, bounds, bounds[1:], jumped
         ):
             if not payload.get("ok"):
                 verdicts.append("failed")
@@ -421,29 +425,58 @@ class StreamRuntime:
             elif (
                 np.asarray(payload["fallback_mask"]).any()
                 or not healthy[lo:hi].all()
-                or self._jumped(state, epoch, payload)
+                or jump
             ):
                 verdicts.append("guard")
             else:
                 verdicts.append("ok")
         return verdicts
 
-    def _jumped(self, state: NetworkState, epoch: Epoch, payload: dict) -> bool:
-        """Whether the median unknown moved implausibly far since the
-        network's last solved step."""
-        if state.last_estimates is None or state.last_solved_step is None:
-            return False
-        ms = epoch.measurements
-        unknown = ~ms.anchor_mask
-        est = np.asarray(payload["estimates"])
-        prev = state.last_estimates
-        both = unknown & np.isfinite(est).all(axis=1) & np.isfinite(prev).all(axis=1)
-        if not both.any():
-            return False
-        jumps = np.linalg.norm(est[both] - prev[both], axis=1)
-        gap = max(epoch.step - state.last_solved_step, 1)
-        limit = self.config.jump_guard_radii * ms.radio_range * gap
-        return _median(jumps) > limit
+    def _jumped(
+        self,
+        pairs: list[tuple[NetworkState, Epoch]],
+        payloads: list[dict],
+        guarded: list[bool],
+    ) -> np.ndarray:
+        """Per pair: whether a guarded item's median unknown moved
+        implausibly far since its network's last solved step.
+
+        One pass over the batch: the checked items' estimates and last
+        estimates are padded into ``(B, n_max, 2)``, one norm gives every
+        valid jump (the rest stay ``+inf``), and :func:`_row_medians`
+        reads each row's median.  An item with no unknown finite in both
+        estimates is never flagged.
+        """
+        checked = [
+            i
+            for i, ((state, _), g) in enumerate(zip(pairs, guarded))
+            if g
+            and state.last_estimates is not None
+            and state.last_solved_step is not None
+        ]
+        flags = np.zeros(len(pairs), dtype=bool)
+        if not checked:
+            return flags
+        n_max = max(len(pairs[i][1].measurements.anchor_mask) for i in checked)
+        est = np.zeros((len(checked), n_max, 2))
+        prev = np.zeros_like(est)
+        unknown = np.zeros((len(checked), n_max), dtype=bool)
+        limit = np.empty(len(checked))
+        for r, i in enumerate(checked):
+            state, epoch = pairs[i]
+            ms = epoch.measurements
+            n = len(ms.anchor_mask)
+            est[r, :n] = payloads[i]["estimates"]
+            prev[r, :n] = state.last_estimates
+            unknown[r, :n] = ~ms.anchor_mask
+            gap = max(epoch.step - state.last_solved_step, 1)
+            limit[r] = self.config.jump_guard_radii * ms.radio_range * gap
+        both = unknown & np.isfinite(est).all(axis=2) & np.isfinite(prev).all(axis=2)
+        jumps = np.full(both.shape, np.inf)
+        jumps[both] = np.linalg.norm(est[both] - prev[both], axis=1)
+        counts = both.sum(axis=1)
+        flags[checked] = (counts > 0) & (_row_medians(jumps, counts) > limit)
+        return flags
 
     def _commit(
         self,

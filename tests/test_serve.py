@@ -25,6 +25,7 @@ import asyncio
 import dataclasses as dc
 import os
 import signal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -204,6 +205,25 @@ class TestGroupingProperties:
         assert (keys[0] == keys[1]) == (
             (g1, it1) == (g2, it2)
         )
+
+    @pytest.mark.parametrize("grid_size", [5, 8, 12])
+    @pytest.mark.parametrize("field", [(1.0, 1.0), (2.5, 1.5), (1.25, 3.0)])
+    def test_batch_key_matches_on_any_field(self, grid_size, field):
+        """The key is built from the config and the field alone, yet equals
+        the prepared problem's key on every grid size and field shape."""
+        _net, ms, prior = _scenario(2)
+        ms = dc.replace(ms, width=field[0], height=field[1])
+        cfg = GridBPConfig(grid_size=grid_size, max_iterations=3)
+        req = LocalizeRequest(measurements=ms, prior=prior, config=cfg)
+        prob = GridBPLocalizer(prior=prior, config=cfg)._prepare(ms, NULL_TRACER).problem
+        assert request_batch_key(req) == compatibility_key(prob)
+        assert prob.grid.width == field[0] and prob.grid.height == field[1]
+
+    @pytest.mark.parametrize("field", [(0.0, 1.0), (1.0, -2.0), (float("nan"), 1.0)])
+    def test_batch_key_rejects_bad_field(self, field):
+        ms = SimpleNamespace(width=field[0], height=field[1])
+        with pytest.raises(ValueError, match="must be a positive finite number"):
+            request_batch_key(LocalizeRequest(measurements=ms))
 
     def test_incompatible_requests_run_in_separate_batches(self):
         async def main():

@@ -24,6 +24,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ from repro.stream import (
     fleet_events,
     run_stream,
 )
-from repro.stream.runtime import _median
+from repro.stream.runtime import NetworkState, _row_medians
 
 pytestmark = pytest.mark.stream
 
@@ -390,6 +391,28 @@ class TestDivergenceGuard:
         payloads[1]["beliefs"][2][5] = np.nan
         assert runtime._verdicts(pairs, payloads) == ["ok", "guard", "ok"]
 
+    def test_one_jumping_network_trips_only_itself(self):
+        # one jump check over the whole batch, split back per network
+        fleet = dataclasses.replace(FLEET, n_networks=5)
+        runtime = StreamRuntime(STREAM, expected_networks=fleet.n_networks)
+        k = runtime._grid.n_cells
+        uniform = np.full(k, 1.0 / k)
+        pairs, payloads = [], []
+        for epoch in fleet_events(fleet)[:5]:
+            state = runtime._state(epoch.network_id)
+            n = epoch.measurements.n_nodes
+            state.prior = GridBeliefPrior(
+                runtime._grid, {i: uniform for i in range(n)}
+            )
+            state.last_estimates = np.asarray(epoch.true_positions).copy()
+            state.last_solved_step = 0
+            pairs.append((state, epoch))
+            payloads.append(self._ok_payload(epoch))
+        assert len({state.network_id for state, _ in pairs}) == 5
+        assert runtime._verdicts(pairs, payloads) == ["ok"] * 5
+        payloads[2]["estimates"] = payloads[2]["estimates"] + 5.0
+        assert runtime._verdicts(pairs, payloads) == ["ok", "ok", "guard", "ok", "ok"]
+
     def test_poisoned_prior_falls_back_to_cold_resolve(self):
         # Seed network 0 with a confident wrong prior: the warm solve's
         # estimates jump implausibly far from the (fake) previous ones,
@@ -421,8 +444,27 @@ class TestDivergenceGuard:
         assert result.lost_networks == []
 
 
+def _jumped_per_item(runtime, state, epoch, payload):
+    """The guard's jump check on one item, written out with ``np.median``:
+    the oracle for the batched :meth:`StreamRuntime._jumped`."""
+    if state.last_estimates is None or state.last_solved_step is None:
+        return False
+    ms = epoch.measurements
+    est = np.asarray(payload["estimates"])
+    prev = state.last_estimates
+    both = ~ms.anchor_mask & np.isfinite(est).all(axis=1) & np.isfinite(prev).all(axis=1)
+    if not both.any():
+        return False
+    jumps = np.linalg.norm(est[both] - prev[both], axis=1)
+    gap = max(epoch.step - state.last_solved_step, 1)
+    return bool(
+        np.median(jumps) > runtime.config.jump_guard_radii * ms.radio_range * gap
+    )
+
+
 class TestGuardMedian:
-    """The guard's median is bit-equal to ``np.median``."""
+    """The guard's batched median and jump check are bit-equal to the
+    per-item ``np.median`` formula."""
 
     _VALUES = st.one_of(
         st.floats(0.0, 1e3, allow_nan=False),
@@ -430,15 +472,63 @@ class TestGuardMedian:
     )
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), half=st.integers(0, 19), odd=st.booleans())
-    def test_bit_equal_to_numpy_median(self, data, half, odd):
+    @given(
+        data=st.data(), half=st.integers(0, 19), odd=st.booleans(),
+        pad=st.integers(0, 5),
+    )
+    def test_bit_equal_to_numpy_median(self, data, half, odd, pad):
         n = 2 * half + 1 if odd else 2 * half + 2
         values = np.array(
             data.draw(st.lists(self._VALUES, min_size=n, max_size=n))
         )
-        got = _median(values)
-        assert isinstance(got, float)
-        assert np.float64(got).tobytes() == np.float64(np.median(values)).tobytes()
+        row = np.concatenate([values, np.full(pad, np.inf)])[None, :]
+        (got,) = _row_medians(row, np.array([n]))
+        assert got.tobytes() == np.float64(np.median(values)).tobytes()
+
+    def test_empty_row_is_inf(self):
+        got = _row_medians(np.full((2, 3), np.inf), np.array([0, 0]))
+        assert np.isposinf(got).all()
+
+    def test_batch_jump_check_matches_per_item(self):
+        # Random batches of mixed sizes: NaN/inf estimate rows, anchors,
+        # odd and even valid counts, coarse values (ties at the limit)
+        # and networks with no last solve.
+        rng = np.random.default_rng(31)
+        runtime = StreamRuntime(STREAM)
+        n_items = flagged = 0
+        for _ in range(300):
+            pairs, payloads = [], []
+            for _ in range(int(rng.integers(1, 9))):
+                n = int(rng.integers(1, 14))
+                ms = SimpleNamespace(
+                    anchor_mask=rng.random(n) < 0.3,
+                    radio_range=float(rng.choice([0.1, 0.25, 0.4])),
+                )
+                epoch = SimpleNamespace(measurements=ms, step=int(rng.integers(0, 6)))
+                state = NetworkState(0)
+                if rng.random() > 0.1:
+                    state.last_estimates = np.round(rng.random((n, 2)) * 8) / 8
+                    state.last_solved_step = int(rng.integers(0, 6))
+                scale = float(rng.choice([0.05, 0.5, 2.0]))
+                est = np.round(rng.normal(0.0, scale, (n, 2)) * 8) / 8
+                if state.last_estimates is not None:
+                    est = est + state.last_estimates
+                    state.last_estimates[rng.random(n) < 0.1, int(rng.integers(2))] = np.nan
+                est[rng.random(n) < 0.1, int(rng.integers(2))] = rng.choice(
+                    [np.nan, np.inf, -np.inf]
+                )
+                pairs.append((state, epoch))
+                payloads.append({"ok": True, "estimates": est})
+            guarded = [bool(g) for g in rng.random(len(pairs)) < 0.9]
+            got = runtime._jumped(pairs, payloads, guarded)
+            want = [
+                g and _jumped_per_item(runtime, state, epoch, payload)
+                for (state, epoch), payload, g in zip(pairs, payloads, guarded)
+            ]
+            assert got.tolist() == want
+            n_items += len(pairs)
+            flagged += sum(want)
+        assert 0 < flagged < n_items  # both outcomes exercised
 
 
 # ---------------------------------------------------------------------- #
