@@ -13,6 +13,13 @@ cross-trial mat-mat group.
 
 Execution layout:
 
+* the plan is built from **index arrays**, once per batch: the slots'
+  endpoint maps and trial ids come from one ``(E, 2)`` edge array, and
+  the operator groups from one ``np.unique`` over the slots' operator
+  ids, numbered in first-appearance order (one ``issparse`` call per
+  distinct operator); an active-set rebuild selects its slots with
+  masks over that grouped order, and the first one fills the uniform
+  start (``1/K`` and its ``log``) straight into the round buffers;
 * the stacked slots are stored **operator-grouped** — every slot sharing
   one CSR kernel occupies a contiguous row block — so each round's
   mat-mat consumes and produces contiguous slabs with no per-round
@@ -87,6 +94,7 @@ own loop had ended.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -210,11 +218,11 @@ def _run_batch_sync(
     T = len(problems)
     K = problems[0].n_cells
     n_us = [p.n_unknowns for p in problems]
-    n_dirs = [2 * len(p.edges) for p in problems]
+    n_edges = np.array([len(p.edges) for p in problems], dtype=np.intp)
+    n_dirs = (2 * n_edges).tolist()
     node_off = np.concatenate(([0], np.cumsum(n_us))).astype(np.intp)
-    slot_off = np.concatenate(([0], np.cumsum(n_dirs))).astype(np.intp)
     n_nodes = int(node_off[-1])
-    n_dir = int(slot_off[-1])
+    n_dir = int(2 * n_edges.sum())
 
     log_phi_all = (
         np.concatenate([p.log_phi for p in problems], axis=0)
@@ -222,20 +230,19 @@ def _run_batch_sync(
         else np.empty((0, K))
     )
 
-    # Global directed-slot endpoint maps (node indices offset per trial;
-    # per-trial slot counts are even, so the global slot blocks start at
-    # even offsets and ``slot ^ 1`` still addresses the reverse slot).
-    src_of = np.empty(n_dir, dtype=np.intp)
-    dst_of = np.empty(n_dir, dtype=np.intp)
-    slot_trial = np.empty(n_dir, dtype=np.intp)
-    for t, p in enumerate(problems):
-        base, noff = int(slot_off[t]), int(node_off[t])
-        slot_trial[base : int(slot_off[t + 1])] = t
-        for e, (i, j) in enumerate(p.edges):
-            src_of[base + 2 * e] = noff + i
-            dst_of[base + 2 * e] = noff + j
-            src_of[base + 2 * e + 1] = noff + j
-            dst_of[base + 2 * e + 1] = noff + i
+    # Global directed-slot endpoint maps from one (E, 2) edge array (node
+    # indices offset per trial).  Edge e of the batch owns slots 2e (i→j)
+    # and 2e+1 (j→i), so ``slot ^ 1`` addresses the reverse slot.
+    edge_trial = np.repeat(np.arange(T, dtype=np.intp), n_edges)
+    ends = np.fromiter(
+        chain.from_iterable(chain.from_iterable(p.edges for p in problems)),
+        dtype=np.intp,
+        count=n_dir,
+    ).reshape(-1, 2)
+    ends += node_off[edge_trial, None]
+    src_of = ends.ravel()
+    dst_of = ends[:, ::-1].ravel()
+    slot_trial = np.repeat(edge_trial, 2)
     swap_of = np.arange(n_dir, dtype=np.intp) ^ 1
 
     # Cross-trial sparse mat-mat groups keyed by operator identity: the
@@ -244,30 +251,37 @@ def _run_batch_sync(
     # Slots that are singletons within their own trial still join a
     # cross-trial group — CSR mat-mat columns are bit-identical to the
     # per-slot mat-vec.  Dense operators stay per-slot (gemv ≠ gemm).
-    by_op: dict[int, list[int]] = {}
-    op_by_id: dict[int, object] = {}
-    dense_slots: list[tuple[object, int]] = []
-    for t, p in enumerate(problems):
-        base = int(slot_off[t])
-        for e in range(len(p.edges)):
-            for parity in (0, 1):
-                op = p.ops[e][parity]
-                slot = base + 2 * e + parity
-                if _sparse.issparse(op):
-                    by_op.setdefault(id(op), []).append(slot)
-                    op_by_id[id(op)] = op
-                else:
-                    dense_slots.append((op, slot))
-    sparse_groups = [
-        (op_by_id[key], np.asarray(slots, dtype=np.intp))
-        for key, slots in by_op.items()
-    ]
+    # One ``np.unique`` over the slots' operator ids gives the groups,
+    # numbered in first-appearance order (each group's slots ascending);
+    # ``issparse`` runs once per distinct operator.
+    slot_ops = [op for p in problems for pair in p.ops for op in pair]
+    _ids, first, inverse = np.unique(
+        np.fromiter(map(id, slot_ops), dtype=np.uint64, count=n_dir),
+        return_index=True,
+        return_inverse=True,
+    )
+    appearance = np.argsort(first)
+    group_of = np.empty(len(first), dtype=np.intp)
+    group_of[appearance] = np.arange(len(first), dtype=np.intp)
+    slot_group = group_of[inverse.reshape(-1)]
+    group_ops = [slot_ops[s] for s in first[appearance].tolist()]
+    group_sparse = np.array([_sparse.issparse(op) for op in group_ops], dtype=bool)
+    sparse_slot = group_sparse[slot_group]
+    grouped_slots = np.argsort(slot_group, kind="stable")
+    grouped_slots = grouped_slots[sparse_slot[grouped_slots]]
+    grouped_gid = slot_group[grouped_slots]
+    dense_slots = np.flatnonzero(~sparse_slot)
 
     # Global-order state: the source of truth between rebuilds and for
     # the (tracing-only) whole-batch belief snapshots.  During rounds
-    # the active slots live in the operator-grouped buffers below.
-    messages = np.full((n_dir, K), 1.0 / K)
-    log_messages = np.log(messages)
+    # the active slots live in the operator-grouped buffers below.  Every
+    # trial with an edge is active at the first rebuild, which fills the
+    # uniform start straight into those buffers; the global arrays are
+    # written by ``sync_global`` before anything reads them.
+    messages = np.empty((n_dir, K))
+    log_messages = np.empty((n_dir, K))
+    uniform = 1.0 / K
+    log_uniform = np.log(uniform)  # the float np.log gives every entry
 
     n_iter = [0] * T
     converged = [nd == 0 for nd in n_dirs]  # edge-less trials are done
@@ -299,13 +313,7 @@ def _run_batch_sync(
     def trial_beliefs(B: np.ndarray, t: int) -> np.ndarray:
         return B[int(node_off[t]) : int(node_off[t + 1])].copy()
 
-    if cfg.record_trace:
-        B0 = stacked_beliefs()
-        for t in range(T):
-            traces[t].append(trial_beliefs(B0, t))
-
     emit_iterations = tracer.enabled and T == 1
-    prev_beliefs = stacked_beliefs() if emit_iterations else None
     msgs_cum = 0
     trace_rounds = cfg.record_trace or emit_iterations
 
@@ -323,7 +331,7 @@ def _run_batch_sync(
     Hbuf = Sbuf = Tbuf = Pbuf = rowmax_buf = None
     totals = np.empty_like(log_phi_all)
 
-    def rebuild() -> None:
+    def rebuild(first: bool = False) -> None:
         nonlocal act_trials, act_slots, src_act, swap_pos, passes
         nonlocal chunk_plan, dense_plan, by_trial_order, by_trial_starts
         nonlocal Mcur, Mold, Lcur, Lold, Hbuf, Sbuf, Tbuf, Pbuf, rowmax_buf
@@ -334,25 +342,20 @@ def _run_batch_sync(
             act_slots = np.empty(0, dtype=np.intp)
             return
         act_mask = active[slot_trial]
-        ordered: list[np.ndarray] = []
-        bounds: list[tuple[object, int, int]] = []
-        cursor = 0
-        for op, slots in sparse_groups:
-            sel = slots[act_mask[slots]]
-            if len(sel):
-                ordered.append(sel)
-                bounds.append((op, cursor, cursor + len(sel)))
-                cursor += len(sel)
-        dense_lo = cursor
-        dense_ops: list[object] = []
-        for op, s in dense_slots:
-            if act_mask[s]:
-                ordered.append(np.asarray([s], dtype=np.intp))
-                dense_ops.append(op)
-                cursor += 1
-        act_slots = (
-            np.concatenate(ordered) if ordered else np.empty(0, dtype=np.intp)
-        )
+        # The active sparse slots, still grouped (groups in
+        # first-appearance order), then the active dense slots.
+        keep = act_mask[grouped_slots]
+        sel = grouped_slots[keep]
+        counts = np.bincount(grouped_gid[keep], minlength=len(group_ops))
+        present = np.flatnonzero(counts)
+        group_hi = np.cumsum(counts[present]).tolist()
+        bounds = [
+            (group_ops[g], lo, hi)
+            for g, lo, hi in zip(present.tolist(), [0] + group_hi, group_hi)
+        ]
+        dense_sel = dense_slots[act_mask[dense_slots]]
+        dense_lo = len(sel)
+        act_slots = np.concatenate((sel, dense_sel))
         n_act = len(act_slots)
         pos_of = np.full(n_dir, -1, dtype=np.intp)
         pos_of[act_slots] = np.arange(n_act, dtype=np.intp)
@@ -401,7 +404,9 @@ def _run_batch_sync(
                 for op, ga, gb in bounds[lo:hi]
             ]
             chunk_plan.append((a, b, pair_local, groups))
-        dense_plan = [(op, dense_lo + k) for k, op in enumerate(dense_ops)]
+        dense_plan = [
+            (slot_ops[s], dense_lo + k) for k, s in enumerate(dense_sel.tolist())
+        ]
         # Per-trial residual segments: active rows sorted by trial (a
         # static permutation per rebuild) so a single max.reduceat
         # yields every trial's residual, in act_trials order.
@@ -412,10 +417,15 @@ def _run_batch_sync(
         starts_mask[0] = True
         np.not_equal(sorted_tidx[1:], sorted_tidx[:-1], out=starts_mask[1:])
         by_trial_starts = np.flatnonzero(starts_mask)
-        # Double-buffered message state in grouped order, seeded from
-        # the global arrays; plus reusable per-round scratch slabs.
-        Mcur = messages[act_slots]
-        Lcur = log_messages[act_slots]
+        # Double-buffered message state in grouped order, seeded with the
+        # uniform start or from the global arrays; plus reusable
+        # per-round scratch slabs.
+        if first:
+            Mcur = np.full((n_act, K), uniform)
+            Lcur = np.full((n_act, K), log_uniform)
+        else:
+            Mcur = messages[act_slots]
+            Lcur = log_messages[act_slots]
         Mold = np.empty_like(Mcur)
         Lold = np.empty_like(Lcur)
         Hbuf = np.empty((max_chunk, K))
@@ -426,7 +436,14 @@ def _run_batch_sync(
         messages[act_slots] = Mcur
         log_messages[act_slots] = Lcur
 
-    rebuild()
+    rebuild(first=True)
+    if trace_rounds and act_trials:
+        sync_global()  # the uniform start, for the round-0 snapshots
+    if cfg.record_trace:
+        B0 = stacked_beliefs()
+        for t in range(T):
+            traces[t].append(trial_beliefs(B0, t))
+    prev_beliefs = stacked_beliefs() if emit_iterations else None
 
     _deadline_probe: dict = {}
     while act_trials:

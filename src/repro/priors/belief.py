@@ -24,7 +24,9 @@ block, each network's prior its row slice — bit-identical to each
 network's own build.  The diffusion is the exception: the block product
 ``(kernel @ W.T).T`` sums in a different order than the matvec
 ``kernel @ w`` (differences up to ~5e-14 at K = 144), so it stays one
-matvec per row.  The cached kernels are read-only.
+matvec per row, all of them run by one ``np.matmul(kernel, W[:, :,
+None])`` call (numpy runs a stacked matrix-vector product as one gemv per
+row).  The cached kernels are read-only.
 """
 
 from __future__ import annotations
@@ -174,8 +176,9 @@ class GridBeliefPrior(PositionPrior):
     The beliefs live in one read-only ``(N, K)`` block (:attr:`block`),
     row ``index[node]`` for each node; :attr:`weights` views it as
     ``{node: (K,) row}``.  Each row is the node's belief normalized,
-    optionally diffused (one ``kernel @ w`` matvec per row, see the
-    module docstring) and re-normalized, then mixed with the floor.
+    optionally diffused (one ``kernel @ w`` matvec per row, all in one
+    ``np.matmul`` call, see the module docstring) and re-normalized, then
+    mixed with the floor.
 
     Parameters
     ----------
@@ -226,8 +229,9 @@ class GridBeliefPrior(PositionPrior):
         if self.diffusion_sigma > 0:
             kernel = diffusion_kernel(grid, self.diffusion_sigma)
             diffused = np.empty_like(w)
-            for i in range(len(w)):
-                np.dot(kernel, w[i], out=diffused[i])  # the kernel @ w gemv
+            # one call over the stacked (N, K, 1) columns: numpy runs it as
+            # the kernel @ w gemv of every row, so it is bit-equal to them
+            np.matmul(kernel, w[:, :, None], out=diffused[:, :, None])
             w = diffused
             w /= w.sum(axis=1, keepdims=True)
         if self.floor > 0:
@@ -250,13 +254,13 @@ class GridBeliefPrior(PositionPrior):
         """One prior per mapping of *beliefs*, built as one block.
 
         All rows go through a single constructor call: one health check,
-        one normalization, the per-row diffusion matvecs, one
-        re-normalization and one floor over the whole ``(N, K)`` block.
-        Prior ``j`` then holds the row slice of ``beliefs[j]``; every step
-        is row-wise, so it is byte-equal to ``cls(grid, beliefs[j],
-        diffusion_sigma, floor)`` built alone.  A vector that is not a
-        probability vector raises the constructor's ``ValueError`` naming
-        its node.
+        one normalization, one ``np.matmul`` running the per-row diffusion
+        matvecs, one re-normalization and one floor over the whole
+        ``(N, K)`` block.  Prior ``j`` then holds the row slice of
+        ``beliefs[j]``; every step is row-wise, so it is byte-equal to
+        ``cls(grid, beliefs[j], diffusion_sigma, floor)`` built alone.  A
+        vector that is not a probability vector raises the constructor's
+        ``ValueError`` naming its node.
         """
         parts = _Parts(beliefs)
         if not parts.parts:

@@ -47,46 +47,66 @@ class DeadlineExpired(Exception):
 # in-worker execution
 
 
-def _item_payload(result, ms, true_positions=None, include_beliefs=False) -> dict:
-    """Condense a LocalizationResult into a pipe-friendly payload."""
+def _item_payloads(solved: list[tuple], items: list[dict]) -> list[dict]:
+    """Condense ``(LocalizationResult, measurements)`` pairs into
+    pipe-friendly payloads, one per pair; *items* are the pairs' batch
+    items.
+
+    The per-node uncertainty (the posterior's RMS radius; the widened
+    sigma of a fallback node; 0 at anchors) is one pass over every
+    pair's stacked rows, each payload holding its row slice.
+    """
     from repro.serve.types import widened_sigma
 
-    n = ms.n_nodes
-    uncertainty = np.full(n, np.nan)
-    cov = result.extras.get("covariances")
-    if cov is not None:
-        tr = cov[:, 0, 0] + cov[:, 1, 1]
-        good = np.isfinite(tr)
-        uncertainty[good] = np.sqrt(np.maximum(tr[good], 0.0))
-    fb = (
+    sizes = [ms.n_nodes for _, ms in solved]
+    covs = [result.extras.get("covariances") for result, _ in solved]
+    fallbacks = [
         result.fallback_mask
         if result.fallback_mask is not None
         else np.zeros(n, dtype=bool)
-    )
-    uncertainty[fb] = widened_sigma(ms.width, ms.height)
-    uncertainty[ms.anchor_mask] = 0.0
-    payload = {
-        "ok": True,
-        "estimates": result.estimates,
-        "localized_mask": result.localized_mask,
-        "fallback_mask": fb,
-        "uncertainty": uncertainty,
-        "converged": bool(result.converged),
-        "n_iterations": int(result.n_iterations),
-        "deadline_stop": bool(result.extras.get("deadline_stop", False)),
-    }
-    if true_positions is not None:
-        unknown = ~ms.anchor_mask
-        err = np.linalg.norm(
-            result.estimates[unknown] - np.asarray(true_positions)[unknown],
-            axis=1,
+        for (result, _), n in zip(solved, sizes)
+    ]
+    uncertainty = np.full(sum(sizes), np.nan)
+    if solved:
+        cov = np.concatenate(
+            [np.full((n, 2, 2), np.nan) if c is None else c for c, n in zip(covs, sizes)]
         )
-        payload["mean_error"] = float(np.mean(err)) if len(err) else 0.0
-    if include_beliefs:
-        # Streaming trackers need the posterior itself back across the
-        # pipe: the next epoch's prior is these beliefs motion-diffused.
-        payload["beliefs"] = dict(result.extras.get("beliefs", {}))
-    return payload
+        tr = cov[:, 0, 0] + cov[:, 1, 1]
+        good = np.isfinite(tr)
+        uncertainty[good] = np.sqrt(np.maximum(tr[good], 0.0))
+        fb = np.concatenate(fallbacks)
+        widened = [widened_sigma(ms.width, ms.height) for _, ms in solved]
+        uncertainty[fb] = np.repeat(widened, sizes)[fb]
+        uncertainty[np.concatenate([ms.anchor_mask for _, ms in solved])] = 0.0
+    bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))).tolist()
+    payloads = []
+    for (result, ms), fb, lo, hi, item in zip(
+        solved, fallbacks, bounds, bounds[1:], items
+    ):
+        payload = {
+            "ok": True,
+            "estimates": result.estimates,
+            "localized_mask": result.localized_mask,
+            "fallback_mask": fb,
+            "uncertainty": uncertainty[lo:hi],
+            "converged": bool(result.converged),
+            "n_iterations": int(result.n_iterations),
+            "deadline_stop": bool(result.extras.get("deadline_stop", False)),
+        }
+        true_positions = item.get("true_positions")
+        if true_positions is not None:
+            unknown = ~ms.anchor_mask
+            err = np.linalg.norm(
+                result.estimates[unknown] - np.asarray(true_positions)[unknown],
+                axis=1,
+            )
+            payload["mean_error"] = float(np.mean(err)) if len(err) else 0.0
+        if item.get("include_beliefs", False):
+            # Streaming trackers need the posterior itself back across the
+            # pipe: the next epoch's prior is these beliefs motion-diffused.
+            payload["beliefs"] = dict(result.extras.get("beliefs", {}))
+        payloads.append(payload)
+    return payloads
 
 
 def execute_batch(items: list[dict], deadline_s: float | None = None) -> list[dict]:
@@ -129,23 +149,18 @@ def execute_batch(items: list[dict], deadline_s: float | None = None) -> list[di
                     results.append(loc.localize(ms))
                 except Exception as exc:
                     results.append(exc)
-    out = []
-    for (loc, ms), res, item in zip(pairs, results, items):
-        if isinstance(res, Exception):
-            out.append({
-                "ok": False,
-                "error": f"{type(res).__name__}: {res}",
-            })
-        else:
-            out.append(
-                _item_payload(
-                    res,
-                    ms,
-                    item.get("true_positions"),
-                    include_beliefs=bool(item.get("include_beliefs", False)),
-                )
-            )
-    return out
+    solved = [i for i, res in enumerate(results) if not isinstance(res, Exception)]
+    payloads = iter(
+        _item_payloads(
+            [(results[i], pairs[i][1]) for i in solved], [items[i] for i in solved]
+        )
+    )
+    return [
+        {"ok": False, "error": f"{type(res).__name__}: {res}"}
+        if isinstance(res, Exception)
+        else next(payloads)
+        for res in results
+    ]
 
 
 class WorkerPool:

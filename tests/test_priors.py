@@ -396,6 +396,35 @@ class TestGridBeliefPriorBlock:
             GridBeliefPrior(grid, beliefs, diffusion_sigma=0.1)
 
 
+class TestStackedDiffusion:
+    """The diffusion runs every row's ``kernel @ w`` gemv in one
+    ``np.matmul`` call; it must stay byte-equal to the per-row ``np.dot``
+    loop it replaced, a single-row prior included."""
+
+    @staticmethod
+    def _dot_loop(grid, beliefs, sigma, floor):
+        kernel = diffusion_kernel(grid, sigma)
+        w = np.array(list(beliefs.values()), dtype=np.float64)
+        w = w / w.sum(axis=1, keepdims=True)
+        diffused = np.empty_like(w)
+        for i in range(len(w)):
+            np.dot(kernel, w[i], out=diffused[i])
+        diffused /= diffused.sum(axis=1, keepdims=True)
+        diffused *= 1 - floor
+        diffused += floor * (1.0 / grid.n_cells)
+        return diffused
+
+    @pytest.mark.parametrize("side", [8, 10, 12, 24])  # K = 64, 100, 144, 576
+    @pytest.mark.parametrize("sigma", [0.01, 0.025, 0.1])
+    def test_byte_equal_to_per_row_dot(self, side, sigma):
+        grid = Grid2D(side, side)
+        for n_rows in (1, 2, 7, 33, 260):
+            beliefs = _random_beliefs(grid, range(n_rows), seed=side + n_rows)
+            prior = GridBeliefPrior(grid, beliefs, diffusion_sigma=sigma)
+            expected = self._dot_loop(grid, beliefs, sigma, prior.floor)
+            assert prior.block.tobytes() == expected.tobytes(), n_rows
+
+
 class TestBeliefPriorConsumersUnchanged:
     """Tracking and multi-resolution output with the block prior equals
     the output with the per-vector reference prior swapped in."""
