@@ -67,6 +67,11 @@ class RangingModel(ABC):
         Must be elementwise in the candidate distances (no reduction over
         the array): pairwise kernels evaluate it once per distinct cell
         distance and gather the result over all cell pairs.
+
+        Returns a new array of the broadcast shape that callers may write
+        into (:func:`repro.core.potentials.ranging_potential_rows` does;
+        it copies a result that is read-only, a view or of another shape
+        first), never a cached array the model reuses.
         """
 
     def sigma_at(self, distances: np.ndarray) -> np.ndarray:
