@@ -54,7 +54,6 @@ from repro.audit.invariants import (
 from repro.core.bnloc import GridBPConfig, GridBPLocalizer
 from repro.core.result import LocalizationResult
 from repro.kernels import BPProblem, get_backend
-from repro.obs import NULL_TRACER
 
 __all__ = [
     "ReferenceGridBP",
@@ -373,20 +372,24 @@ class ReferenceGridBP(GridBPLocalizer):
     """:class:`~repro.core.bnloc.GridBPLocalizer` on its reference path.
 
     Node potentials come from ``_node_potentials_baseline`` (every anchor
-    field recomputed per unknown) and BP runs on the plain per-node loop
-    (the ``reference`` kernel) whatever the schedule.  Everything else —
-    edge operators, damped restarts, estimates, accounting, telemetry —
-    is the solver's own code.  This is the bit-identity reference the
+    field recomputed per unknown, problem by problem, never through the
+    block slabs or the hop BFS) and :meth:`localize` runs BP on the plain
+    per-node loop (the ``reference`` kernel) whatever the schedule.
+    Everything else — the preparation blocks and edge operators, the
+    group solve, damped restarts, estimates, accounting, telemetry — is
+    the solver's own code.  This is the bit-identity reference the
     ``solver-vs-reference`` case, the kernel tests and the E12 A/B
-    baseline compare the solver against.  Only :meth:`localize` runs the
-    whole reference path.  Inside ``localize_batch`` its pairs keep the
-    baseline node potentials (the override keeps them out of the batch's
-    node-potential blocks; each builds its own), while BP stacks them on
-    the kernel the schedule picks.
+    baseline compare the solver against.  Inside ``localize_batch`` its
+    pairs form node-potential blocks of their own (the solver class is
+    part of a block's key) that still build baseline potentials, while BP
+    stacks them on the kernel the schedule picks.
     """
 
-    def _node_potentials(self, ms, grid, prior, radio, unknowns):
-        return self._node_potentials_baseline(ms, grid, prior, radio, unknowns)
+    def _node_potential_block(self, grid, problems):
+        return [
+            self._node_potentials_baseline(ms, grid, prior, radio, unknowns)
+            for ms, prior, radio, unknowns in problems
+        ]
 
     def _kernel(self):
         return get_backend("reference")
@@ -418,7 +421,7 @@ _EXACT_BP = dict(damping=0.0, tol=1e-12, max_iterations=30)
 def _exact_problem(ctx: ScenarioContext, **overrides) -> BPProblem:
     """The BP problem :func:`_run_grid` solves with the same *overrides*."""
     loc = GridBPLocalizer(prior=ctx.prior, config=_audit_bp_config(**overrides))
-    return loc._prepare(ctx.measurements, NULL_TRACER).problem
+    return loc._prepare(ctx.measurements).problem
 
 
 def _run_exact(ctx: ScenarioContext, **overrides) -> tuple[np.ndarray, bool]:

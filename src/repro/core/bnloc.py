@@ -58,9 +58,8 @@ from repro.kernels.base import (
     BPOutcome,
     BPProblem,
     KernelBackend,
-    config_key,
-    group_compatible,
     kernel_for,
+    shape_key,
 )
 from repro.measurement.measurements import MeasurementSet
 from repro.network.radio import RadioModel, UnitDiskRadio
@@ -237,7 +236,7 @@ def _estimate_rows(
 
 @dataclass
 class _Prepared:
-    """Output of :meth:`GridBPLocalizer._prepare`: the kernel-ready
+    """Output of :func:`_prepare_blocks`: the kernel-ready
     :class:`~repro.kernels.BPProblem` plus the context the estimate /
     accounting stage needs after the BP loop ran."""
 
@@ -291,9 +290,14 @@ class GridBPLocalizer(Localizer):
     def localize(
         self, measurements: MeasurementSet, rng: RNGLike = None
     ) -> LocalizationResult:
+        """Localize one measurement set: a kernel group of one, prepared
+        and solved by the code each group of :func:`localize_batch` runs,
+        on this solver's own kernel (:meth:`_kernel`)."""
         tracer = self.tracer
         with tracer.timer("localize"):
-            result = self._localize_traced(measurements, tracer)
+            (result,) = _solve_group(
+                [self], [self._prepare(measurements)], self._kernel()
+            )
         if tracer.enabled:
             result.telemetry = tracer.snapshot()
         return result
@@ -312,22 +316,6 @@ class GridBPLocalizer(Localizer):
         """
         return localize_batch([(self, ms) for ms in measurements_list])
 
-    def _localize_traced(
-        self, measurements: MeasurementSet, tracer: NullTracer
-    ) -> LocalizationResult:
-        prep = self._prepare(measurements, tracer)
-        kernel = self._kernel()
-        with tracer.timer("bp"):
-            outcome = kernel.run(prep.problem, tracer)
-        with tracer.timer("estimate"):
-            est = _estimate_rows(prep.grid, outcome.beliefs, self.config)
-        outcome, est, restarted = self._maybe_restart(
-            prep, outcome, est, kernel, tracer
-        )
-        if tracer.enabled:
-            tracer.annotate("backend", kernel.name)
-        return self._finish(prep, outcome, est, restarted, tracer)
-
     def _kernel(self) -> KernelBackend:
         """The kernel :meth:`localize` runs: the one the config's schedule
         picks (:func:`repro.kernels.kernel_for`)."""
@@ -341,34 +329,16 @@ class GridBPLocalizer(Localizer):
         return prior, radio
 
     def _prepare(
-        self,
-        measurements: MeasurementSet,
-        tracer: NullTracer,
-        grid: Grid2D | None = None,
+        self, measurements: MeasurementSet, grid: Grid2D | None = None
     ) -> "_Prepared":
-        """Everything before the BP loop for one problem: grid, prior/radio
-        resolution, node potentials (the per-problem hook
-        :meth:`_node_potentials`) and edge operators
-        (:meth:`_edge_operator_block` over a block of one).  Returns the
-        prepared problem plus the context :meth:`_finish` needs
-        afterwards.  *grid*, when given, must match the config's grid size
-        and the field extent (:func:`localize_batch` shares one per
-        distinct geometry).  :func:`localize_batch` prepares groups of
-        pairs as blocks through the same two passes
-        (:func:`_prepare_blocks`)."""
-        ms = measurements
-        cfg = self.config
+        """Everything before the BP loop for one problem:
+        :func:`_prepare_blocks` over a block of one, on *grid* (which must
+        match the config's grid size and the field extent) or a fresh
+        :class:`Grid2D`."""
         if grid is None:
-            grid = Grid2D(cfg.grid_size, cfg.grid_size, ms.width, ms.height)
-        prior, radio = self._models(ms)
-        unknowns = ms.unknown_ids
-        with tracer.timer("node_potentials"):
-            log_phi = self._node_potentials(ms, grid, prior, radio, unknowns)
-        with tracer.timer("edge_potentials"):
-            (edge_ops,) = self._edge_operator_block(grid, [(ms, radio)])
-        return self._assemble(
-            ms, grid, prior, radio, unknowns, log_phi, edge_ops, tracer
-        )
+            g = self.config.grid_size
+            grid = Grid2D(g, g, measurements.width, measurements.height)
+        return _prepare_blocks([(self, measurements)], grid)[0]
 
     def _assemble(
         self,
@@ -503,11 +473,14 @@ class GridBPLocalizer(Localizer):
         est: _Estimates,
         kernel: KernelBackend,
         tracer: NullTracer,
+        rows: tuple,
     ) -> tuple[BPOutcome, _Estimates, bool]:
         """Graceful degradation: a numerically broken or diverging run gets
         one damped restart before we resort to per-node fallbacks.  *est*
-        is the estimate pass over *outcome*'s rows; a restarted run
-        recomputes it for the new rows.  On healthy runs (no repairs,
+        is the estimate pass over *outcome*'s rows and *rows* the result
+        rows its group assembled from it (:func:`_group_rows`); a
+        restarted run recomputes *est* for the new beliefs and writes its
+        points and covariances into *rows*.  On healthy runs (no repairs,
         finite beliefs, shrinking residuals) this is observation-only —
         outputs stay bit-identical."""
         cfg = self.config
@@ -540,6 +513,9 @@ class GridBPLocalizer(Localizer):
             tracer.count("damped_restarts")
         with tracer.timer("estimate"):
             est = _estimate_rows(prep.grid, rerun.beliefs, cfg)
+            estimates, _, covariances, _ = rows
+            estimates[prep.unknowns] = est.points
+            covariances[prep.unknowns] = est.covariances
         return (
             BPOutcome(
                 beliefs=rerun.beliefs,
@@ -559,17 +535,15 @@ class GridBPLocalizer(Localizer):
         est: _Estimates,
         restarted: bool,
         tracer: NullTracer,
-        rows: tuple | None = None,
+        rows: tuple,
     ) -> LocalizationResult:
         """Everything after the BP loop: estimates (from *est*, the
         estimate pass over *outcome*'s rows), fallbacks, trace,
         communication accounting, telemetry, audit.  *rows* is the
         result's ``(estimates, localized_mask, covariances,
         fallback_mask)`` as its kernel group assembled them from *est*
-        (:func:`_group_rows`); without it (a problem solved alone, or
-        restarted) this problem assembles its own, timed as
-        ``estimate``.  A fallback node's estimate is written into those
-        rows."""
+        (:func:`_group_rows`, updated by a damped restart).  A fallback
+        node's estimate is written into those rows."""
         ms = prep.ms
         cfg = self.config
         grid = prep.grid
@@ -583,9 +557,6 @@ class GridBPLocalizer(Localizer):
         converged = outcome.converged
         trace_logs = outcome.trace
         health = outcome.health
-        if rows is None:
-            with tracer.timer("estimate"):
-                rows = _group_rows([prep], est)[0]
         estimates, mask, covariances, fallback = rows
         broken = np.flatnonzero(~est.healthy)
         for ui in broken:
@@ -698,10 +669,10 @@ class GridBPLocalizer(Localizer):
     ) -> np.ndarray:
         """Log node potentials ``(n_unknown, K)``: prior × anchor evidence.
 
-        The per-problem hook (:meth:`localize`,
-        :class:`~repro.parallel.messaging.DistributedBPSimulator`): the
-        block pass :meth:`_node_potential_block` over a block of one.  Its
-        output is bit-identical to :meth:`_node_potentials_baseline`.
+        The block pass :meth:`_node_potential_block` over a block of one
+        (:class:`~repro.parallel.messaging.DistributedBPSimulator` builds
+        its agents' unary potentials with it).  Its output is
+        bit-identical to :meth:`_node_potentials_baseline`.
         """
         return self._node_potential_block(grid, [(ms, prior, radio, unknowns)])[0]
 
@@ -945,19 +916,6 @@ class GridBPLocalizer(Localizer):
 
 
 # ---------------------------------------------------------------------- #
-def _anchor_hops(adjacency: np.ndarray, anchor_ids: np.ndarray) -> np.ndarray:
-    """``(n, n_anchors)`` hop counts (``inf`` if unreachable): scipy's
-    unweighted, undirected ``shortest_path(adjacency)[:, anchor_ids]``
-    without the all-pairs solve — :func:`_anchor_hop_block` over one
-    network."""
-    anchor_ids = np.asarray(anchor_ids, dtype=np.intp)
-    return _anchor_hop_block(
-        np.asarray(adjacency, dtype=bool)[None],
-        anchor_ids[None],
-        np.ones((1, len(anchor_ids)), dtype=bool),
-    )[0]
-
-
 def _anchor_hop_block(
     adjacency: np.ndarray, anchors: np.ndarray, valid: np.ndarray
 ) -> np.ndarray:
@@ -1014,71 +972,46 @@ def _group_rows(preps: list[_Prepared], est: _Estimates) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------- #
-#: The node-potential hook whose solvers share blocks; a subclass that
-#: overrides it (:class:`repro.audit.ReferenceGridBP`) keeps its own.
-_BLOCK_HOOK = GridBPLocalizer._node_potentials
-
-
 def _prepare_blocks(
-    pairs: list[tuple[GridBPLocalizer, MeasurementSet]], grids: list[Grid2D]
-) -> list[_Prepared | None]:
-    """Per pair, its :class:`_Prepared` as one block of its group built
-    it, or ``None`` where :meth:`GridBPLocalizer._prepare` prepares it
-    alone (a block of one).
+    pairs: list[tuple[GridBPLocalizer, MeasurementSet]], grid: Grid2D
+) -> list[_Prepared]:
+    """Per pair of one kernel group (equal grid geometry and config, so
+    all on *grid*), its :class:`_Prepared` as its block built it.
 
-    Pairs share a block when the solver class, grid, config,
-    ``has_ranging`` / ``has_bearings`` and the fingerprints of the
-    resolved radio, the ranging model and the bearing model are equal —
-    exactly what makes their potentials one computation.  A block runs
-    two passes: :meth:`GridBPLocalizer._node_potential_block` and
+    Pairs share a block when the solver class, ``has_ranging`` /
+    ``has_bearings`` and the fingerprints of the resolved radio, the
+    ranging model and the bearing model are equal — exactly what makes
+    their potentials one computation.  A pair whose models do not
+    fingerprint, or a lone pair (:meth:`GridBPLocalizer.localize`), is a
+    block of one.  A block runs two passes: its solver class's
+    :meth:`GridBPLocalizer._node_potential_block` and
     :meth:`GridBPLocalizer._edge_operator_block` (one ranging-cache
     lookup for the whole block), timed on its first solver's
-    ``node_potentials`` and ``edge_potentials`` timers.  A pair whose
-    solver overrides the node-potential hook or whose models do not
-    fingerprint stays alone.  A block that raises ``ValueError`` (the
-    potentials' failure modes: a zero-mass prior, evidence that excludes
-    every cell, a non-finite or negative unknown-unknown distance) is
-    dropped: its pairs prepare alone in input order, so the error raised
-    is the one the pair-by-pair loop raises first.
+    ``node_potentials`` and ``edge_potentials`` timers.  A block's
+    ``ValueError`` (the potentials' failure modes: a zero-mass prior,
+    evidence that excludes every cell, a non-finite or negative
+    unknown-unknown distance) propagates.
     """
-    blocks: dict[tuple, list[int]] = {}
-    models: list[tuple | None] = [None] * len(pairs)
-    for i, ((loc, ms), grid) in enumerate(zip(pairs, grids)):
-        if type(loc)._node_potentials is not _BLOCK_HOOK:
-            continue
-        prior, radio = loc._models(ms)
+    blocks: dict[object, list[int]] = {}
+    models = [loc._models(ms) for loc, ms in pairs]
+    for i, ((loc, ms), (_, radio)) in enumerate(zip(pairs, models)):
         prints = tuple(
             _fingerprint(m) for m in (radio, ms.ranging, ms.bearing_model)
         )
-        if None in prints:
-            continue
-        key = (
-            type(loc),
-            config_key(grid, loc.config),
-            ms.has_ranging,
-            ms.has_bearings,
-            prints,
-        )
-        blocks.setdefault(key, []).append(i)
-        models[i] = (prior, radio)
-    out: list[_Prepared | None] = [None] * len(pairs)
+        key = (type(loc), ms.has_ranging, ms.has_bearings, prints)
+        blocks.setdefault(i if None in prints else key, []).append(i)
+    out: list[_Prepared] = [None] * len(pairs)
     for idxs in blocks.values():
-        if len(idxs) == 1:
-            continue
         loc = pairs[idxs[0]][0]
-        grid = grids[idxs[0]]
         problems = [
             (pairs[i][1], *models[i], pairs[i][1].unknown_ids) for i in idxs
         ]
-        try:
-            with loc.tracer.timer("node_potentials"):
-                log_phis = loc._node_potential_block(grid, problems)
-            with loc.tracer.timer("edge_potentials"):
-                edge_ops = loc._edge_operator_block(
-                    grid, [(ms, radio) for ms, _, radio, _ in problems]
-                )
-        except ValueError:
-            continue  # the pairs' own builds raise it again, in input order
+        with loc.tracer.timer("node_potentials"):
+            log_phis = loc._node_potential_block(grid, problems)
+        with loc.tracer.timer("edge_potentials"):
+            edge_ops = loc._edge_operator_block(
+                grid, [(ms, radio) for ms, _, radio, _ in problems]
+            )
         for i, (ms, prior, radio, unknowns), log_phi, ops in zip(
             idxs, problems, log_phis, edge_ops
         ):
@@ -1089,95 +1022,119 @@ def _prepare_blocks(
     return out
 
 
+def _solve_group(
+    solvers: list[GridBPLocalizer],
+    preps: list[_Prepared],
+    kernel: KernelBackend,
+    n_groups: int = 0,
+) -> list[LocalizationResult]:
+    """Solve one kernel group of prepared problems on *kernel* and finish
+    their results, in order.
+
+    A group of one runs ``kernel.run``, timed as its solver's ``bp``; a
+    larger group runs one ``run_batch`` (one stacked tensor pass per BP
+    round for synchronous sum-product) and emits no per-problem ``bp``
+    timers.  The estimate pass (health mask, point estimates,
+    covariances) runs once over the group's stacked belief rows, and one
+    scatter (:func:`_group_rows`) assembles the group's estimates,
+    localized masks, covariances and fallback flags, both timed as
+    ``estimate`` on the first solver's tracer.  Each problem then takes
+    its damped health restart (which writes into its own rows) and
+    :meth:`GridBPLocalizer._finish`.  *n_groups* > 0 marks one group of a
+    :func:`localize_batch` call with that many groups: each tracer gets
+    ``batch_size`` / ``batch_groups`` annotations and each result its
+    telemetry snapshot right after its finish; a lone
+    :meth:`GridBPLocalizer.localize` (0) annotates neither and snapshots
+    itself.
+    """
+    problems = [p.problem for p in preps]
+    if len(problems) == 1:
+        tr = solvers[0].tracer
+        with tr.timer("bp"):
+            outcomes = [kernel.run(problems[0], tr)]
+    else:
+        outcomes = kernel.run_batch(problems)
+    with solvers[0].tracer.timer("estimate"):
+        group_est = _estimate_rows(
+            problems[0].grid,
+            np.concatenate([o.beliefs for o in outcomes]),
+            problems[0].cfg,
+        )
+        group_rows = _group_rows(preps, group_est)
+    results = []
+    stop = 0
+    for loc, prep, outcome, rows in zip(solvers, preps, outcomes, group_rows):
+        start, stop = stop, stop + len(outcome.beliefs)
+        tr = loc.tracer
+        outcome, est, restarted = loc._maybe_restart(
+            prep, outcome, group_est.rows(start, stop), kernel, tr, rows
+        )
+        if tr.enabled:
+            tr.annotate("backend", kernel.name)
+            if n_groups:
+                tr.annotate("batch_size", len(problems))
+                tr.annotate("batch_groups", n_groups)
+        result = loc._finish(prep, outcome, est, restarted, tr, rows)
+        if n_groups and tr.enabled:
+            result.telemetry = tr.snapshot()
+        results.append(result)
+    return results
+
+
 def localize_batch(
     pairs: list[tuple[GridBPLocalizer, MeasurementSet]],
 ) -> list[LocalizationResult]:
     """Localize many (solver, measurements) pairs, batching compatible ones.
 
-    The pairs are prepared as blocks (:func:`_prepare_blocks`: one
-    node-potential pass and one edge-operator pass per group of pairs
-    with equal solver class, grid shape, config, modalities and model
-    fingerprints, on one shared :class:`Grid2D` per distinct grid
-    geometry; a pair outside any group is a block of one), partitioned
-    with :func:`repro.kernels.group_compatible` (same grid shape/extent, same
-    ``K``, equal config — different networks/priors/seeds batch together;
-    mixed shapes split into separate groups, never silently co-batched),
-    and each group runs through the kernel its config's schedule picks
-    (:func:`repro.kernels.kernel_for`) in one ``run_batch`` call — for
-    synchronous sum-product, one stacked tensor pass per BP round for the
-    whole group.
+    Pairs are grouped by one :func:`repro.kernels.shape_key` each (grid
+    shape and extent, ``K``, equal config — different networks, priors
+    and seeds batch together; mixed shapes split into separate groups,
+    never silently co-batched).  Each group gets one :class:`Grid2D`, is
+    prepared as blocks (:func:`_prepare_blocks`: one node-potential pass
+    and one edge-operator pass per block of pairs with equal solver
+    class, modalities and model fingerprints) and is solved by
+    :func:`_solve_group` on the kernel its config's schedule picks
+    (:func:`repro.kernels.kernel_for`).  :meth:`GridBPLocalizer.localize`
+    runs the same two functions on a group of one.
 
     Results come back in input order and are bit-identical to calling
     ``localize`` pair by pair (gated by ``tests/test_kernels.py`` and the
-    ``repro.audit`` ``batched-batch-vs-sequential`` DiffCase); a pair
-    that cannot be solved raises the error the pair-by-pair loop raises
-    first.  The estimate pass (health mask, point estimates, covariances)
-    runs once per group over the group's stacked belief rows, and one
-    scatter (:func:`_group_rows`) assembles the group's estimates,
-    localized masks, covariances and fallback flags; each result holds
-    row-slice views of those blocks, and a fallback node is written into
-    its own rows.  A problem that takes a damped health restart
-    recomputes and assembles its own rows; communication accounting
+    ``repro.audit`` ``batched-batch-vs-sequential`` DiffCase); every
+    group is prepared before any is solved, and a pair that cannot be
+    prepared raises the error the pair-by-pair loop raises first.  Each
+    result holds row-slice views of its group's result blocks, and a
+    fallback node is written into its own rows; communication accounting
     stays per trial.  Telemetry: each solver's tracer records its own
-    ``peak_factor_nnz`` gauge; a preparation block (its node- and
-    edge-potential passes) and a group's estimate pass and scatter are
-    timed on their first solver's tracer, and only a restarted problem
-    records its own ``estimate`` phase.  For groups larger
-    than one the BP loop itself is a shared pass, so per-trial ``bp``
-    timers are not emitted — the tracer gets ``batch_size`` /
-    ``batch_groups`` annotations instead.
+    ``peak_factor_nnz`` gauge; a preparation block and a group's estimate
+    pass and scatter are timed on their first solver's tracer, and every
+    tracer gets ``batch_size`` / ``batch_groups`` annotations.
     """
     pairs = list(pairs)
-    if not pairs:
-        return []
-    grids: dict[tuple, Grid2D] = {}
-    pair_grids = []
-    for loc, ms in pairs:
-        shape = (loc.config.grid_size, ms.width, ms.height)
-        if shape not in grids:
-            grids[shape] = Grid2D(shape[0], shape[0], ms.width, ms.height)
-        pair_grids.append(grids[shape])
-    preps = [
-        built if built is not None else loc._prepare(ms, loc.tracer, grid)
-        for (loc, ms), grid, built in zip(
-            pairs, pair_grids, _prepare_blocks(pairs, pair_grids)
-        )
-    ]
-    groups = group_compatible([p.problem for p in preps])
-    results: list[LocalizationResult | None] = [None] * len(pairs)
-    for _key, idxs in groups:
-        problems = [preps[i].problem for i in idxs]
-        kernel = kernel_for(problems[0].cfg)
-        if len(idxs) == 1:
-            i = idxs[0]
-            tr = pairs[i][0].tracer
-            with tr.timer("bp"):
-                outcomes = [kernel.run(problems[0], tr)]
-        else:
-            outcomes = kernel.run_batch(problems)
-        with pairs[idxs[0]][0].tracer.timer("estimate"):
-            group_est = _estimate_rows(
-                problems[0].grid,
-                np.concatenate([o.beliefs for o in outcomes]),
-                problems[0].cfg,
-            )
-            group_rows = _group_rows([preps[i] for i in idxs], group_est)
-        stop = 0
-        for i, outcome, rows in zip(idxs, outcomes, group_rows):
-            start, stop = stop, stop + len(outcome.beliefs)
-            loc = pairs[i][0]
-            tr = loc.tracer
-            outcome, est, restarted = loc._maybe_restart(
-                preps[i], outcome, group_est.rows(start, stop), kernel, tr
-            )
-            if tr.enabled:
-                tr.annotate("backend", kernel.name)
-                tr.annotate("batch_size", len(idxs))
-                tr.annotate("batch_groups", len(groups))
-            result = loc._finish(
-                preps[i], outcome, est, restarted, tr, None if restarted else rows
-            )
-            if tr.enabled:
-                result.telemetry = tr.snapshot()
+    groups: dict[tuple, list[int]] = {}
+    for i, (loc, ms) in enumerate(pairs):
+        g = loc.config.grid_size
+        key = shape_key(g, g, ms.width, ms.height, g * g, loc.config)
+        groups.setdefault(key, []).append(i)
+    preps: list[_Prepared] = [None] * len(pairs)
+    try:
+        for idxs in groups.values():
+            loc, ms = pairs[idxs[0]]
+            g = loc.config.grid_size
+            grid = Grid2D(g, g, ms.width, ms.height)
+            group = _prepare_blocks([pairs[i] for i in idxs], grid)
+            for i, prep in zip(idxs, group):
+                preps[i] = prep
+    except ValueError:
+        # Some pair cannot be prepared: the pairs' own builds, in input
+        # order, raise the error the pair-by-pair loop raises first.
+        for loc, ms in pairs:
+            loc._prepare(ms)
+        raise
+    results: list[LocalizationResult] = [None] * len(pairs)
+    for idxs in groups.values():
+        solvers = [pairs[i][0] for i in idxs]
+        kernel = kernel_for(solvers[0].config)
+        solved = _solve_group(solvers, [preps[i] for i in idxs], kernel, len(groups))
+        for i, result in zip(idxs, solved):
             results[i] = result
     return results

@@ -8,7 +8,6 @@ from repro.kernels.base import (
     compatibility_key,
     config_key,
     get_backend,
-    group_compatible,
     kernel_for,
     shape_key,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "compatibility_key",
     "config_key",
     "shape_key",
-    "group_compatible",
     "get_backend",
     "kernel_for",
     "Deadline",

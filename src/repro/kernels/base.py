@@ -25,12 +25,13 @@ selects it:
 
 Batch compatibility
 -------------------
-:func:`group_compatible` partitions a problem list into runnable batches:
-problems co-batch only when their grids have identical shape and extent,
-their state count ``K`` matches, and their configs are equal.  Mixed
-shapes are *split into separate groups*, never silently co-batched;
-handing an incompatible list straight to
-:meth:`KernelBackend.run_batch` raises :class:`IncompatibleBatchError`.
+Problems co-batch only when their grids have identical shape and extent,
+their state count ``K`` matches, and their configs are equal: equal
+:func:`shape_key`.  :func:`repro.core.bnloc.localize_batch` groups its
+pairs by one such key each (mixed shapes are *split into separate
+groups*, never silently co-batched); handing an incompatible list
+straight to :meth:`KernelBackend.run_batch` raises
+:class:`IncompatibleBatchError`.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ __all__ = [
     "compatibility_key",
     "config_key",
     "shape_key",
-    "group_compatible",
     "get_backend",
     "kernel_for",
 ]
@@ -67,9 +67,9 @@ class IncompatibleBatchError(ValueError):
     """A problem batch mixes incompatible shapes/configs.
 
     Raised by :meth:`KernelBackend.run_batch` implementations that
-    require a homogeneous batch.  Callers should partition with
-    :func:`group_compatible` first; trials that cannot be grouped fall
-    back to per-problem execution.
+    require a homogeneous batch.  Callers group problems by
+    :func:`compatibility_key` (or, before preparing, :func:`shape_key`)
+    first.
     """
 
 
@@ -159,32 +159,11 @@ def compatibility_key(problem: BPProblem) -> tuple:
     return config_key(problem.grid, problem.cfg, problem.n_cells)
 
 
-def group_compatible(
-    problems: Sequence[BPProblem],
-) -> list[tuple[tuple, list[int]]]:
-    """Partition *problems* into compatible batches.
-
-    Returns ``(key, indices)`` groups in first-seen order; indices are
-    positions into the input sequence, in input order.  Incompatible
-    problems land in separate groups — grouping never silently co-batches
-    mixed shapes.
-    """
-    groups: dict[tuple, list[int]] = {}
-    order: list[tuple] = []
-    for i, p in enumerate(problems):
-        key = compatibility_key(p)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(i)
-    return [(key, groups[key]) for key in order]
-
-
 class KernelBackend:
     """Interface both grid-BP kernels implement.
 
     ``run`` solves one problem; ``run_batch`` solves a *compatible* batch
-    (see :func:`group_compatible`) and returns outcomes in input order.
+    (one :func:`compatibility_key`) and returns outcomes in input order.
     The default ``run_batch`` is a per-problem loop.
     """
 

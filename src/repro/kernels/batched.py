@@ -180,7 +180,7 @@ class BatchedBackend(KernelBackend):
             raise IncompatibleBatchError(
                 f"cannot co-batch {len(problems)} problems spanning "
                 f"{len(keys)} incompatible (grid, K, config) shapes; "
-                "partition with repro.kernels.group_compatible first"
+                "group them by repro.kernels.compatibility_key first"
             )
         cfg = problems[0].cfg
         if cfg.schedule == "serial" or cfg.max_product:

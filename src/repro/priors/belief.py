@@ -290,7 +290,12 @@ class GridBeliefPrior(PositionPrior):
         )
 
     def _same_grid(self, grid: "Grid2D") -> bool:
-        return grid.n_cells == self.grid.n_cells and grid.nx == self.grid.nx
+        """Whether *grid* has this prior's cells: equal shape and field
+        extent, so a block row is already *grid*'s weight vector."""
+        g = self.grid
+        return (grid.nx, grid.ny, grid.width, grid.height) == (
+            g.nx, g.ny, g.width, g.height
+        )
 
     def log_density(self, node: int, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)

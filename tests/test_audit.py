@@ -564,14 +564,14 @@ class TestSolverVsReferenceCase:
     def test_detects_node_potential_drift(self, ranging_ctx, monkeypatch):
         from repro.core.bnloc import GridBPLocalizer
 
-        original = GridBPLocalizer._node_potentials
+        original = GridBPLocalizer._node_potential_block
 
         def drifting(self, *args):
-            log_phi = original(self, *args)
-            log_phi[0] = np.nextafter(log_phi[0], -np.inf)
-            return log_phi
+            log_phis = original(self, *args)
+            log_phis[0][0] = np.nextafter(log_phis[0][0], -np.inf)
+            return log_phis
 
-        monkeypatch.setattr(GridBPLocalizer, "_node_potentials", drifting)
+        monkeypatch.setattr(GridBPLocalizer, "_node_potential_block", drifting)
         report = run_case(self._case(), ranging_ctx)
         assert not report.passed
         assert report.detail["mismatch"] in ("estimates", "beliefs")

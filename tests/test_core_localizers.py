@@ -20,7 +20,7 @@ from repro.core import (
     NBPConfig,
     NBPLocalizer,
 )
-from repro.core.bnloc import _anchor_hop_block, _anchor_hops
+from repro.core.bnloc import _anchor_hop_block
 from repro.core.grid import Grid2D
 from repro.core.potentials import _blurred_likelihood
 from repro.core.result import LocalizationResult
@@ -354,6 +354,14 @@ class TestNodePotentialBuilder:
                 builder(*args)
 
 
+def _one_network_hops(adjacency, anchor_ids):
+    """The frontier BFS over a one-network stack: ``(n, n_anchors)``."""
+    anchor_ids = np.asarray(anchor_ids, dtype=np.intp)
+    return _anchor_hop_block(
+        adjacency[None], anchor_ids[None], np.ones((1, len(anchor_ids)), dtype=bool)
+    )[0]
+
+
 class TestAnchorHops:
     """The frontier BFS equals scipy's all-pairs ``shortest_path`` on the
     anchor columns, inf for unreachable pairs included."""
@@ -370,7 +378,7 @@ class TestAnchorHops:
             sources = np.sort(
                 rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
             )
-            got = _anchor_hops(adj, sources)
+            got = _one_network_hops(adj, sources)
             want = _scipy_hops(adj, sources)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -378,7 +386,7 @@ class TestAnchorHops:
         adj = np.zeros((6, 6), dtype=bool)
         for i, j in [(1, 2), (2, 3), (4, 5)]:
             adj[i, j] = adj[j, i] = True
-        got = _anchor_hops(adj, np.array([0, 1, 5]))
+        got = _one_network_hops(adj, np.array([0, 1, 5]))
         assert np.array_equal(got, _scipy_hops(adj, [0, 1, 5]))
         assert np.isinf(got[1:, 0]).all() and got[3, 1] == 2.0
 

@@ -71,7 +71,6 @@ from repro.kernels import (
     config_key,
     deadline_scope,
     get_backend,
-    group_compatible,
     kernel_for,
 )
 from repro.kernels import batched as batched_kernel
@@ -125,7 +124,7 @@ def _measurements(
 
 def _problem(ms, cfg):
     """Prepared BPProblem for *ms* (the kernel input)."""
-    return GridBPLocalizer(config=cfg)._prepare(ms, NULL_TRACER).problem
+    return GridBPLocalizer(config=cfg)._prepare(ms).problem
 
 
 def _run_pair(ms_list, cfg):
@@ -252,27 +251,46 @@ class TestSchedulesAndTelemetry:
             assert r.telemetry["meta"]["batch_groups"] == 1
 
 
-class TestCompatibilityPartition:
-    def test_mixed_grid_shapes_split(self):
-        ms = _measurements(70)
-        p8 = _problem(ms, BASE_CFG)
-        p10 = _problem(ms, dc.replace(BASE_CFG, grid_size=10))
-        groups = group_compatible([p8, p10, p8, p10, p8])
-        assert [idxs for _k, idxs in groups] == [[0, 2, 4], [1, 3]]
-        assert compatibility_key(p8) != compatibility_key(p10)
+def _kernel_groups(monkeypatch, cfgs, ms):
+    """The kernel groups ``localize_batch`` forms over one pair per config
+    in *cfgs* (all on *ms*), as lists of input positions in the order
+    they run, each group's problems checked to share one
+    ``compatibility_key``."""
+    calls = []
+    original = bnloc._solve_group
+    locs = [GridBPLocalizer(config=c) for c in cfgs]
+    position = {id(loc): i for i, loc in enumerate(locs)}
 
-    def test_mixed_config_splits(self):
+    def spy(solvers, preps, kernel, n_groups=0):
+        assert len({compatibility_key(p.problem) for p in preps}) == 1
+        calls.append([position[id(loc)] for loc in solvers])
+        return original(solvers, preps, kernel, n_groups)
+
+    monkeypatch.setattr(bnloc, "_solve_group", spy)
+    localize_batch([(loc, ms) for loc in locs])
+    return calls
+
+
+class TestCompatibilityPartition:
+    def test_mixed_grid_shapes_split(self, monkeypatch):
         ms = _measurements(70)
-        a = _problem(ms, BASE_CFG)
-        b = _problem(ms, dc.replace(BASE_CFG, damping=0.25))
-        groups = group_compatible([a, b])
-        assert [idxs for _k, idxs in groups] == [[0], [1]]
+        c8, c10 = BASE_CFG, dc.replace(BASE_CFG, grid_size=10)
+        groups = _kernel_groups(monkeypatch, [c8, c10, c8, c10, c8], ms)
+        assert groups == [[0, 2, 4], [1, 3]]
+        assert compatibility_key(_problem(ms, c8)) != compatibility_key(
+            _problem(ms, c10)
+        )
+
+    def test_mixed_config_splits(self, monkeypatch):
+        ms = _measurements(70)
+        cfgs = [BASE_CFG, dc.replace(BASE_CFG, damping=0.25)]
+        assert _kernel_groups(monkeypatch, cfgs, ms) == [[0], [1]]
 
     def test_run_batch_refuses_mixed_batch(self):
         ms = _measurements(70)
         p8 = _problem(ms, BASE_CFG)
         p10 = _problem(ms, dc.replace(BASE_CFG, grid_size=10))
-        with pytest.raises(IncompatibleBatchError, match="group_compatible"):
+        with pytest.raises(IncompatibleBatchError, match="compatibility_key"):
             get_backend("batched").run_batch([p8, p10])
 
     def test_localize_batch_partitions_mixed_configs(self):
@@ -566,7 +584,7 @@ def _cliff_ms(seed=101):
 
 def _cliff_problem():
     return GridBPLocalizer(prior=_CLIFF, config=_CLIFF_CFG)._prepare(
-        _cliff_ms(), NULL_TRACER
+        _cliff_ms()
     ).problem
 
 
@@ -1026,20 +1044,15 @@ class TestRandomizedEquivalence:
     )
     def test_grouping_is_a_partition(self, grid_sizes):
         ms = _measurements(70)
-        problems = [
-            _problem(ms, dc.replace(BASE_CFG, grid_size=g))
-            for g in grid_sizes
-        ]
-        groups = group_compatible(problems)
-        flat = [i for _k, idxs in groups for i in idxs]
-        assert sorted(flat) == list(range(len(problems)))  # exhaustive
-        for key, idxs in groups:
-            assert all(
-                compatibility_key(problems[i]) == key for i in idxs
-            )  # homogeneous
+        cfgs = [dc.replace(BASE_CFG, grid_size=g) for g in grid_sizes]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            # each group is homogeneous (checked inside the spy)
+            groups = _kernel_groups(monkeypatch, cfgs, ms)
+        flat = [i for idxs in groups for i in idxs]
+        assert sorted(flat) == list(range(len(cfgs)))  # exhaustive
         # distinct groups have distinct keys — nothing co-batched
-        keys = [key for key, _idxs in groups]
-        assert len(set(keys)) == len(keys)
+        sizes = [grid_sizes[idxs[0]] for idxs in groups]
+        assert len(set(sizes)) == len(sizes)
 
 
 # ---------------------------------------------------------------------- #
@@ -1125,6 +1138,14 @@ class TestGroupEstimatePass:
         assert batched[1].telemetry["counters"]["damped_restarts"] == 1
         assert not any(r.fallback_mask.any() for r in batched)
         assert "damped_restarts" not in batched[0].telemetry["counters"]
+        # the restart wrote its own beliefs' moments into its group rows
+        restarted = batched[1]
+        unknown = ~_measurements(self.SEEDS[1]).anchor_mask
+        means, covs = restarted.extras["grid"].moments(
+            np.stack(list(restarted.extras["beliefs"].values()))
+        )
+        assert restarted.estimates[unknown].tobytes() == means.tobytes()
+        assert restarted.extras["covariances"][unknown].tobytes() == covs.tobytes()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -1225,7 +1246,7 @@ class TestNodePotentialBlocks:
     def test_block_rows_match_lone_builds(self):
         pairs = self._mixed_pairs()[:4]
         grid = Grid2D(BASE_CFG.grid_size, BASE_CFG.grid_size, 1.0, 1.0)
-        preps = bnloc._prepare_blocks(pairs, [grid] * len(pairs))
+        preps = bnloc._prepare_blocks(pairs, grid)
         for (loc, ms), prep in zip(pairs, preps):
             log_phi = prep.problem.log_phi
             alone = loc._node_potentials_baseline(
@@ -1295,6 +1316,84 @@ class TestNodePotentialBlockErrors:
             assert _payload_bytes(payload) == _payload_bytes(solo)
 
 
+class _ArrayRadio(UnitDiskRadio):
+    """A unit disk carrying array state, so it does not fingerprint and its
+    pair is a preparation block of one."""
+
+    def __init__(self, range_):
+        super().__init__(range_)
+        self.state = np.zeros(1)
+
+
+class TestOneSolvePath:
+    """``localize`` is a kernel group of one: it runs the preparation
+    blocks and the group solve ``localize_batch`` runs per group."""
+
+    def test_localize_is_one_block_pass_and_one_group_solve(self, monkeypatch):
+        prepared, solved = [], []
+        prepare, solve = bnloc._prepare_blocks, bnloc._solve_group
+
+        def spy_prepare(pairs, grid):
+            prepared.append(len(pairs))
+            return prepare(pairs, grid)
+
+        def spy_solve(solvers, preps, kernel, n_groups=0):
+            solved.append((len(preps), kernel.name, n_groups))
+            return solve(solvers, preps, kernel, n_groups)
+
+        monkeypatch.setattr(bnloc, "_prepare_blocks", spy_prepare)
+        monkeypatch.setattr(bnloc, "_solve_group", spy_solve)
+        result = GridBPLocalizer(config=BASE_CFG, tracer=Tracer()).localize(
+            _measurements(30)
+        )
+        assert prepared == [1] and solved == [(1, "batched", 0)]
+        meta = result.telemetry["meta"]
+        assert "batch_size" not in meta and "batch_groups" not in meta
+
+    @pytest.mark.parametrize("schedule", ["sync", "serial"])
+    def test_reference_localize_runs_the_reference_kernel(self, schedule, monkeypatch):
+        runs = []
+        for name in ("reference", "batched"):
+            kernel = get_backend(name)
+            original = kernel.run
+
+            def counted(problem, tracer=NULL_TRACER, name=name, original=original):
+                runs.append(name)
+                return original(problem, tracer)
+
+            monkeypatch.setattr(kernel, "run", counted)
+        ms = _measurements(31)
+        cfg = dc.replace(BASE_CFG, schedule=schedule)
+        ReferenceGridBP(config=cfg).localize(ms)
+        assert runs == ["reference"]
+        runs.clear()
+        GridBPLocalizer(config=cfg).localize(ms)
+        assert runs == [kernel_for(cfg).name]
+
+    @pytest.mark.parametrize("lone_first", [True, False], ids=["lone-first", "block-first"])
+    def test_lone_and_block_failures_raise_the_first_sequential_error(
+        self, lone_first
+    ):
+        ok = _observed(154, 12)[1]
+        bad_block, node_block = _corrupt_link(_observed(155, 14)[1], -1)
+        bad_lone, node_lone = _corrupt_link(_observed(156, 12)[1], 0)
+        assert node_block != node_lone
+        plain = GridBPLocalizer(config=BASE_CFG)
+        lone = GridBPLocalizer(radio=_ArrayRadio(bad_lone.radio_range), config=BASE_CFG)
+        # the block {ok, bad_block} is met first in the batch whatever the
+        # order; the lone pair sits before or after its failing member
+        bad = [(lone, bad_lone), (plain, bad_block)]
+        pairs = [(plain, ok)] + (bad if lone_first else bad[::-1])
+        with pytest.raises(ValueError) as sequential:
+            for loc, ms in pairs:
+                loc.localize(ms)
+        node = node_lone if lone_first else node_block
+        assert f"node {node}: evidence and prior" in str(sequential.value)
+        with pytest.raises(ValueError) as batched:
+            localize_batch(pairs)
+        assert str(batched.value) == str(sequential.value)
+
+
 def _payload_bytes(payload):
     """A payload with every array replaced by its dtype, shape and bytes."""
     def enc(v):
@@ -1319,7 +1418,7 @@ def _edge_free(seed, n=12):
 
 def _prepared_alone(loc, ms):
     grid = Grid2D(loc.config.grid_size, loc.config.grid_size, ms.width, ms.height)
-    return loc._prepare(ms, NULL_TRACER, grid)
+    return loc._prepare(ms, grid)
 
 
 def _same_csr(a, b):
@@ -1383,9 +1482,9 @@ class TestEdgeOperatorBlocks:
     def test_ops_are_those_of_a_block_of_one(self, case):
         pairs = self._batches()[case]
         grid = Grid2D(BASE_CFG.grid_size, BASE_CFG.grid_size, 1.0, 1.0)
-        preps = bnloc._prepare_blocks(pairs, [grid] * len(pairs))
+        preps = bnloc._prepare_blocks(pairs, grid)
         for (loc, ms), prep in zip(pairs, preps):
-            alone = loc._prepare(ms, NULL_TRACER, grid)
+            alone = loc._prepare(ms, grid)
             assert prep.problem.edges == alone.problem.edges
             assert prep.anchor_msgs == alone.anchor_msgs
             assert len(prep.problem.ops) == len(alone.problem.ops)
@@ -1764,12 +1863,10 @@ class TestBatchCallBudget:
         assert dots == [] and matmuls == [1]
 
     @pytest.mark.parametrize(
-        "break_rows, scatters",
-        [({}, 1), ({3: None, 7: 1}, 3)],
-        ids=["healthy", "fallback-and-restart"],
+        "break_rows", [{}, {3: None, 7: 1}], ids=["healthy", "fallback-and-restart"]
     )
     def test_results_assembled_by_one_group_scatter(
-        self, batch, monkeypatch, break_rows, scatters
+        self, batch, monkeypatch, break_rows
     ):
         from repro.core import bnloc
         from repro.core.result import Localizer
@@ -1791,11 +1888,11 @@ class TestBatchCallBudget:
         monkeypatch.setattr(Localizer, "_result_skeleton", staticmethod(counted_skeleton))
         monkeypatch.setattr(bnloc, "_group_rows", counted_rows)
         payloads = InlineExecutor().solve(runtime._items(pairs))
-        # the group's scatter, plus one per restarted item (both broken
-        # items restart; item 3 stays broken and keeps a fallback node)
+        # the group's scatter only: both broken items restart and write
+        # their new rows into it; item 3 stays broken and keeps a fallback
+        # node
         assert skeletons == []
-        assert len(scattered) == scatters and len(scattered[0]) == 32
+        assert len(scattered) == 1 and len(scattered[0]) == 32
         if break_rows:
-            assert scattered[1:] == [[pairs[3][1].measurements], [pairs[7][1].measurements]]
             assert payloads[3]["fallback_mask"].sum() == 1
             assert not payloads[7]["fallback_mask"].any()

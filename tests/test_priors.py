@@ -276,7 +276,8 @@ class _PerVectorBeliefPrior(PositionPrior):
         w = self.weights.get(int(node))
         if w is None:
             return np.full(grid.n_cells, 1.0 / grid.n_cells)
-        if grid.n_cells == self.grid.n_cells and grid.nx == self.grid.nx:
+        same = (grid.nx, grid.ny, grid.width, grid.height)
+        if same == (self.grid.nx, self.grid.ny, self.grid.width, self.grid.height):
             return w
         out = w[self.grid.cell_of(grid.centers)]
         return out / out.sum()
@@ -344,6 +345,25 @@ class TestGridBeliefPriorBlock:
         np.testing.assert_array_equal(
             prior.grid_weight_rows(nodes, fine), ref.grid_weight_rows(nodes, fine)
         )
+
+    def test_same_shape_other_extent_takes_cross_resolution_rows(self):
+        # a 4x4 prior on the unit field read on a 4x4 grid over 2x2: the
+        # cells have the same count but not the same places, so the rows
+        # are the prior evaluated at the target cell centres, not its
+        # block rows
+        unit, wide = Grid2D(4, 4), Grid2D(4, 4, 2.0, 2.0)
+        beliefs = _random_beliefs(unit, [0, 2], seed=6)
+        prior = GridBeliefPrior(unit, beliefs, diffusion_sigma=0.1, floor=1e-4)
+        ref = _PerVectorBeliefPrior(unit, beliefs, diffusion_sigma=0.1, floor=1e-4)
+        nodes = [2, 1, 0]
+        rows = prior.grid_weight_rows(nodes, wide)
+        np.testing.assert_array_equal(rows, ref.grid_weight_rows(nodes, wide))
+        cells = unit.cell_of(wide.centers)
+        for row, node in zip(rows[[0, 2]], [2, 0]):
+            want = prior.weights[node][cells]
+            np.testing.assert_array_equal(row, want / want.sum())
+            np.testing.assert_array_equal(prior.grid_weights(node, wide), row)
+        assert not np.array_equal(rows[0], prior.weights[2])
 
     def test_rediffusing_a_prior_uses_its_block(self):
         # what a coasting stream step does: the prior's own rows go back

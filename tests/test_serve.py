@@ -198,7 +198,7 @@ class TestGroupingProperties:
             keys.append(request_batch_key(req))
             prob = (
                 GridBPLocalizer(prior=prior, config=req.config)
-                ._prepare(ms, NULL_TRACER)
+                ._prepare(ms)
                 .problem
             )
             assert request_batch_key(req) == compatibility_key(prob)
@@ -215,7 +215,7 @@ class TestGroupingProperties:
         ms = dc.replace(ms, width=field[0], height=field[1])
         cfg = GridBPConfig(grid_size=grid_size, max_iterations=3)
         req = LocalizeRequest(measurements=ms, prior=prior, config=cfg)
-        prob = GridBPLocalizer(prior=prior, config=cfg)._prepare(ms, NULL_TRACER).problem
+        prob = GridBPLocalizer(prior=prior, config=cfg)._prepare(ms).problem
         assert request_batch_key(req) == compatibility_key(prob)
         assert prob.grid.width == field[0] and prob.grid.height == field[1]
 
