@@ -1,13 +1,14 @@
 """Runtime invariant guards shared by every solver.
 
 Each checker is a pure function mapping solver state to a list of
-:class:`AuditViolation` — empty on healthy state.  Solvers invoke them
-through :func:`audit_localization_result` (and friends) behind
-``GridBPConfig(audit=...)`` or the ``REPRO_AUDIT`` environment toggle, so
-the default path pays exactly one ``None`` check per run.  Violations are
-reported through the solver's :class:`~repro.obs.Tracer` (counter
-``audit_violations`` + per-violation annotations) and then either warned
-(``"warn"``) or raised (``"raise"``) via :class:`AuditError`.
+:class:`AuditViolation` — empty on healthy state.  Every solver runs its
+checks (:func:`audit_localization_result` and friends) through the one
+hook :func:`run_audit`, behind ``GridBPConfig(audit=...)`` or the
+``REPRO_AUDIT`` environment toggle, so the default path pays exactly one
+``None`` check per run.  Violations are reported through the solver's
+:class:`~repro.obs.Tracer` (counter ``audit_violations`` +
+per-violation annotations) and then either warned (``"warn"``) or
+raised (``"raise"``) via :class:`AuditError`.
 
 The invariants encode what *must* hold for any correct run, independent of
 scenario or schedule:
@@ -34,6 +35,7 @@ __all__ = [
     "AuditViolation",
     "Auditor",
     "resolve_audit_mode",
+    "run_audit",
     "check_belief_matrix",
     "check_belief_dict",
     "check_message_floor",
@@ -139,6 +141,26 @@ class Auditor:
         warnings.warn(
             f"{prefix}{AuditError(self.violations)}", RuntimeWarning, stacklevel=3
         )
+
+
+def run_audit(config_mode: str | None, solver: str, tracer, checks) -> None:
+    """A solver run's invariant guards: the one audit hook every solver
+    calls after building its result.
+
+    *checks* is a zero-argument callable returning the run's
+    :class:`AuditViolation` list; it runs only when auditing is on
+    (:func:`resolve_audit_mode` of *config_mode*), so the off path costs
+    one config check plus one environment lookup.  Observation-only:
+    never mutates the result.  Violations are reported by an
+    :class:`Auditor` on *tracer* under *solver*'s name; a warning is
+    attributed to the frame that called this function.
+    """
+    mode = resolve_audit_mode(config_mode)
+    if mode is None:
+        return
+    auditor = Auditor(mode, tracer=tracer, solver=solver)
+    auditor.extend(checks())
+    auditor.finish()
 
 
 # --------------------------------------------------------------------- #

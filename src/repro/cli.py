@@ -116,8 +116,9 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="run trials in blocks of N, batching the grid-BP methods "
-        "across each block (bit-identical, checkpoint-compatible)",
+        help="trial block size: trials run in blocks of N (default 1), "
+        "each grid-BP method solving its block as one batch "
+        "(bit-identical for every N, checkpoint-compatible)",
     )
     p.add_argument(
         "--checkpoint",

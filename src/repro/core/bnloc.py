@@ -627,36 +627,23 @@ class GridBPLocalizer(Localizer):
                 ),
             },
         )
-        self._maybe_audit(result, ms, prep.problem.ops, tracer)
-        return result
-
-    def _maybe_audit(self, result, ms: MeasurementSet, ops, tracer) -> None:
-        """Run the :mod:`repro.audit` invariant guards when enabled.
-
-        Observation-only: never mutates the result.  The common off path
-        costs one config check plus one environment lookup.
-        """
-        from repro.audit.invariants import resolve_audit_mode
-
-        mode = resolve_audit_mode(self.config.audit)
-        if mode is None:
-            return
         from repro.audit.invariants import (
-            Auditor,
             audit_localization_result,
             check_symmetric_ops,
+            run_audit,
         )
 
-        auditor = Auditor(mode, tracer=tracer, solver=self.name)
-        auditor.extend(
-            audit_localization_result(
+        def checks():
+            out = audit_localization_result(
                 result, ms.width, ms.height, anchor_mask=ms.anchor_mask
             )
-        )
-        if not ms.has_bearings:
-            # pure ranging / connectivity operators are claimed symmetric
-            auditor.extend(check_symmetric_ops(ops))
-        auditor.finish()
+            if not ms.has_bearings:
+                # pure ranging / connectivity operators are claimed symmetric
+                out += check_symmetric_ops(prep.problem.ops)
+            return out
+
+        run_audit(self.config.audit, self.name, tracer, checks)
+        return result
 
     # ------------------------------------------------------------------ #
     def _node_potentials(

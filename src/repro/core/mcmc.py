@@ -326,7 +326,16 @@ class MCMCLocalizer(Localizer):
             )
             if tracer.enabled:
                 tracer.annotate("eta_map", result.extras["eta_map"])
-        self._maybe_audit(result, ms, tracer)
+        from repro.audit.invariants import check_result_geometry, run_audit
+
+        run_audit(
+            self.config.audit,
+            self.name,
+            tracer,
+            lambda: check_result_geometry(
+                result, ms.width, ms.height, anchor_mask=ms.anchor_mask
+            ),
+        )
         return result
 
     # ------------------------------------------------------------------ #
@@ -465,24 +474,6 @@ class MCMCLocalizer(Localizer):
             fallback_mask=fallback,
             extras=extras,
         )
-
-    def _maybe_audit(
-        self, result: LocalizationResult, ms: MeasurementSet, tracer: NullTracer
-    ) -> None:
-        from repro.audit.invariants import resolve_audit_mode
-
-        mode = resolve_audit_mode(self.config.audit)
-        if mode is None:
-            return
-        from repro.audit.invariants import Auditor, check_result_geometry
-
-        auditor = Auditor(mode, tracer=tracer, solver=self.name)
-        auditor.extend(
-            check_result_geometry(
-                result, ms.width, ms.height, anchor_mask=ms.anchor_mask
-            )
-        )
-        auditor.finish()
 
 
 class _TargetDensity:

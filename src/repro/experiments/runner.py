@@ -151,49 +151,27 @@ class MethodResult:
         return float(np.mean(self.runtimes)) if self.runtimes else 0.0
 
 
-def _run_one_trial(
-    config: ScenarioConfig,
-    methods: Mapping[str, MethodFactory],
-    trial_seed,
-    tracer: NullTracer = NULL_TRACER,
-) -> dict[str, tuple[ErrorSummary, int, float]]:
-    """Evaluate every method on one scenario draw (shared by the serial
-    and multiprocess paths)."""
-    s_build, s_run = trial_seed.spawn(2)
-    with tracer.timer("build_scenario"):
-        network, measurements, prior = build_scenario(config, s_build)
+def _trial_entry(
+    tracer: NullTracer, name: str, network, result, elapsed: float
+) -> tuple[ErrorSummary, int, float]:
+    """Method *name*'s entry for one trial: its error summary, messages
+    and runtime, counted on *tracer* as ``trials[name]`` /
+    ``messages[name]``.  A ``None`` *result* (the method raised
+    ``ValueError``: inapplicable to this observation type, e.g. MLE on
+    range-free data) records the all-NaN summary, visible as coverage 0."""
     unknown = ~network.anchor_mask
-    out: dict[str, tuple[ErrorSummary, int, float]] = {}
-    for name, factory in methods.items():
-        loc = factory(prior)
-        t0 = time.perf_counter()
-        try:
-            with tracer.timer(name):
-                result = loc.localize(measurements, np.random.default_rng(s_run))
-        except ValueError:
-            # Method inapplicable to this observation type (e.g. MLE on
-            # range-free data): record nothing, visible as coverage 0.
-            out[name] = (
-                summarize_errors(
-                    np.full(network.n_nodes, np.nan),
-                    network.radio_range,
-                    unknown,
-                ),
-                0,
-                0.0,
-            )
-            continue
-        elapsed = time.perf_counter() - t0
-        errors = result.errors(network.positions)
-        if tracer.enabled:
-            tracer.count(f"trials[{name}]")
-            tracer.count(f"messages[{name}]", result.messages_sent)
-        out[name] = (
-            summarize_errors(errors, network.radio_range, unknown),
-            result.messages_sent,
-            elapsed,
-        )
-    return out
+    if result is None:
+        nan = np.full(network.n_nodes, np.nan)
+        return summarize_errors(nan, network.radio_range, unknown), 0, 0.0
+    if tracer.enabled:
+        tracer.count(f"trials[{name}]")
+        tracer.count(f"messages[{name}]", result.messages_sent)
+    errors = result.errors(network.positions)
+    return (
+        summarize_errors(errors, network.radio_range, unknown),
+        result.messages_sent,
+        elapsed,
+    )
 
 
 def _run_trial_block(
@@ -202,18 +180,18 @@ def _run_trial_block(
     trial_seeds,
     tracer: NullTracer = NULL_TRACER,
 ) -> list[dict[str, tuple[ErrorSummary, int, float]]]:
-    """Evaluate every method on a block of scenario draws, batching the
-    grid-BP methods across the block.
+    """Evaluate every method on a block of scenario draws (a lone trial is
+    a block of one).
 
-    Seed discipline is exactly :func:`_run_one_trial`'s (one ``spawn(2)``
-    per trial), so results are bit-identical to running the trials one by
-    one — the batch only changes the execution strategy: compatible
-    grid-BP trials run as stacked kernel passes via
-    :func:`repro.core.bnloc.localize_batch`; other methods (and any trial
-    a batch cannot serve) run per-trial.  Per-trial ``runtimes`` of a
-    batched method are the block wall-clock divided evenly across its
-    trials (total time stays meaningful, per-trial spread does not
-    survive batching).
+    Each trial spawns ``(s_build, s_run)`` from its seed, and every method
+    sees the same network and measurements.  A grid-BP method runs the
+    whole block as one :func:`repro.core.bnloc.localize_batch` call, which
+    is bit-identical to ``localize`` per trial; other methods, and a
+    grid-BP batch that raises ``ValueError``, run trial by trial on a
+    fresh ``default_rng(s_run)``.  Per-trial ``runtimes`` of a batched
+    method are the block wall-clock divided evenly across its trials
+    (total time stays meaningful, per-trial spread does not survive
+    batching).
     """
     from repro.core.bnloc import localize_batch
 
@@ -228,42 +206,25 @@ def _run_trial_block(
     ]
     for name, factory in methods.items():
         locs = [factory(prior) for (_n, _m, prior, _s) in scenarios]
-        results = None
-        elapsed = 0.0
-        if len(locs) > 1 and all(isinstance(l, GridBPLocalizer) for l in locs):
+        if all(isinstance(l, GridBPLocalizer) for l in locs):
             t0 = time.perf_counter()
             try:
                 with tracer.timer(name):
                     results = localize_batch(
-                        [
-                            (loc, ms)
-                            for loc, (_n, ms, _p, _s) in zip(locs, scenarios)
-                        ]
+                        [(loc, ms) for loc, (_n, ms, _p, _s) in zip(locs, scenarios)]
                     )
             except ValueError:
-                # Method inapplicable to (at least) one trial's observation
-                # type: drop to the per-trial path below, which records the
-                # NaN summary for exactly the failing trials.
-                results = None
+                # Some trial cannot be solved: the per-trial loop below
+                # records the NaN summary for exactly the failing trials.
+                pass
             else:
                 elapsed = (time.perf_counter() - t0) / len(locs)
-        if results is not None:
-            for k, (result, (network, _m, _p, _s)) in enumerate(
-                zip(results, scenarios)
-            ):
-                unknown = ~network.anchor_mask
-                errors = result.errors(network.positions)
-                if tracer.enabled:
-                    tracer.count(f"trials[{name}]")
-                    tracer.count(f"messages[{name}]", result.messages_sent)
-                out[k][name] = (
-                    summarize_errors(errors, network.radio_range, unknown),
-                    result.messages_sent,
-                    elapsed,
-                )
-            continue
-        for k, (network, measurements, prior, s_run) in enumerate(scenarios):
-            unknown = ~network.anchor_mask
+                for k, result in enumerate(results):
+                    out[k][name] = _trial_entry(
+                        tracer, name, scenarios[k][0], result, elapsed
+                    )
+                continue
+        for k, (network, measurements, _p, s_run) in enumerate(scenarios):
             t0 = time.perf_counter()
             try:
                 with tracer.timer(name):
@@ -271,25 +232,9 @@ def _run_trial_block(
                         measurements, np.random.default_rng(s_run)
                     )
             except ValueError:
-                out[k][name] = (
-                    summarize_errors(
-                        np.full(network.n_nodes, np.nan),
-                        network.radio_range,
-                        unknown,
-                    ),
-                    0,
-                    0.0,
-                )
-                continue
-            trial_elapsed = time.perf_counter() - t0
-            errors = result.errors(network.positions)
-            if tracer.enabled:
-                tracer.count(f"trials[{name}]")
-                tracer.count(f"messages[{name}]", result.messages_sent)
-            out[k][name] = (
-                summarize_errors(errors, network.radio_range, unknown),
-                result.messages_sent,
-                trial_elapsed,
+                result = None
+            out[k][name] = _trial_entry(
+                tracer, name, network, result, time.perf_counter() - t0
             )
     return out
 
@@ -364,12 +309,14 @@ def evaluate_methods(
     (``"evaluate"``) with per-method child timers, and counts trials and
     messages per method.
 
-    ``batch_trials=<block size>`` runs trials in blocks, stacking the
-    grid-BP methods across each block (:func:`_run_trial_block`) — same
-    per-trial seed streams, bit-identical summaries and message counts,
-    per-trial ``runtimes`` amortized over the block.  Checkpoint ledgers
-    record per trial either way, so batched and unbatched runs resume
-    each other bit-identically.
+    Trials run in blocks of *batch_trials* (``None``: blocks of one)
+    through :func:`_run_trial_block`, which solves each grid-BP method's
+    block as one stacked batch.  The block size only changes the
+    execution strategy: per-trial seed streams, summaries and message
+    counts are bit-identical for every size; per-trial ``runtimes`` of a
+    batched method are amortized over its block.  Checkpoint ledgers
+    record per trial, so runs at different block sizes resume each other
+    bit-identically.
 
     With ``checkpoint=<ledger path>`` (or a :class:`~repro.ckpt.Checkpoint`
     / :class:`~repro.ckpt.CheckpointScope`), each finished trial is durably
@@ -403,22 +350,16 @@ def evaluate_methods(
                 per_trial[i] = _replay_trial(ck, i, names)
                 if per_trial[i] is None:
                     pending.append(i)
-            if batch_trials is None or batch_trials == 1:
-                for i in pending:
-                    trial = _run_one_trial(config, methods, seeds_list[i], tracer)
+            size = batch_trials or 1
+            for b0 in range(0, len(pending), size):
+                block = pending[b0 : b0 + size]
+                trials = _run_trial_block(
+                    config, methods, [seeds_list[i] for i in block], tracer
+                )
+                for i, trial in zip(block, trials):
                     if ck is not None:
                         ck.record(f"trial:{i}", {"result": encode_value(trial)})
                     per_trial[i] = trial
-            else:
-                for b0 in range(0, len(pending), batch_trials):
-                    block = pending[b0 : b0 + batch_trials]
-                    trials = _run_trial_block(
-                        config, methods, [seeds_list[i] for i in block], tracer
-                    )
-                    for i, trial in zip(block, trials):
-                        if ck is not None:
-                            ck.record(f"trial:{i}", {"result": encode_value(trial)})
-                        per_trial[i] = trial
     finally:
         if ck is not None:
             ck.emit_counters(tracer)
@@ -478,8 +419,9 @@ def run_sweep(
 
     Each parameter point gets an independent spawned seed block, so the
     curve is stable under adding/removing points.  *batch_trials* is
-    forwarded to :func:`evaluate_methods` (trial batching within each
-    parameter point; bit-identical, checkpoint-compatible).
+    forwarded to :func:`evaluate_methods`: the trial block size within
+    each parameter point (bit-identical for every size,
+    checkpoint-compatible).
 
     With ``checkpoint=<ledger path>``, the sweep owns one write-ahead
     ledger and hands every parameter point a key-scoped view

@@ -32,8 +32,6 @@ __all__ = [
     "save_network_npz",
     "load_network_npz",
     "result_to_dict",
-    "tracking_result_to_dict",
-    "tracking_result_from_dict",
     "save_result_json",
     "save_trace_json",
     "load_trace_json",
@@ -373,47 +371,6 @@ def result_to_dict(result: LocalizationResult) -> dict:
     if result.telemetry is not None:
         out["telemetry"] = result.telemetry
     return out
-
-
-def tracking_result_to_dict(result) -> dict:
-    """Tagged, bit-exact wire form of a mobility ``TrackingResult``.
-
-    Unlike :func:`result_to_dict` (a lossy human-facing summary), this
-    codec must survive the worker pipe and the ckpt ledger and
-    round-trip *exactly* — estimates contain NaNs (unlocalized steps)
-    and the extras carry boolean masks — so arrays ride the ckpt value
-    codec (base64 of the raw buffer) rather than ``tolist``.
-    """
-    from repro.ckpt.snapshot import encode_value
-
-    return {
-        "kind": "tracking-result",
-        "method": str(result.method),
-        "estimates": encode_value(result.estimates),
-        "localized": encode_value(result.localized),
-        "extras": {str(k): encode_value(v) for k, v in result.extras.items()},
-    }
-
-
-def tracking_result_from_dict(data: dict):
-    """Inverse of :func:`tracking_result_to_dict`."""
-    from repro.ckpt.snapshot import decode_value
-    from repro.mobility.tracking import TrackingResult
-
-    if data.get("kind") != "tracking-result":
-        raise ValueError(
-            f"not a tracking-result payload (kind={data.get('kind')!r})"
-        )
-    try:
-        estimates = decode_value(data["estimates"])
-        localized = decode_value(data["localized"])
-        method = data["method"]
-    except KeyError as exc:
-        raise ValueError(f"tracking-result dict missing key {exc}") from exc
-    extras = {k: decode_value(v) for k, v in data.get("extras", {}).items()}
-    return TrackingResult(
-        np.asarray(estimates), np.asarray(localized), method, extras
-    )
 
 
 def save_result_json(result: LocalizationResult, path: str | Path) -> None:

@@ -6,7 +6,6 @@ from repro.kernels.base import (
     IncompatibleBatchError,
     KernelBackend,
     compatibility_key,
-    config_key,
     get_backend,
     kernel_for,
     shape_key,
@@ -24,7 +23,6 @@ __all__ = [
     "KernelBackend",
     "IncompatibleBatchError",
     "compatibility_key",
-    "config_key",
     "shape_key",
     "get_backend",
     "kernel_for",

@@ -56,7 +56,6 @@ __all__ = [
     "KernelBackend",
     "IncompatibleBatchError",
     "compatibility_key",
-    "config_key",
     "shape_key",
     "get_backend",
     "kernel_for",
@@ -109,25 +108,15 @@ class BPOutcome:
     health: dict
 
 
-def config_key(grid: "Grid2D", cfg: "GridBPConfig", n_cells: int | None = None) -> tuple:
-    """Batch-compatibility key from ``(grid, cfg)`` alone.
-
-    This is :func:`compatibility_key` without a prepared problem in hand —
-    the serving layer uses it to group *requests* into micro-batches
-    before any node potentials exist, with the guarantee that requests
-    sharing this key prepare into problems sharing
-    :func:`compatibility_key` (the tuples are constructed identically).
-    """
-    n_cells = grid.n_cells if n_cells is None else n_cells
-    return shape_key(grid.nx, grid.ny, grid.width, grid.height, n_cells, cfg)
-
-
 def shape_key(
     nx: int, ny: int, width: float, height: float, n_cells: int, cfg: "GridBPConfig"
 ) -> tuple:
-    """The key tuple of :func:`config_key` from the grid's shape and
-    extent, so a caller holding only those (a serve request) needs no
-    :class:`~repro.core.grid.Grid2D`."""
+    """Batch-compatibility key from a grid's shape and extent and a config
+    alone, before any problem is prepared, so a caller holding only those
+    (a serve request, :func:`repro.core.bnloc.localize_batch`'s grouping)
+    needs no :class:`~repro.core.grid.Grid2D`.  Pairs sharing this key
+    prepare into problems sharing :func:`compatibility_key` (the tuples
+    are constructed identically)."""
     return (
         int(nx),
         int(ny),
@@ -156,7 +145,10 @@ def compatibility_key(problem: BPProblem) -> tuple:
     config (schedule, damping, tolerances, …).  Different seeds /
     networks / priors are exactly what the batch axis is for.
     """
-    return config_key(problem.grid, problem.cfg, problem.n_cells)
+    grid = problem.grid
+    return shape_key(
+        grid.nx, grid.ny, grid.width, grid.height, problem.n_cells, problem.cfg
+    )
 
 
 class KernelBackend:

@@ -362,45 +362,33 @@ class MCLTracker:
         result = TrackingResult(
             estimates, localized, "mcl", extras={"degraded": degraded}
         )
-        self._maybe_audit(result, width, height)
-        return result
+        from repro.audit.invariants import AuditViolation, run_audit
 
-    def _maybe_audit(
-        self, result: TrackingResult, width: float, height: float
-    ) -> None:
-        # Env-toggle only (REPRO_AUDIT) — MCL has no config dataclass.
-        from repro.audit.invariants import resolve_audit_mode
-
-        mode = resolve_audit_mode(None)
-        if mode is None:
-            return
-        from repro.audit.invariants import Auditor, AuditViolation
-
-        auditor = Auditor(mode, solver=result.method)
-        est = result.estimates[result.localized]
-        if not np.isfinite(est).all():
-            auditor.extend(
-                [
+        def checks():
+            est = result.estimates[result.localized]
+            if not np.isfinite(est).all():
+                return [
                     AuditViolation(
                         "tracking-estimate-finite",
                         "localized tracking estimates contain non-finite values",
                         {},
                     )
                 ]
-            )
-        elif len(est) and (
-            (est[:, 0] < 0).any()
-            or (est[:, 0] > width).any()
-            or (est[:, 1] < 0).any()
-            or (est[:, 1] > height).any()
-        ):
-            auditor.extend(
-                [
+            if len(est) and (
+                (est[:, 0] < 0).any()
+                or (est[:, 0] > width).any()
+                or (est[:, 1] < 0).any()
+                or (est[:, 1] > height).any()
+            ):
+                return [
                     AuditViolation(
                         "tracking-estimate-in-field",
                         "tracking estimates leave the deployment field",
                         {"width": width, "height": height},
                     )
                 ]
-            )
-        auditor.finish()
+            return []
+
+        # Env-toggle only (REPRO_AUDIT) — MCL has no config dataclass.
+        run_audit(None, result.method, None, checks)
+        return result

@@ -423,57 +423,44 @@ class DistributedBPSimulator:
         )
         if tracer.enabled:
             result.telemetry = tracer.snapshot()
-        self._maybe_audit(result, stats, ms, agents, anchor_broadcasts, K, tracer)
-        return result, stats
-
-    def _maybe_audit(
-        self, result, stats, ms, agents, anchor_broadcasts: int, K: int, tracer
-    ) -> None:
-        """Invariant guards (:mod:`repro.audit`) — observation-only, free
-        when off.  On top of the shared result-level bundle, the simulator
-        checks the per-round ledger against the result totals and every
-        agent's inbox against the message floor."""
-        from repro.audit.invariants import resolve_audit_mode
-
-        mode = resolve_audit_mode(self.config.audit)
-        if mode is None:
-            return
         from repro.audit.invariants import (
-            Auditor,
             audit_localization_result,
             check_delay_conservation,
             check_message_floor,
             check_round_accounting,
+            run_audit,
         )
 
-        auditor = Auditor(mode, tracer=tracer, solver=self.name)
-        auditor.extend(
-            audit_localization_result(
+        def checks():
+            # On top of the shared result-level bundle, the simulator
+            # checks the per-round ledger against the result totals and
+            # every agent's inbox against the message floor.
+            out = audit_localization_result(
                 result, ms.width, ms.height, anchor_mask=ms.anchor_mask
             )
-        )
-        auditor.extend(
-            check_round_accounting(
+            out += check_round_accounting(
                 result,
                 stats,
                 anchor_broadcasts,
                 _ANCHOR_BROADCAST_BYTES,
                 msg_bytes=K * 8,
             )
-        )
-        fault_log = (
-            result.extras.get("fault_log") if isinstance(result.extras, dict) else None
-        )
-        if fault_log and fault_log.get("messages"):
-            auditor.extend(
-                check_delay_conservation(fault_log["messages"]["counters"])
+            fault_log = (
+                result.extras.get("fault_log")
+                if isinstance(result.extras, dict)
+                else None
             )
-        if self.faults is None or not self.faults.enabled:
-            # The floor is a *solver* commitment; corrupted in-transit
-            # messages are renormalized by the injector and may
-            # legitimately dip below it.
-            inbox_msgs = [m for a in agents.values() for m in a.inbox.values()]
-            auditor.extend(
-                check_message_floor(inbox_msgs, _MSG_FLOOR, what="inbox message")
-            )
-        auditor.finish()
+            if fault_log and fault_log.get("messages"):
+                out += check_delay_conservation(fault_log["messages"]["counters"])
+            if self.faults is None or not self.faults.enabled:
+                # The floor is a *solver* commitment; corrupted in-transit
+                # messages are renormalized by the injector and may
+                # legitimately dip below it.
+                inbox_msgs = [m for a in agents.values() for m in a.inbox.values()]
+                out += check_message_floor(
+                    inbox_msgs, _MSG_FLOOR, what="inbox message"
+                )
+            return out
+
+        run_audit(self.config.audit, self.name, tracer, checks)
+        return result, stats

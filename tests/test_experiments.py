@@ -1,8 +1,13 @@
 """Tests for the experiment harness (config, runner, report)."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.core import bnloc
+from repro.core.bnloc import GridBPConfig, GridBPLocalizer
 from repro.experiments import (
     ScenarioConfig,
     build_scenario,
@@ -31,9 +36,27 @@ from repro.network.radio import (
     QuasiUnitDiskRadio,
     UnitDiskRadio,
 )
+from repro.obs import Tracer
+from repro.priors.base import PositionPrior
 
 FAST = standard_methods(grid_size=12, max_iterations=5, include=["bn-pk", "bn", "centroid"])
 SMALL = ScenarioConfig(n_nodes=40, anchor_ratio=0.15, radio_range=0.25)
+
+
+def _flat(res):
+    """Exact view of an evaluation: per method, the reprs of its trials'
+    summaries (NaN-safe) and its message counts."""
+    return {
+        name: ([repr(dataclasses.astuple(s)) for s in r.summaries], r.messages)
+        for name, r in res.items()
+    }
+
+
+class _NoSupportPrior(PositionPrior):
+    """Zero mass on every cell: preparing a grid-BP solve raises."""
+
+    def log_density(self, node, points):
+        return np.full(len(points), -np.inf)
 
 
 class TestScenarioConfig:
@@ -139,6 +162,67 @@ class TestEvaluateMethods:
         a = evaluate_methods(SMALL, FAST, n_trials=2, seed=9)
         b = evaluate_methods(SMALL, FAST, n_trials=2, seed=9)
         assert a["bn"].mean_error == b["bn"].mean_error
+
+
+class TestTrialBlocks:
+    """Every trial runs as part of a block; a lone trial is a block of one."""
+
+    def test_block_size_is_bit_identical(self, monkeypatch):
+        # A grid-BP method, a baseline and a method that raises on
+        # range-free data: the block size changes no summary, message
+        # count or tracer counter.
+        sizes = []
+        real = bnloc.localize_batch
+
+        def recording(pairs):
+            sizes.append(len(pairs))
+            return real(pairs)
+
+        monkeypatch.setattr(bnloc, "localize_batch", recording)
+        methods = standard_methods(
+            grid_size=10, max_iterations=5, include=["bn-pk", "centroid", "mle"]
+        )
+        cfg = SMALL.replace(ranging="none")
+        runs = {}
+        for bt in (1, 2, 3):
+            tracer = Tracer()
+            res = evaluate_methods(
+                cfg, methods, n_trials=4, seed=3, tracer=tracer, batch_trials=bt
+            )
+            runs[bt] = (_flat(res), tracer.counters)
+            assert res["mle"].coverage == 0.0
+        assert runs[1] == runs[2] == runs[3]
+        counters = runs[1][1]
+        assert counters["trials[bn-pk]"] == 4 and "trials[mle]" not in counters
+        assert counters["messages[bn-pk]"] == sum(res["bn-pk"].messages) > 0
+        # grid-BP goes through one batch call per block, blocks of one too
+        assert sizes == [1, 1, 1, 1, 2, 2, 3, 1]
+
+    def test_failing_trial_in_batch_is_isolated(self):
+        # The second trial's prior has no mass on the grid, so preparing
+        # its solve raises ValueError inside a block of three.
+        cfg = GridBPConfig(grid_size=10, max_iterations=5)
+
+        def methods():
+            built = itertools.count()
+
+            def factory(prior):
+                bad = next(built) == 1
+                return GridBPLocalizer(
+                    prior=_NoSupportPrior() if bad else prior, config=cfg
+                )
+
+            return {"bn-pk": factory}
+
+        single = evaluate_methods(SMALL, methods(), n_trials=4, seed=5, batch_trials=1)
+        block = evaluate_methods(SMALL, methods(), n_trials=4, seed=5, batch_trials=3)
+        failed = block["bn-pk"].summaries[1]
+        assert np.isnan(failed.mean) and failed.coverage == 0.0
+        assert block["bn-pk"].messages[1] == 0
+        assert all(
+            block["bn-pk"].summaries[k].coverage > 0 for k in (0, 2, 3)
+        )
+        assert _flat(block) == _flat(single)
 
 
 class TestRunSweep:

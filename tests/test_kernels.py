@@ -68,10 +68,10 @@ from repro.kernels import (
     BPProblem,
     IncompatibleBatchError,
     compatibility_key,
-    config_key,
     deadline_scope,
     get_backend,
     kernel_for,
+    shape_key,
 )
 from repro.kernels import batched as batched_kernel
 from repro.kernels.reference import (
@@ -327,11 +327,12 @@ class TestCompatibilityPartition:
         # with the dataclasses.astuple key it replaced (equal and
         # equal-hashing), so groups and serve's request keys do not move.
         cfg = dc.replace(BASE_CFG, **overrides)
-        grid = Grid2D(cfg.grid_size, cfg.grid_size, 1.5, 0.75)
-        key = config_key(grid, cfg)
+        g = cfg.grid_size
+        key = shape_key(g, g, 1.5, 0.75, g * g, cfg)
         deep = key[:-1] + (dc.astuple(cfg),)
         assert key == deep and hash(key) == hash(deep)
-        assert key != config_key(grid, dc.replace(cfg, tol=cfg.tol * 2))
+        other = dc.replace(cfg, tol=cfg.tol * 2)
+        assert key != shape_key(g, g, 1.5, 0.75, g * g, other)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -347,8 +348,8 @@ class TestCompatibilityPartition:
     def test_config_key_equals_field_loop_key(self, cfg):
         # The field values come from a getter cached per config class; the
         # key must equal the per-call dataclasses.fields loop it replaced.
-        grid = Grid2D(cfg.grid_size)
-        key = config_key(grid, cfg)
+        g = cfg.grid_size
+        key = shape_key(g, g, 1.0, 1.0, g * g, cfg)
         old = key[:-1] + (tuple(getattr(cfg, f.name) for f in dc.fields(cfg)),)
         assert key == old and hash(key) == hash(old)
         assert type(key[-1]) is tuple and len(key[-1]) == len(dc.fields(cfg))

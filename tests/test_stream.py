@@ -5,8 +5,8 @@ ingest hygiene, gap coasting, staleness shedding, the warm-start
 divergence guard, per-network failure isolation, in-process
 abort-and-resume bit-identity, subnormal-free beliefs behind a K = 144
 stream's priors (with pinned estimates), the tracker warm-start step
-API, the ``TrackingResult`` wire codec, the batch's block build of its
-next priors, and ``GridBeliefPrior`` motion-diffusion edge cases.
+API, the batch's block build of its next priors, and
+``GridBeliefPrior`` motion-diffusion edge cases.
 
 Slow crash-recovery lane (``-m "stream and slow"``): a real subprocess
 SIGKILL'd mid-stream whose ledger resumes bit-identically, and a
@@ -39,14 +39,10 @@ from repro.ckpt import (
 )
 from repro.core.bnloc import GridBPConfig, GridBPLocalizer
 from repro.core.grid import Grid2D
-from repro.io.serialize import (
-    tracking_result_from_dict,
-    tracking_result_to_dict,
-)
 from repro.measurement.measurements import observe
 from repro.measurement.ranging import GaussianRanging
 from repro.mobility.models import RandomWalkMobility
-from repro.mobility.tracking import SequentialGridTracker, TrackingResult
+from repro.mobility.tracking import SequentialGridTracker
 from repro.network.generator import NetworkConfig, generate_network
 from repro.network.radio import UnitDiskRadio
 from repro.network.topology import WSNetwork
@@ -1251,60 +1247,6 @@ class TestTrackerStepAPI:
         g2 = tracker.grid_for(2.0, 1.0)
         assert g2 is not g1
         assert g2.width == 2.0
-
-
-# ---------------------------------------------------------------------- #
-# TrackingResult wire codec (satellite)
-# ---------------------------------------------------------------------- #
-class TestTrackingResultCodec:
-    def _result(self):
-        estimates = np.full((3, 4, 2), np.nan)
-        estimates[0] = np.arange(8).reshape(4, 2) / 7.0
-        localized = np.zeros((3, 4), dtype=bool)
-        localized[0] = True
-        degraded = np.array([False, True, True])
-        return TrackingResult(
-            estimates,
-            localized,
-            "stream-grid-bp",
-            extras={"degraded": degraded, "reasons": [None, "coasted", "shed"]},
-        )
-
-    def test_round_trip_is_bit_exact(self):
-        original = self._result()
-        back = tracking_result_from_dict(tracking_result_to_dict(original))
-        assert isinstance(back, TrackingResult)
-        np.testing.assert_array_equal(back.estimates, original.estimates)
-        assert back.estimates.dtype == original.estimates.dtype
-        np.testing.assert_array_equal(back.localized, original.localized)
-        assert back.localized.dtype == np.bool_
-        assert back.method == original.method
-        np.testing.assert_array_equal(
-            back.extras["degraded"], original.extras["degraded"]
-        )
-        assert back.extras["reasons"] == original.extras["reasons"]
-
-    def test_round_trip_survives_json(self):
-        import json
-
-        original = self._result()
-        wire = json.loads(json.dumps(tracking_result_to_dict(original)))
-        back = tracking_result_from_dict(wire)
-        np.testing.assert_array_equal(back.estimates, original.estimates)
-        np.testing.assert_array_equal(back.localized, original.localized)
-
-    def test_tag_is_validated(self):
-        payload = tracking_result_to_dict(self._result())
-        payload["kind"] = "something-else"
-        with pytest.raises(ValueError, match="tracking-result"):
-            tracking_result_from_dict(payload)
-
-    def test_empty_extras(self):
-        tr = TrackingResult(
-            np.zeros((1, 2, 2)), np.ones((1, 2), dtype=bool), "mcl"
-        )
-        back = tracking_result_from_dict(tracking_result_to_dict(tr))
-        assert back.extras == {}
 
 
 # ---------------------------------------------------------------------- #
